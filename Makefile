@@ -3,11 +3,15 @@ GO ?= go
 .PHONY: verify test test-race bench bench-1m baseline bench-compare ci doclint sensvet scenarios fuzz-smoke e2e
 
 # verify is the tier-1 gate: build (including every example), vet, full
-# test suite.
+# test suite. cmd/sensbench is a module of its own that root ./... skips;
+# it is built and vetted explicitly so a core API change that breaks the
+# benchmark harness fails here.
 verify:
 	$(GO) build ./...
 	$(GO) build ./examples/...
+	$(GO) -C cmd/sensbench build -o /dev/null ./...
 	$(GO) vet ./...
+	$(GO) -C cmd/sensbench vet ./...
 	$(GO) test ./...
 
 # doclint fails when any exported identifier in the module lacks a godoc
@@ -63,13 +67,16 @@ e2e:
 # fault-schedule builder must never panic and alive-sets must shrink
 # monotonically for any input; trajectory sampling must keep every position
 # inside the box and the kinetic spatial index consistent with brute force
-# under arbitrary move sequences. Ten seconds is a smoke test, not a
-# campaign — run longer fuzzes with 'go test ./internal/fault
-# -fuzz=FuzzSchedule' or 'go test ./internal/mobility -fuzz=FuzzTrajectory'
-# directly.
+# under arbitrary move sequences; the kinetic UDG-SENS maintainer must equal
+# a from-scratch build after every move or removal, boundary points
+# included. Ten seconds is a smoke test, not a campaign — run longer fuzzes
+# with 'go test ./internal/fault -fuzz=FuzzSchedule', 'go test
+# ./internal/mobility -fuzz=FuzzTrajectory' or 'go test ./internal/core
+# -fuzz=FuzzKinetic' directly.
 fuzz-smoke:
 	$(GO) test ./internal/fault -run='^$$' -fuzz=FuzzSchedule -fuzztime=10s
 	$(GO) test ./internal/mobility -run='^$$' -fuzz=FuzzTrajectory -fuzztime=10s
+	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzKinetic -fuzztime=10s
 
 # bench runs every benchmark once with allocation reporting — the quick
 # "did I regress the pipeline" check.

@@ -123,19 +123,14 @@ type (
 	StretchSample = core.StretchSample
 )
 
-// BuildUDGSens constructs UDG-SENS(2, λ) over pts.
+// BuildUDGSens constructs UDG-SENS(2, λ) over pts. Per-tile elections and
+// border-stitched relay wiring run tile-sharded across all cores once the
+// deployment spans more than one shard of tiles, and the result is
+// byte-identical at any GOMAXPROCS; this is also the scale-tier path for
+// 10⁶-node deployments. When it builds the base graph itself it uses the
+// pair-free UDGGrid enumeration.
 func BuildUDGSens(pts []Point, box Rect, spec UDGSpec, opt Options) (*Network, error) {
 	return core.BuildUDG(pts, box, spec, opt)
-}
-
-// BuildUDGSensSharded constructs the same network as BuildUDGSens by
-// tile-sharded parallel execution: per-tile elections and border-stitched
-// relay wiring run across all cores and the result is byte-identical to the
-// serial build at any GOMAXPROCS (equivalence-tested). This is the
-// scale-tier path for 10⁶-node deployments; when it builds the base graph
-// itself it uses the pair-free UDGGrid enumeration.
-func BuildUDGSensSharded(pts []Point, box Rect, spec UDGSpec, opt Options) (*Network, error) {
-	return core.BuildUDGSharded(pts, box, spec, opt)
 }
 
 // BuildNNSens constructs NN-SENS(2, k) over pts.

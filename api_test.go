@@ -345,16 +345,17 @@ func TestPublicScaleTierFlow(t *testing.T) {
 		t.Fatalf("UDGGridSoA %d edges, UDGGrid %d", c.EdgeCount, a.EdgeCount)
 	}
 
-	// Sharded SENS build equals the serial build.
-	serial, err := sensnet.BuildUDGSens(pts, box, sensnet.DefaultUDGSpec(), sensnet.Options{Base: a})
+	// The SENS build over the supplied grid base equals the build that
+	// constructs its own base.
+	given, err := sensnet.BuildUDGSens(pts, box, sensnet.DefaultUDGSpec(), sensnet.Options{Base: a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := sensnet.BuildUDGSensSharded(pts, box, sensnet.DefaultUDGSpec(), sensnet.Options{Base: a})
+	own, err := sensnet.BuildUDGSens(pts, box, sensnet.DefaultUDGSpec(), sensnet.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.Stats != sharded.Stats || len(serial.Members) != len(sharded.Members) {
-		t.Fatalf("sharded build diverged: %+v vs %+v", serial.Stats, sharded.Stats)
+	if given.Stats != own.Stats || len(given.Members) != len(own.Members) || own.Base.EdgeCount != a.EdgeCount {
+		t.Fatalf("build over the supplied base diverged: %+v vs %+v", given.Stats, own.Stats)
 	}
 }

@@ -63,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tilefig = fs.Bool("tilefig", false, "render the tile region layout (paper Fig. 3 / Fig. 5) and exit")
 		faults  = fs.String("faults", "", "fault spec, e.g. crash:0.1,loss:0.05,attack:degree (attack: random | degree | betweenness)")
 		mob     = fs.String("mobility", "", "mobility spec, e.g. model:waypoint,speed:0.05,pause:2,steps:40 (model: waypoint | direction)")
-		scale   = fs.Bool("scale", false, "use the scale-tier pipeline: streaming SoA deployment, pair-free grid UDG, tile-sharded SENS build (udg only)")
+		scale   = fs.Bool("scale", false, "use the scale-tier streaming SoA deployment (udg only)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -103,17 +103,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail("%v", serr)
 		}
 		box := sensnet.Box(*side, *side)
+		var pts []sensnet.Point
 		if *scale {
-			// Scale tier: tile-streamed SoA deployment (its per-tile
+			// Scale tier: tile-streamed SoA deployment. Its per-tile
 			// substreams draw differently from Deploy, so the realization
-			// differs from the default pipeline at the same seed), pair-free
-			// grid UDG and the tile-sharded SENS build.
-			pts := sensnet.DeploySoA(box, *lambda, sensnet.Seed(*seed), scaleGenSide).Points(nil)
-			net, err = sensnet.BuildUDGSensSharded(pts, box, spec, sensnet.Options{})
+			// differs from the default pipeline at the same seed.
+			pts = sensnet.DeploySoA(box, *lambda, sensnet.Seed(*seed), scaleGenSide).Points(nil)
 		} else {
-			pts := sensnet.Deploy(box, *lambda, sensnet.Seed(*seed))
-			net, err = sensnet.BuildUDGSens(pts, box, spec, sensnet.Options{})
+			pts = sensnet.Deploy(box, *lambda, sensnet.Seed(*seed))
 		}
+		net, err = sensnet.BuildUDGSens(pts, box, spec, sensnet.Options{})
 	case "nn":
 		if *scale {
 			return fail("-scale supports -kind udg only")

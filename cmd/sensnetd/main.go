@@ -83,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := newHTTPServer(*addr, srv)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -102,6 +102,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, "sensnetd: drained, exiting")
 	return 0
+}
+
+// Connection timeouts of the daemon's HTTP server. A client must send its
+// request headers within readHeaderTimeout and its whole request within
+// readTimeout, and an idle keep-alive connection is closed after
+// idleTimeout, so a slow or silent client cannot hold a connection forever.
+// There is no write timeout: snapshot builds run on the request goroutine
+// and may legitimately take longer than any fixed bound.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the daemon's HTTP server for handler on addr.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // parsePreload parses the -preload spec "key:value,..." into a BuildSpec.

@@ -102,3 +102,23 @@ func TestParsePreloadRoundTrip(t *testing.T) {
 		t.Fatalf("parsed %+v, want %+v", sp, want)
 	}
 }
+
+// TestHTTPServerTimeouts pins the server's connection timeouts: header,
+// request and idle bounds are set, and the write timeout stays unset
+// because snapshot builds run on the request goroutine.
+func TestHTTPServerTimeouts(t *testing.T) {
+	h := serve.New(serve.Config{})
+	srv := newHTTPServer(":0", h)
+	if srv.Addr != ":0" || srv.Handler != h {
+		t.Fatalf("server not wired to addr/handler: %q %v", srv.Addr, srv.Handler)
+	}
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.ReadTimeout != readTimeout || srv.IdleTimeout != idleTimeout {
+		t.Fatalf("timeouts = header %v, read %v, idle %v", srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout)
+	}
+	if readHeaderTimeout <= 0 || readTimeout < readHeaderTimeout || idleTimeout <= 0 {
+		t.Errorf("timeouts must be positive, header ≤ read: header %v, read %v, idle %v", readHeaderTimeout, readTimeout, idleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want unset", srv.WriteTimeout)
+	}
+}

@@ -97,16 +97,17 @@ func main() {
 // from the nearest good tile (a real deployment hands the report to the
 // closest network member).
 func routeFromAnyGoodTile(net *sensnet.Network, from sensnet.TileCoord, sink sensnet.TileCoord) (routing.SensResult, error) {
-	if tn, ok := net.Tiles[from]; ok && tn.Good {
+	if tn := net.Tile(from); tn != nil && tn.Good {
 		return sensnet.Route(net, from, sink, 0)
 	}
 	bestD := math.MaxInt32
 	var best tiling.Coord
 	found := false
-	for c, tn := range net.Tiles {
+	for i, tn := range net.Tiles {
 		if !tn.Good {
 			continue
 		}
+		c := net.Map.TileAt(i)
 		d := abs(c.I-from.I) + abs(c.J-from.J)
 		if d < bestD {
 			bestD, best, found = d, c, true

@@ -71,15 +71,15 @@ func BuildUDGDistributed(pts []geom.Point, box geom.Rect, spec tiling.UDGSpec) (
 		Pts:     pts,
 		Box:     box,
 		Map:     tiling.NewMap(box, spec.Side),
-		Tiles:   make(map[tiling.Coord]*TileNodes),
 		UDGSpec: &spec,
 	}
-	n.Stats.Tiles = n.Map.Tiles()
+	nt := n.Map.Tiles()
 
-	// Phase 1: local classification (per node, zero messages).
+	// Phase 1: local classification (per node, zero messages). regionPeers
+	// lists, per slab tile, the nodes of each region.
 	gm := spec.Compile()
 	states := make([]nodeState, len(pts))
-	regionPeers := map[tiling.Coord]map[tiling.URegion][]int32{}
+	regionPeers := make([][tiling.URelayBottom + 1][]int32, nt)
 	for i, p := range pts {
 		c := n.Map.Tiling.TileOf(p)
 		st := &states[i]
@@ -87,17 +87,15 @@ func BuildUDGDistributed(pts []geom.Point, box geom.Rect, spec tiling.UDGSpec) (
 		for d := range st.relayLeader {
 			st.relayLeader[d] = -1
 		}
-		if _, _, ok := n.Map.Phi(c); !ok {
+		t, ok := n.Map.Index(c)
+		if !ok {
 			continue
 		}
 		st.tile = c
 		st.region = gm.Classify(n.Map.Tiling.Local(c, p))
 		st.mapped = true
 		if st.region != tiling.UNone {
-			if regionPeers[c] == nil {
-				regionPeers[c] = map[tiling.URegion][]int32{}
-			}
-			regionPeers[c][st.region] = append(regionPeers[c][st.region], int32(i))
+			regionPeers[t][st.region] = append(regionPeers[t][st.region], int32(i))
 		}
 	}
 
@@ -153,10 +151,8 @@ func BuildUDGDistributed(pts []geom.Point, box geom.Rect, spec tiling.UDGSpec) (
 
 	// Phase 2 at t=0: region-internal ID broadcast.
 	sim.After(0, func(s *simnet.Network) {
-		//sensvet:allow detrange — enqueue order only permutes same-timestep delivery; election handlers take a max over ids, so the outcome commutes (gated by TestDistributedMatchesCentralized)
-		for _, regions := range regionPeers {
-			//sensvet:allow detrange — same broadcast: per-region sends, handlers commute
-			for _, peers := range regions {
+		for t := range regionPeers {
+			for _, peers := range regionPeers[t] {
 				for _, u := range peers {
 					for _, v := range peers {
 						if u != v {
@@ -170,17 +166,15 @@ func BuildUDGDistributed(pts []geom.Point, box geom.Rect, spec tiling.UDGSpec) (
 
 	// Phase 3 at t=2: relay winners announce to the C0 region.
 	sim.After(2, func(s *simnet.Network) {
-		//sensvet:allow detrange — announcements land in per-(tile,region) leader slots; distinct tiles write distinct slots (gated by TestDistributedMatchesCentralized)
-		for c, regions := range regionPeers {
-			c0 := regions[tiling.UC0]
+		for t := range regionPeers {
+			regions := &regionPeers[t]
 			for _, d := range tiling.Directions {
-				peers := regions[tiling.URelay(d)]
-				leader := winner(peers)
+				leader := winner(regions[tiling.URelay(d)])
 				if leader < 0 {
 					continue
 				}
-				msg := leaderAnnounceMsg{tile: c, region: tiling.URelay(d), leader: leader}
-				for _, v := range c0 {
+				msg := leaderAnnounceMsg{tile: n.Map.TileAt(t), region: tiling.URelay(d), leader: leader}
+				for _, v := range regions[tiling.UC0] {
 					s.Send(simnet.NodeID(leader), simnet.NodeID(v), msg)
 				}
 			}
@@ -189,11 +183,10 @@ func BuildUDGDistributed(pts []geom.Point, box geom.Rect, spec tiling.UDGSpec) (
 
 	// Phase 4 at t=4: representatives of good tiles install rep–relay edges
 	// by notifying each relay leader.
-	goodTiles := map[tiling.Coord]bool{}
+	goodTiles := make([]bool, nt)
 	sim.After(4, func(s *simnet.Network) {
-		//sensvet:allow detrange — reads relay tables finalized at t=2; goodTiles stores are keyed by tile and tileGood handlers commute
-		for c, regions := range regionPeers {
-			rep := winner(regions[tiling.UC0])
+		for t := range regionPeers {
+			rep := winner(regionPeers[t][tiling.UC0])
 			if rep < 0 {
 				continue
 			}
@@ -208,7 +201,7 @@ func BuildUDGDistributed(pts []geom.Point, box geom.Rect, spec tiling.UDGSpec) (
 			if !good {
 				continue
 			}
-			goodTiles[c] = true
+			goodTiles[t] = true
 			for d := range st.relayLeader {
 				s.Send(simnet.NodeID(rep), simnet.NodeID(st.relayLeader[d]), tileGoodMsg{rep: rep})
 			}
@@ -217,15 +210,17 @@ func BuildUDGDistributed(pts []geom.Point, box geom.Rect, spec tiling.UDGSpec) (
 
 	// Phase 5 at t=6: cross-boundary handshakes between good tiles.
 	sim.After(6, func(s *simnet.Network) {
-		//sensvet:allow detrange — handshake edges go through the counting-sort CSR build (insertion-order independent); attempt/failure stats are commutative counters
-		for c := range goodTiles {
+		for t, good := range goodTiles {
+			if !good {
+				continue
+			}
 			for _, d := range []tiling.Direction{tiling.Right, tiling.Top} {
-				nc := c.Neighbor(d)
-				if !goodTiles[nc] {
+				nb, ok := n.Map.Index(n.Map.TileAt(t).Neighbor(d))
+				if !ok || !goodTiles[nb] {
 					continue
 				}
-				u := winner(regionPeers[c][tiling.URelay(d)])
-				v := winner(regionPeers[nc][tiling.URelay(d.Opposite())])
+				u := winner(regionPeers[t][tiling.URelay(d)])
+				v := winner(regionPeers[nb][tiling.URelay(d.Opposite())])
 				if u < 0 || v < 0 {
 					continue
 				}
@@ -238,28 +233,23 @@ func BuildUDGDistributed(pts []geom.Point, box geom.Rect, spec tiling.UDGSpec) (
 	sim.Run(0)
 
 	// Assemble the Network view (tile table mirrors what the nodes decided).
-	//sensvet:allow detrange — each tile's table entry is computed from that tile's own regions and stored by key
-	for c, regions := range regionPeers {
-		tn := &TileNodes{Rep: winner(regions[tiling.UC0]), Population: 0}
-		for _, peers := range regions {
+	n.Tiles = make([]TileNodes, nt)
+	for t := range n.Tiles {
+		tn := &n.Tiles[t]
+		tn.Rep = winner(regionPeers[t][tiling.UC0])
+		for _, peers := range regionPeers[t] {
 			tn.Population += len(peers)
 		}
-		for d := range tn.Disk {
-			tn.Disk[d] = -1
-		}
 		for _, d := range tiling.Directions {
-			tn.Bridge[d] = winner(regions[tiling.URelay(d)])
+			tn.Disk[d] = -1
+			tn.Bridge[d] = winner(regionPeers[t][tiling.URelay(d)])
 		}
-		tn.Good = goodTiles[c]
-		if tn.Good {
-			n.Stats.GoodTiles++
-		}
-		n.Tiles[c] = tn
+		tn.Good = goodTiles[t]
 	}
 	// Election accounting in simnet terms.
 	n.Stats.ElectionMessages = sim.MessagesSent
 	n.Stats.ElectionRounds = 1
-	n.finalize(b)
+	n.finalize(b.Build())
 
 	return &DistributedResult{
 		Network:           n,

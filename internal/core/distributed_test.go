@@ -46,9 +46,9 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 					dn.Stats.GoodTiles, central.Stats.GoodTiles)
 			}
 			// Per-tile leaders agree for good tiles.
-			for c, ct := range central.Tiles {
-				dt, ok := dn.Tiles[c]
-				if ct.Good != (ok && dt.Good) {
+			for i, ct := range central.Tiles {
+				c, dt := central.Map.TileAt(i), dn.Tiles[i]
+				if ct.Good != dt.Good {
 					t.Fatalf("tile %v goodness mismatch", c)
 				}
 				if !ct.Good {

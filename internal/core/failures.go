@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/graph"
-	"repro/internal/tiling"
 )
 
 // FailureReport quantifies the damage of node failures to a SENS network —
@@ -75,16 +74,19 @@ func SimulateFailures(n *Network, q float64, rng *rand.Rand) (*FailureReport, er
 }
 
 // SmallComponentWaste reports the §4.1 "small components turn themselves
-// off" accounting: the number of rep/relay nodes that were elected and
-// connected but ended up outside the largest component, by tile.
+// off" accounting: the number of rep/relay nodes — representatives, bridge
+// relays and, for NN-SENS, outer-disk relays — that were elected and
+// connected but ended up outside the largest component, and the number of
+// good tiles holding at least one of them.
 func (n *Network) SmallComponentWaste() (nodes int, tiles int) {
-	seen := map[tiling.Coord]bool{}
-	//sensvet:allow detrange — Degree and InNet are read-only lookups; nodes/tiles are commutative counts
-	for c, tn := range n.Tiles {
+	for t := range n.Tiles {
+		tn := &n.Tiles[t]
 		if !tn.Good {
 			continue
 		}
-		ids := append([]int32{tn.Rep}, tn.Bridge[:]...)
+		ids := [9]int32{tn.Rep}
+		copy(ids[1:], tn.Bridge[:])
+		copy(ids[5:], tn.Disk[:])
 		wasted := false
 		for _, id := range ids {
 			if id >= 0 && !n.InNet[id] && n.Graph.Degree(id) > 0 {
@@ -92,8 +94,7 @@ func (n *Network) SmallComponentWaste() (nodes int, tiles int) {
 				wasted = true
 			}
 		}
-		if wasted && !seen[c] {
-			seen[c] = true
+		if wasted {
 			tiles++
 		}
 	}

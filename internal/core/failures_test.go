@@ -82,16 +82,34 @@ func TestSimulateFailuresNN(t *testing.T) {
 	}
 }
 
+// TestSmallComponentWaste checks the waste count against its definition:
+// every vertex with an edge is an elected node of a good tile, so the waste
+// is exactly the connected non-members. The NN-SENS realization has one
+// isolated pair of good tiles whose five-edge path runs through outer-disk
+// relays, which must be counted too.
 func TestSmallComponentWaste(t *testing.T) {
-	n := buildTestUDG(t, 28, 16, 24)
-	nodes, tiles := n.SmallComponentWaste()
-	if nodes < 0 || tiles < 0 {
-		t.Fatal("negative waste")
-	}
-	// Waste nodes are connected (degree > 0) but not members — verify
-	// consistency with the flags.
-	if nodes > 0 && len(n.Members) == 0 {
-		t.Error("waste reported with empty network")
+	spec := tiling.PaperNNSpec()
+	for _, tc := range []struct {
+		name      string
+		n         *Network
+		wantTiles int
+	}{
+		{"udg", buildTestUDG(t, 28, 16, 24), -1},
+		{"nn", buildTestNN(t, 5, spec, 4*spec.TileSide()), 2},
+	} {
+		nodes, tiles := tc.n.SmallComponentWaste()
+		want := 0
+		for u := int32(0); int(u) < tc.n.Graph.N; u++ {
+			if !tc.n.InNet[u] && tc.n.Graph.Degree(u) > 0 {
+				want++
+			}
+		}
+		if nodes != want {
+			t.Errorf("%s: %d wasted nodes, want %d connected non-members", tc.name, nodes, want)
+		}
+		if (nodes > 0) != (tiles > 0) || (tc.wantTiles >= 0 && tiles != tc.wantTiles) {
+			t.Errorf("%s: %d wasted nodes over %d tiles", tc.name, nodes, tiles)
+		}
 	}
 }
 

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/election"
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/tiling"
@@ -43,40 +43,35 @@ type KineticStats struct {
 // depends on the full deployment, which breaks tile locality; NewKinetic
 // rejects that combination.
 type Kinetic struct {
-	spec  tiling.UDGSpec
-	gm    *tiling.UDGGeometry
-	alg   election.Algorithm
-	m     tiling.Map
+	kern  udgKernel
 	box   geom.Rect
 	pts   []geom.Point
 	alive []bool
 
-	// members holds the live point indices of each occupied mapped tile in
-	// ascending order — the exact candidate ordering AssignTiles produces,
-	// so re-elections reproduce the from-scratch results bit for bit.
-	members map[tiling.Coord][]int32
-	tiles   map[tiling.Coord]*TileNodes
-	// contrib holds, per tile, the packed edges this tile currently
-	// contributes to the network. Contributions are pairwise disjoint: an
-	// internal edge belongs to its tile, a boundary edge to the tile on its
-	// Left/Bottom side.
-	contrib map[tiling.Coord][]uint64
+	// The per-tile state is φ-indexed like Network.Tiles. members holds the
+	// live point indices of each mapped tile in ascending order — the
+	// candidate order of the build's tile slab, so re-elections reproduce
+	// the from-scratch results bit for bit.
+	members [][]int32
+	tiles   []TileNodes
+	// contrib holds, per tile, the packed edges the tile currently
+	// contributes to the network (its wire output). Contributions are
+	// pairwise disjoint: an internal edge belongs to its tile, a boundary
+	// edge to the tile on its Left/Bottom side.
+	contrib [][]uint64
 
 	delta *graph.Delta
 	stats KineticStats
 
-	esc     election.Scratch
-	local   []geom.Point
-	regions [5][]int32
-	dirty   map[tiling.Coord]struct{}
-	cdirty  map[tiling.Coord]struct{}
+	scratch tileScratch
+	dirty   []int // tiles whose membership changed since the last repair
+	cdirty  []int // tiles whose contribution may have changed
+	next    []uint64
 	swaps   []contribSwap
 }
 
-type contribSwap struct {
-	c    tiling.Coord
-	next []uint64
-}
+// contribSwap replaces contrib[t] with next[lo:hi].
+type contribSwap struct{ t, lo, hi int }
 
 // NewKinetic wraps a freshly built UDG-SENS network for incremental
 // maintenance. opt must be the Options the network was built with (the
@@ -89,44 +84,36 @@ func NewKinetic(n *Network, opt Options) (*Kinetic, error) {
 	if n.Base != nil && n.UDGSpec.Mode == tiling.GeometryRelaxed {
 		return nil, fmt.Errorf("sens: kinetic maintenance requires geometry-guaranteed edges; relaxed mode with a base graph can drop edges non-locally")
 	}
+	nt := len(n.Tiles)
 	k := &Kinetic{
-		spec:    *n.UDGSpec,
-		gm:      n.UDGSpec.Compile(),
-		alg:     opt.Election,
-		m:       n.Map,
+		kern:    udgKernel{m: n.Map, gm: n.UDGSpec.Compile(), alg: opt.Election},
 		box:     n.Box,
 		pts:     append([]geom.Point(nil), n.Pts...),
 		alive:   make([]bool, len(n.Pts)),
-		members: make(map[tiling.Coord][]int32),
-		tiles:   make(map[tiling.Coord]*TileNodes),
-		contrib: make(map[tiling.Coord][]uint64),
-		dirty:   make(map[tiling.Coord]struct{}),
-		cdirty:  make(map[tiling.Coord]struct{}),
+		members: make([][]int32, nt),
+		tiles:   append([]TileNodes(nil), n.Tiles...),
+		contrib: make([][]uint64, nt),
 		delta:   graph.NewDelta(n.Graph),
 	}
 	for i := range k.alive {
 		k.alive[i] = opt.Alive == nil || opt.Alive[i]
 	}
-	for c, idx := range tiling.AssignTiles(k.m, k.pts) {
-		var own []int32
-		for _, i := range idx {
+	// Members and contributions live in two shared arenas; each tile's
+	// slice is capped at its own segment, so a member insert that outgrows
+	// it reallocates instead of overwriting the next tile, and a
+	// contribution (at most six edges) is always rewritten in place.
+	start, order := tiling.AssignTilesCSR(n.Map, k.pts)
+	live := make([]int32, 0, len(order))
+	arena := make([]uint64, 6*nt)
+	for t := range k.members {
+		lo := len(live)
+		for _, i := range order[start[t]:start[t+1]] {
 			if k.alive[i] {
-				own = append(own, i)
+				live = append(live, i)
 			}
 		}
-		if len(own) > 0 {
-			k.members[c] = own
-		}
-	}
-	for c, tn := range n.Tiles {
-		cp := *tn
-		k.tiles[c] = &cp
-	}
-	//sensvet:allow detrange — each tile's contribution reads only final elected state; stores are keyed by tile
-	for c := range k.tiles {
-		if e := k.contribution(c, nil); len(e) > 0 {
-			k.contrib[c] = e
-		}
+		k.members[t] = live[lo:len(live):len(live)]
+		k.contrib[t] = k.kern.wire(k.tiles, t, arena[6*t:6*t:6*t+6], nil)
 	}
 	return k, nil
 }
@@ -161,51 +148,35 @@ func (k *Kinetic) ResetStats() KineticStats {
 // GoodTiles counts the currently good tiles.
 func (k *Kinetic) GoodTiles() int {
 	n := 0
-	for _, tn := range k.tiles {
-		if tn.Good {
+	for t := range k.tiles {
+		if k.tiles[t].Good {
 			n++
 		}
 	}
 	return n
 }
 
-// mappedTile returns the tile containing p and whether it lies inside the
-// mapped window.
-func (k *Kinetic) mappedTile(p geom.Point) (tiling.Coord, bool) {
-	c := k.m.Tiling.TileOf(p)
-	_, _, ok := k.m.Phi(c)
-	return c, ok
+// memberInsert adds point i to tile t's member list, keeping it ascending.
+func (k *Kinetic) memberInsert(t int, i int32) {
+	list := k.members[t]
+	at, _ := slices.BinarySearch(list, i)
+	k.members[t] = slices.Insert(list, at, i)
 }
 
-// memberInsert adds point i to tile c's member list, keeping it ascending.
-func (k *Kinetic) memberInsert(c tiling.Coord, i int32) {
-	list := k.members[c]
-	at := len(list)
-	for at > 0 && list[at-1] > i {
-		at--
-	}
-	list = append(list, 0)
-	copy(list[at+1:], list[at:])
-	list[at] = i
-	k.members[c] = list
-}
-
-// memberRemove deletes point i from tile c's member list (which must
+// memberRemove deletes point i from tile t's member list (which must
 // contain it).
-func (k *Kinetic) memberRemove(c tiling.Coord, i int32) {
-	list := k.members[c]
-	for at, v := range list {
-		if v == i {
-			copy(list[at:], list[at+1:])
-			list = list[:len(list)-1]
-			break
-		}
+func (k *Kinetic) memberRemove(t int, i int32) {
+	list := k.members[t]
+	at, _ := slices.BinarySearch(list, i)
+	k.members[t] = slices.Delete(list, at, at+1)
+}
+
+// addTile adds tile t to the small tile set set.
+func addTile(set []int, t int) []int {
+	if slices.Contains(set, t) {
+		return set
 	}
-	if len(list) == 0 {
-		delete(k.members, c)
-	} else {
-		k.members[c] = list
-	}
+	return append(set, t)
 }
 
 // Move updates node u's position and repairs every structure the
@@ -214,20 +185,20 @@ func (k *Kinetic) Move(u int32, p geom.Point) {
 	if !k.alive[u] {
 		panic("sens: Move on dead node")
 	}
-	oldC, oldOK := k.mappedTile(k.pts[u])
-	newC, newOK := k.mappedTile(p)
+	from, fromOK := k.kern.m.Index(k.kern.m.Tiling.TileOf(k.pts[u]))
+	to, toOK := k.kern.m.Index(k.kern.m.Tiling.TileOf(p))
 	k.pts[u] = p
-	if oldOK && newOK && oldC == newC {
+	if fromOK && toOK && from == to {
 		// Same tile, but the region classification may have changed.
-		k.dirty[oldC] = struct{}{}
+		k.dirty = addTile(k.dirty, from)
 	} else {
-		if oldOK {
-			k.memberRemove(oldC, u)
-			k.dirty[oldC] = struct{}{}
+		if fromOK {
+			k.memberRemove(from, u)
+			k.dirty = addTile(k.dirty, from)
 		}
-		if newOK {
-			k.memberInsert(newC, u)
-			k.dirty[newC] = struct{}{}
+		if toOK {
+			k.memberInsert(to, u)
+			k.dirty = addTile(k.dirty, to)
 		}
 	}
 	k.repair()
@@ -240,135 +211,64 @@ func (k *Kinetic) Remove(u int32) {
 		return
 	}
 	k.alive[u] = false
-	if c, ok := k.mappedTile(k.pts[u]); ok {
-		k.memberRemove(c, u)
-		k.dirty[c] = struct{}{}
+	if t, ok := k.kern.m.Index(k.kern.m.Tiling.TileOf(k.pts[u])); ok {
+		k.memberRemove(t, u)
+		k.dirty = addTile(k.dirty, t)
 		k.repair()
 	}
 }
 
-// recomputeTile re-derives tile c's TileNodes from its current live
-// members — the same classification and election pipeline as BuildUDG, over
-// the same ascending candidate order.
-func (k *Kinetic) recomputeTile(c tiling.Coord) {
-	k.stats.TileRecomputes++
-	idx := k.members[c]
-	if len(idx) == 0 {
-		delete(k.tiles, c)
-		return
-	}
-	k.local = tiling.LocalPoints(k.m, c, k.pts, idx, k.local)
-	for r := range k.regions {
-		k.regions[r] = k.regions[r][:0]
-	}
-	for i, p := range k.local {
-		switch r := k.gm.Classify(p); r {
-		case tiling.UC0:
-			k.regions[0] = append(k.regions[0], idx[i])
-		case tiling.URelayRight, tiling.URelayLeft, tiling.URelayTop, tiling.URelayBottom:
-			d := int(r - tiling.URelayRight)
-			k.regions[1+d] = append(k.regions[1+d], idx[i])
-		}
-	}
-	tn := &TileNodes{Population: len(idx), Rep: -1}
-	for d := range tn.Disk {
-		tn.Disk[d] = -1
-	}
-	var st Stats // incremental re-elections are not charged to build stats
-	tn.Rep = electRegion(k.alg, k.regions[0], &st, &k.esc)
-	good := tn.Rep >= 0
-	for d := 0; d < 4; d++ {
-		tn.Bridge[d] = electRegion(k.alg, k.regions[1+d], &st, &k.esc)
-		good = good && tn.Bridge[d] >= 0
-	}
-	tn.Good = good
-	k.tiles[c] = tn
-}
-
-// contribution appends tile c's owned edges to dst: rep↔relay for the four
-// directions plus the Right/Top boundary edges toward good neighbors — the
-// exact edge set BuildUDG emits while visiting c.
-func (k *Kinetic) contribution(c tiling.Coord, dst []uint64) []uint64 {
-	tn, ok := k.tiles[c]
-	if !ok || !tn.Good {
-		return dst
-	}
-	for d := range tiling.Directions {
-		dst = append(dst, graph.Pack(tn.Rep, tn.Bridge[d]))
-	}
-	for _, d := range []tiling.Direction{tiling.Right, tiling.Top} {
-		nb, ok := k.tiles[c.Neighbor(d)]
-		if !ok || !nb.Good {
-			continue
-		}
-		dst = append(dst, graph.Pack(tn.Bridge[d], nb.Bridge[d.Opposite()]))
-	}
-	return dst
-}
-
-// repair flushes the dirty-tile set: re-elect every dirty tile, then swap
-// the contribution lists of the dirty tiles and of their Left/Bottom
-// neighbors (the tiles whose boundary edges read a dirty tile's state).
+// repair flushes the dirty tiles in ascending index order: re-elect each
+// one (the build's elect step over the tile's live members), then re-wire
+// the dirty tiles and their Left/Bottom neighbors — the tiles whose border
+// edges read a dirty tile's state — and swap every changed contribution.
 // Retractions run before emissions so an edge that migrates from one
 // tile's contribution to another's is never transiently double-counted.
 func (k *Kinetic) repair() {
 	if len(k.dirty) == 0 {
 		return
 	}
-	//sensvet:allow detrange — re-election reads only the tile's own membership; stores are keyed by tile
-	for c := range k.dirty {
-		k.recomputeTile(c)
+	slices.Sort(k.dirty)
+	w := k.kern.m.W
+	for _, t := range k.dirty {
+		k.stats.TileRecomputes++
+		k.tiles[t] = k.kern.elect(t, k.pts, k.members[t], nil, &k.scratch)
+		k.cdirty = addTile(k.cdirty, t)
+		if t%w > 0 {
+			k.cdirty = addTile(k.cdirty, t-1) // Left neighbor
+		}
+		if t >= w {
+			k.cdirty = addTile(k.cdirty, t-w) // Bottom neighbor
+		}
 	}
-	//sensvet:allow detrange — pure set union: inserting a tile and its two fixed neighbors commutes
-	for c := range k.dirty {
-		k.cdirty[c] = struct{}{}
-		k.cdirty[c.Neighbor(tiling.Left)] = struct{}{}
-		k.cdirty[c.Neighbor(tiling.Bottom)] = struct{}{}
-	}
-	clear(k.dirty)
-	k.swaps = k.swaps[:0]
-	//sensvet:allow detrange — contributions are per-tile and disjoint; swaps apply retract-before-emit, so delta state and stats are order-independent
-	for c := range k.cdirty {
-		next := k.contribution(c, nil)
-		if edgeListsEqual(k.contrib[c], next) {
+	k.dirty = k.dirty[:0]
+	slices.Sort(k.cdirty)
+	k.next, k.swaps = k.next[:0], k.swaps[:0]
+	for _, t := range k.cdirty {
+		lo := len(k.next)
+		k.next = k.kern.wire(k.tiles, t, k.next, nil)
+		if slices.Equal(k.contrib[t], k.next[lo:]) {
+			k.next = k.next[:lo]
 			continue
 		}
 		k.stats.ContribRecomputes++
-		k.swaps = append(k.swaps, contribSwap{c: c, next: next})
+		k.swaps = append(k.swaps, contribSwap{t: t, lo: lo, hi: len(k.next)})
 	}
-	clear(k.cdirty)
+	k.cdirty = k.cdirty[:0]
 	for _, s := range k.swaps {
-		for _, e := range k.contrib[s.c] {
-			u, v := graph.Unpack(e)
-			if k.delta.RemoveEdge(u, v) {
+		for _, e := range k.contrib[s.t] {
+			if k.delta.RemoveEdge(graph.Unpack(e)) {
 				k.stats.EdgeChanges++
 			}
 		}
 	}
 	for _, s := range k.swaps {
-		for _, e := range s.next {
-			u, v := graph.Unpack(e)
-			if k.delta.AddEdge(u, v) {
+		next := k.next[s.lo:s.hi]
+		for _, e := range next {
+			if k.delta.AddEdge(graph.Unpack(e)) {
 				k.stats.EdgeChanges++
 			}
 		}
-		if len(s.next) == 0 {
-			delete(k.contrib, s.c)
-		} else {
-			k.contrib[s.c] = s.next
-		}
+		k.contrib[s.t] = append(k.contrib[s.t][:0], next...)
 	}
-}
-
-// edgeListsEqual reports whether two packed-edge lists are identical.
-func edgeListsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -190,3 +190,71 @@ func TestKineticSENSStatsScaleWithRegion(t *testing.T) {
 		t.Fatalf("test network too small (%d tiles) to demonstrate locality", n.Stats.Tiles)
 	}
 }
+
+// kineticFuzzBoundaries lists, for every tile of a 4×4 window of the default
+// geometry (side 1.5), the points exactly on tile and region boundaries:
+// the tile center, the C0/relay contact points, the relay disks' outer
+// points on the tile edges, relay-disk rims and tile corners. All offsets
+// are multiples of 1/4, so every coordinate is exact.
+func kineticFuzzBoundaries() []geom.Point {
+	offsets := []geom.Point{{X: 0, Y: 0}}
+	for _, v := range [][2]float64{{0.25, 0}, {0.75, 0}, {0.5, 0.25}, {0.75, 0.75}} {
+		for _, s := range [][2]float64{{1, 1}, {-1, 1}, {1, -1}, {-1, -1}} {
+			offsets = append(offsets, geom.Point{X: s[0] * v[0], Y: s[1] * v[1]}, geom.Point{X: s[1] * v[1], Y: s[0] * v[0]})
+		}
+	}
+	var out []geom.Point
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			c := geom.Point{X: 1.5*float64(i) + 0.75, Y: 1.5*float64(j) + 0.75}
+			for _, o := range offsets {
+				out = append(out, c.Add(o))
+			}
+		}
+	}
+	return out
+}
+
+// FuzzKinetic drives fuzz-decoded Move/Remove sequences through a Kinetic
+// maintainer over a small deployment that includes points exactly on tile
+// and region boundaries, in a box whose right and top strips lie outside
+// the mapped window. After every operation the materialized graph must
+// equal BuildUDG's at the current positions and alive mask.
+//
+// Each operation takes five bytes: the kind (Remove, Move to a boundary
+// point, Move to a quantized position anywhere in the box), two bytes of
+// node index and two bytes of target.
+func FuzzKinetic(f *testing.F) {
+	box := geom.Box(6.5, 6.5)
+	spec := tiling.DefaultUDGSpec()
+	bounds := kineticFuzzBoundaries()
+	pts := append(pointprocess.Poisson(box, 16, rng.New(61)), bounds...)
+	opt := Options{SkipBase: true}
+	n, err := BuildUDG(pts, box, spec, opt)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{1, 0, 7, 0, 3, 2, 1, 200, 250, 9, 0, 3, 0, 0, 0})
+	f.Add([]byte{2, 2, 0, 255, 255, 1, 2, 0, 17, 0, 0, 2, 0, 0, 0, 2, 2, 0, 128, 128})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		k, err := NewKinetic(n, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; len(ops) >= 5 && step < 64; step, ops = step+1, ops[5:] {
+			u := int32(int(ops[1])<<8|int(ops[2])) % int32(len(pts))
+			if !k.AliveMask()[u] {
+				continue
+			}
+			switch ops[0] % 3 {
+			case 0:
+				k.Remove(u)
+			case 1:
+				k.Move(u, bounds[(int(ops[3])<<8|int(ops[4]))%len(bounds)])
+			case 2:
+				k.Move(u, geom.Point{X: float64(ops[3]) / 255 * box.Width(), Y: float64(ops[4]) / 255 * box.Height()})
+			}
+			checkKineticEquivalence(t, k, spec, step)
+		}
+	})
+}

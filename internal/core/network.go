@@ -17,7 +17,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/election"
 	"repro/internal/geom"
@@ -45,7 +44,8 @@ func (k Kind) String() string {
 }
 
 // TileNodes records the elected nodes of one mapped tile. Indices refer to
-// the deployment point slice; −1 means "no point elected".
+// the deployment point slice; −1 means "no point elected", so a tile with no
+// live point has Population 0 and every index −1.
 type TileNodes struct {
 	Good       bool
 	Population int
@@ -82,8 +82,10 @@ type Network struct {
 	Map tiling.Map
 	// Base is the underlying UDG(2, λ) or NN(2, k) graph (nil when skipped).
 	Base *rgg.Geometric
-	// Tiles holds the per-tile election results for mapped tiles.
-	Tiles map[tiling.Coord]*TileNodes
+	// Tiles holds the per-tile election results of the mapped window,
+	// φ-indexed like Lat: tile φ⁻¹(x, y) is Tiles[y·Map.W + x]. Use Tile to
+	// look a tile up by coordinate.
+	Tiles []TileNodes
 	// Lat is the coupled site-percolation configuration: site (x, y) open
 	// iff tile φ⁻¹(x, y) is good. Nil when the map window is empty.
 	Lat *lattice.Lattice
@@ -132,29 +134,25 @@ func (n *Network) MemberPoints() []geom.Point {
 	return out
 }
 
+// Tile returns the election results of tile c, or nil when c lies outside
+// the mapped window.
+func (n *Network) Tile(c tiling.Coord) *TileNodes {
+	t, ok := n.Map.Index(c)
+	if !ok {
+		return nil
+	}
+	return &n.Tiles[t]
+}
+
 // GoodReps returns the representatives of good tiles that made it into the
-// largest component, together with their tile coordinates, in deterministic
-// (sorted) order.
+// largest component, together with their tile coordinates, in (J, I) order
+// — the slab order.
 func (n *Network) GoodReps() (reps []int32, coords []tiling.Coord) {
-	type pair struct {
-		c tiling.Coord
-		r int32
-	}
-	var ps []pair
-	for c, tn := range n.Tiles {
-		if tn.Good && tn.Rep >= 0 && n.InNet[tn.Rep] {
-			ps = append(ps, pair{c, tn.Rep})
+	for t := range n.Tiles {
+		if tn := &n.Tiles[t]; tn.Good && n.InNet[tn.Rep] {
+			reps = append(reps, tn.Rep)
+			coords = append(coords, n.Map.TileAt(t))
 		}
-	}
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].c.J != ps[j].c.J {
-			return ps[i].c.J < ps[j].c.J
-		}
-		return ps[i].c.I < ps[j].c.I
-	})
-	for _, p := range ps {
-		reps = append(reps, p.r)
-		coords = append(coords, p.c)
 	}
 	return reps, coords
 }
@@ -181,20 +179,22 @@ func (n *Network) ActiveFraction() float64 {
 // paper's sparsity property P1 asserts ≤ 4).
 func (n *Network) MaxDegree() int { return n.Graph.MaxDegree() }
 
-// finalize computes the coupled lattice, largest component and flags.
-func (n *Network) finalize(b *graph.Builder) {
-	if n.Map.Tiles() > 0 {
+// finalize records the tile accounting and computes the coupled lattice,
+// the largest component of g and the membership flags.
+func (n *Network) finalize(g *graph.CSR) {
+	n.Stats.Tiles = len(n.Tiles)
+	if len(n.Tiles) > 0 {
 		n.Lat = lattice.New(n.Map.W, n.Map.H)
-		//sensvet:allow detrange — Phi is a pure coordinate map; each tile sets only its own lattice cell
-		for c, tn := range n.Tiles {
-			if x, y, ok := n.Map.Phi(c); ok && tn.Good {
-				n.Lat.Set(x, y, true)
+		for t := range n.Tiles {
+			if n.Tiles[t].Good {
+				n.Lat.Open[t] = true
+				n.Stats.GoodTiles++
 			}
 		}
 	}
-	n.Graph = b.Build()
-	n.Stats.SubgraphEdges = n.Graph.EdgeCount
-	n.Members, _ = graph.LargestComponent(n.Graph)
+	n.Graph = g
+	n.Stats.SubgraphEdges = g.EdgeCount
+	n.Members, _ = graph.LargestComponent(g)
 	if len(n.Members) == 1 {
 		// A single isolated vertex is not a network.
 		n.Members = nil
@@ -219,22 +219,29 @@ func electRegion(alg election.Algorithm, ids []int32, st *Stats, esc *election.S
 	return res.Leader
 }
 
-// validateEdge charges a handshake and checks the base graph when present.
-// Returns whether the edge should be added to the subgraph.
-func validateEdge(n *Network, u, v int32, requireBase bool) bool {
-	n.Stats.HandshakeAttempts++
-	if n.Base == nil {
+// validateEdge charges a handshake to st and checks the base graph when
+// present. Returns whether the edge should be added to the subgraph.
+func validateEdge(base *rgg.Geometric, u, v int32, requireBase bool, st *Stats) bool {
+	st.HandshakeAttempts++
+	if base == nil || base.HasEdge(u, v) {
 		return true
 	}
-	if n.Base.HasEdge(u, v) {
-		return true
-	}
-	n.Stats.MissingBaseEdges++
+	st.MissingBaseEdges++
 	if requireBase {
-		n.Stats.HandshakeFailures++
+		st.HandshakeFailures++
 		return false
 	}
 	return true
+}
+
+// merge folds a shard's partial accounting into st: counters add, and
+// election rounds take the maximum (regions elect in parallel).
+func (st *Stats) merge(o Stats) {
+	st.ElectionMessages += o.ElectionMessages
+	st.ElectionRounds = max(st.ElectionRounds, o.ElectionRounds)
+	st.HandshakeAttempts += o.HandshakeAttempts
+	st.HandshakeFailures += o.HandshakeFailures
+	st.MissingBaseEdges += o.MissingBaseEdges
 }
 
 // String renders a one-line summary.

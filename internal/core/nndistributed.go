@@ -65,15 +65,15 @@ func BuildNNDistributed(pts []geom.Point, box geom.Rect, spec tiling.NNSpec) (*D
 		Pts:    pts,
 		Box:    box,
 		Map:    tiling.NewMap(box, spec.TileSide()),
-		Tiles:  make(map[tiling.Coord]*TileNodes),
 		NNSpec: &spec,
 	}
-	n.Stats.Tiles = n.Map.Tiles()
+	nt := n.Map.Tiles()
 
-	// Phase 1: local classification.
+	// Phase 1: local classification. tileNodes lists every node of each slab
+	// tile, regionPeers the nodes of each of its regions.
 	states := make([]nnNodeState, len(pts))
-	tileNodes := map[tiling.Coord][]int32{} // every node of the tile
-	regionPeers := map[tiling.Coord]map[tiling.NRegion][]int32{}
+	tileNodes := make([][]int32, nt)
+	regionPeers := make([][tiling.NBridgeBottom + 1][]int32, nt)
 	for i, p := range pts {
 		st := &states[i]
 		st.maxSeen = int32(i)
@@ -82,24 +82,22 @@ func BuildNNDistributed(pts []geom.Point, box geom.Rect, spec tiling.NNSpec) (*D
 			st.bridge[d] = -1
 		}
 		c := n.Map.Tiling.TileOf(p)
-		if _, _, ok := n.Map.Phi(c); !ok {
+		t, ok := n.Map.Index(c)
+		if !ok {
 			continue
 		}
 		st.tile = c
 		st.mapped = true
 		st.region = gm.Classify(n.Map.Tiling.Local(c, p))
-		tileNodes[c] = append(tileNodes[c], int32(i))
+		tileNodes[t] = append(tileNodes[t], int32(i))
 		if st.region != tiling.NNone {
-			if regionPeers[c] == nil {
-				regionPeers[c] = map[tiling.NRegion][]int32{}
-			}
-			regionPeers[c][st.region] = append(regionPeers[c][st.region], int32(i))
+			regionPeers[t][st.region] = append(regionPeers[t][st.region], int32(i))
 		}
 	}
 
 	sim := simnet.New()
 	b := graph.NewBuilder(len(pts))
-	goodTiles := map[tiling.Coord]bool{}
+	goodTiles := make([]bool, nt)
 
 	for i := range pts {
 		i := i
@@ -145,10 +143,8 @@ func BuildNNDistributed(pts []geom.Point, box geom.Rect, spec tiling.NNSpec) (*D
 
 	// t=0: elections in all nine regions.
 	sim.After(0, func(s *simnet.Network) {
-		//sensvet:allow detrange — enqueue order only permutes same-timestep delivery; election handlers take a max over ids, so the outcome commutes (gated by TestNNDistributedMatchesCentralized)
-		for _, regions := range regionPeers {
-			//sensvet:allow detrange — same broadcast: per-region sends, handlers commute
-			for _, peers := range regions {
+		for t := range regionPeers {
+			for _, peers := range regionPeers[t] {
 				for _, u := range peers {
 					for _, v := range peers {
 						if u != v {
@@ -162,13 +158,12 @@ func BuildNNDistributed(pts []geom.Point, box geom.Rect, spec tiling.NNSpec) (*D
 
 	// t=2: representative-elect announces to the whole tile.
 	sim.After(2, func(s *simnet.Network) {
-		//sensvet:allow detrange — each tile's rep announces to that tile's own nodes; census counting commutes
-		for c, regions := range regionPeers {
-			rep := winner(regions[tiling.NC0])
+		for t := range regionPeers {
+			rep := winner(regionPeers[t][tiling.NC0])
 			if rep < 0 {
 				continue
 			}
-			for _, v := range tileNodes[c] {
+			for _, v := range tileNodes[t] {
 				if v != rep {
 					s.Send(simnet.NodeID(rep), simnet.NodeID(v), nnRepAnnounceMsg{rep: rep})
 				}
@@ -179,8 +174,8 @@ func BuildNNDistributed(pts []geom.Point, box geom.Rect, spec tiling.NNSpec) (*D
 
 	// t=4: relay winners announce their regions to the representative.
 	sim.After(4, func(s *simnet.Network) {
-		//sensvet:allow detrange — leader announcements land in per-(rep,region) slots; distinct tiles write distinct slots
-		for _, regions := range regionPeers {
+		for t := range regionPeers {
+			regions := &regionPeers[t]
 			rep := winner(regions[tiling.NC0])
 			if rep < 0 {
 				continue
@@ -200,9 +195,8 @@ func BuildNNDistributed(pts []geom.Point, box geom.Rect, spec tiling.NNSpec) (*D
 
 	// t=6: goodness decision and relay-table distribution.
 	sim.After(6, func(s *simnet.Network) {
-		//sensvet:allow detrange — goodness reads per-rep state finalized at t=4; goodTiles stores are keyed by tile and table handlers commute
-		for c, regions := range regionPeers {
-			rep := winner(regions[tiling.NC0])
+		for t := range regionPeers {
+			rep := winner(regionPeers[t][tiling.NC0])
 			if rep < 0 {
 				continue
 			}
@@ -214,7 +208,7 @@ func BuildNNDistributed(pts []geom.Point, box geom.Rect, spec tiling.NNSpec) (*D
 			if !good {
 				continue
 			}
-			goodTiles[c] = true
+			goodTiles[t] = true
 			msg := nnTileGoodMsg{rep: rep, disk: st.disk, bridge: st.bridge}
 			states[rep].tileGood = msg
 			states[rep].hasGood = true
@@ -227,15 +221,17 @@ func BuildNNDistributed(pts []geom.Point, box geom.Rect, spec tiling.NNSpec) (*D
 
 	// t=8: cross-boundary handshakes (initiated toward Right and Top).
 	sim.After(8, func(s *simnet.Network) {
-		//sensvet:allow detrange — handshake edges go through the counting-sort CSR build (insertion-order independent)
-		for c := range goodTiles {
+		for t, good := range goodTiles {
+			if !good {
+				continue
+			}
 			for _, d := range []tiling.Direction{tiling.Right, tiling.Top} {
-				nc := c.Neighbor(d)
-				if !goodTiles[nc] {
+				nb, ok := n.Map.Index(n.Map.TileAt(t).Neighbor(d))
+				if !ok || !goodTiles[nb] {
 					continue
 				}
-				u := winner(regionPeers[c][tiling.NDisk(d)])
-				v := winner(regionPeers[nc][tiling.NDisk(d.Opposite())])
+				u := winner(regionPeers[t][tiling.NDisk(d)])
+				v := winner(regionPeers[nb][tiling.NDisk(d.Opposite())])
 				if u >= 0 && v >= 0 {
 					s.Send(simnet.NodeID(u), simnet.NodeID(v), nnCrossMsg{from: u})
 				}
@@ -246,23 +242,20 @@ func BuildNNDistributed(pts []geom.Point, box geom.Rect, spec tiling.NNSpec) (*D
 	sim.Run(0)
 
 	// Assemble the Network view.
-	//sensvet:allow detrange — each tile's table entry is computed from that tile's own regions and stored by key
-	for c, regions := range regionPeers {
-		tn := &TileNodes{Rep: winner(regions[tiling.NC0])}
-		tn.Population = len(tileNodes[c])
+	n.Tiles = make([]TileNodes, nt)
+	for t := range n.Tiles {
+		tn := &n.Tiles[t]
+		tn.Rep = winner(regionPeers[t][tiling.NC0])
+		tn.Population = len(tileNodes[t])
 		for _, d := range tiling.Directions {
-			tn.Disk[d] = winner(regions[tiling.NDisk(d)])
-			tn.Bridge[d] = winner(regions[tiling.NBridge(d)])
+			tn.Disk[d] = winner(regionPeers[t][tiling.NDisk(d)])
+			tn.Bridge[d] = winner(regionPeers[t][tiling.NBridge(d)])
 		}
-		tn.Good = goodTiles[c]
-		if tn.Good {
-			n.Stats.GoodTiles++
-		}
-		n.Tiles[c] = tn
+		tn.Good = goodTiles[t]
 	}
 	n.Stats.ElectionMessages = sim.MessagesSent
 	n.Stats.ElectionRounds = 1
-	n.finalize(b)
+	n.finalize(b.Build())
 
 	return &DistributedResult{
 		Network:           n,

@@ -34,14 +34,8 @@ func TestNNDistributedMatchesCentralized(t *testing.T) {
 		t.Fatalf("good tiles: distributed %d vs centralized %d",
 			dn.Stats.GoodTiles, central.Stats.GoodTiles)
 	}
-	for c, ct := range central.Tiles {
-		dt, ok := dn.Tiles[c]
-		if !ok {
-			if ct.Population > 0 {
-				t.Fatalf("tile %v missing from distributed", c)
-			}
-			continue
-		}
+	for i, ct := range central.Tiles {
+		c, dt := central.Map.TileAt(i), dn.Tiles[i]
 		if ct.Good != dt.Good {
 			t.Fatalf("tile %v goodness mismatch (pop central %d, dist %d)",
 				c, ct.Population, dt.Population)

@@ -37,7 +37,6 @@ func BuildNN(pts []geom.Point, box geom.Rect, spec tiling.NNSpec, opt Options) (
 		Pts:    pts,
 		Box:    box,
 		Map:    tiling.NewMap(box, spec.TileSide()),
-		Tiles:  make(map[tiling.Coord]*TileNodes),
 		NNSpec: &spec,
 	}
 	n.Base = opt.Base
@@ -48,16 +47,16 @@ func BuildNN(pts []geom.Point, box geom.Rect, spec tiling.NNSpec, opt Options) (
 		return nil, fmt.Errorf("sens: base graph has %d vertices, deployment has %d", n.Base.N, len(pts))
 	}
 
-	groups := tiling.AssignTiles(n.Map, pts)
-	n.Stats.Tiles = n.Map.Tiles()
+	start, order := tiling.AssignTilesCSR(n.Map, pts)
+	n.Tiles = make([]TileNodes, n.Map.Tiles())
 
 	// Region elections. Index layout: 0 = C0, 1..4 = disks, 5..8 = bridges.
 	var regionIDs [9][]int32
 	var local []geom.Point
 	var esc election.Scratch
-	//sensvet:allow detrange — each tile's election reads only that tile's points; scratch is reset per iteration, stats are commutative counters, stores are keyed by tile
-	for c, idx := range groups {
-		local = tiling.LocalPoints(n.Map, c, pts, idx, local)
+	for t := range n.Tiles {
+		idx := order[start[t]:start[t+1]]
+		local = tiling.LocalPoints(n.Map, n.Map.TileAt(t), pts, idx, local)
 		for r := range regionIDs {
 			regionIDs[r] = regionIDs[r][:0]
 		}
@@ -73,7 +72,8 @@ func BuildNN(pts []geom.Point, box geom.Rect, spec tiling.NNSpec, opt Options) (
 				regionIDs[5+d] = append(regionIDs[5+d], idx[k])
 			}
 		}
-		tn := &TileNodes{Population: len(idx), Rep: -1}
+		tn := &n.Tiles[t]
+		tn.Population = len(idx)
 		tn.Rep = electRegion(opt.Election, regionIDs[0], &n.Stats, &esc)
 		good := tn.Rep >= 0
 		for d := 0; d < 4; d++ {
@@ -82,22 +82,19 @@ func BuildNN(pts []geom.Point, box geom.Rect, spec tiling.NNSpec, opt Options) (
 			good = good && tn.Disk[d] >= 0 && tn.Bridge[d] >= 0
 		}
 		tn.Good = good && len(idx) <= spec.K/2
-		if tn.Good {
-			n.Stats.GoodTiles++
-		}
-		n.Tiles[c] = tn
 	}
 
 	// Connections: the five-edge path per adjacent good pair.
 	b := graph.NewBuilder(len(pts))
-	//sensvet:allow detrange — edge emission order is canonicalized by the counting-sort CSR build; path stats are commutative counters
-	for c, tn := range n.Tiles {
+	for t := range n.Tiles {
+		tn := &n.Tiles[t]
 		if !tn.Good {
 			continue
 		}
+		c := n.Map.TileAt(t)
 		for _, d := range []tiling.Direction{tiling.Right, tiling.Top} {
-			nb, ok := n.Tiles[c.Neighbor(d)]
-			if !ok || !nb.Good {
+			nb := n.Tile(c.Neighbor(d))
+			if nb == nil || !nb.Good {
 				continue
 			}
 			od := d.Opposite()
@@ -109,13 +106,13 @@ func BuildNN(pts []geom.Point, box geom.Rect, spec tiling.NNSpec, opt Options) (
 				{nb.Bridge[od], nb.Rep},
 			}
 			for _, h := range hops {
-				if validateEdge(n, h[0], h[1], false) {
+				if validateEdge(n.Base, h[0], h[1], false, &n.Stats) {
 					b.AddEdge(h[0], h[1])
 				}
 			}
 		}
 	}
-	n.finalize(b)
+	n.finalize(b.Build())
 
 	if n.Base != nil && n.Stats.MissingBaseEdges > 0 {
 		return nil, fmt.Errorf("sens: Claim 2.3 invariant violated: %d SENS edges absent from NN(2, %d) base",

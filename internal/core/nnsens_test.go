@@ -42,13 +42,9 @@ func TestNNSENSBasicInvariants(t *testing.T) {
 		t.Errorf("missing base edges: %d", n.Stats.MissingBaseEdges)
 	}
 	// Lattice coupling.
-	for c, tn := range n.Tiles {
-		x, y, ok := n.Map.Phi(c)
-		if !ok {
-			t.Fatalf("unmapped tile %v", c)
-		}
-		if n.Lat.IsOpen(x, y) != tn.Good {
-			t.Fatalf("lattice/goodness mismatch at %v", c)
+	for i, tn := range n.Tiles {
+		if n.Lat.Open[i] != tn.Good {
+			t.Fatalf("lattice/goodness mismatch at %v", n.Map.TileAt(i))
 		}
 	}
 	// Sparsity: reps have ≤ 4 neighbors; relays ≤ 2 each unless a point
@@ -91,9 +87,9 @@ func TestNNSENSPopulationCap(t *testing.T) {
 func TestNNSENSGoodTilePopulations(t *testing.T) {
 	spec := tiling.PaperNNSpec()
 	n := buildTestNN(t, 4, spec, 5*spec.TileSide())
-	for c, tn := range n.Tiles {
+	for i, tn := range n.Tiles {
 		if tn.Good && tn.Population > spec.K/2 {
-			t.Fatalf("good tile %v has population %d > k/2 = %d", c, tn.Population, spec.K/2)
+			t.Fatalf("good tile %v has population %d > k/2 = %d", n.Map.TileAt(i), tn.Population, spec.K/2)
 		}
 	}
 }

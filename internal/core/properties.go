@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand/v2"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -127,36 +126,26 @@ func (n *Network) DegreeHistogram() []int {
 }
 
 // AdjacentGoodPairs returns all pairs of horizontally/vertically adjacent
-// good tiles — the open edges of the coupled percolated mesh. Pairs come
-// back sorted by first-tile (I, J) then direction, so the listing is
-// deterministic even though the tile table is a map.
+// good tiles — the open edges of the coupled percolated mesh — in first-tile
+// (I, J) order, Top neighbor (I, J+1) before Right (I+1, J).
 func (n *Network) AdjacentGoodPairs() [][2]tiling.Coord {
 	var out [][2]tiling.Coord
-	for c, tn := range n.Tiles {
-		if !tn.Good {
-			continue
-		}
-		// Right and Top neighbors, spelled as offsets so the loop body stays
-		// call-free (detrange's collect-then-sort form).
-		for _, nc := range [2]tiling.Coord{{I: c.I + 1, J: c.J}, {I: c.I, J: c.J + 1}} {
-			if nb, ok := n.Tiles[nc]; ok && nb.Good {
-				out = append(out, [2]tiling.Coord{c, nc})
+	w, h := n.Map.W, n.Map.H
+	for x := 0; x < w; x++ {
+		for y := 0; y < h; y++ {
+			t := y*w + x
+			if !n.Tiles[t].Good {
+				continue
+			}
+			c := n.Map.TileAt(t)
+			if y+1 < h && n.Tiles[t+w].Good {
+				out = append(out, [2]tiling.Coord{c, c.Neighbor(tiling.Top)})
+			}
+			if x+1 < w && n.Tiles[t+1].Good {
+				out = append(out, [2]tiling.Coord{c, c.Neighbor(tiling.Right)})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a[0] != b[0] {
-			if a[0].I != b[0].I {
-				return a[0].I < b[0].I
-			}
-			return a[0].J < b[0].J
-		}
-		if a[1].I != b[1].I {
-			return a[1].I < b[1].I
-		}
-		return a[1].J < b[1].J
-	})
 	return out
 }
 
@@ -165,7 +154,7 @@ func (n *Network) AdjacentGoodPairs() [][2]tiling.Coord {
 // hop of the shortest path has length at most maxHop. Returns the hop count
 // (−1 if disconnected) and whether the per-hop bound held.
 func (n *Network) RepPathWithinBound(a, b tiling.Coord, maxHop float64) (hops int, ok bool) {
-	ta, tb := n.Tiles[a], n.Tiles[b]
+	ta, tb := n.Tile(a), n.Tile(b)
 	if ta == nil || tb == nil || ta.Rep < 0 || tb.Rep < 0 {
 		return -1, false
 	}

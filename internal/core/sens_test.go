@@ -54,12 +54,9 @@ func TestUDGSENSBasicInvariants(t *testing.T) {
 		t.Errorf("active fraction %v out of expected range (0, 0.5)", af)
 	}
 	// Lattice coupling matches tile goodness.
-	for c, tn := range n.Tiles {
-		x, y, ok := n.Map.Phi(c)
-		if !ok {
-			t.Fatalf("unmapped tile %v in Tiles", c)
-		}
-		if n.Lat.IsOpen(x, y) != tn.Good {
+	for i, tn := range n.Tiles {
+		x, y := n.Lat.XY(int32(i))
+		if c := n.Map.PhiInv(x, y); n.Tile(c) != &n.Tiles[i] || n.Lat.IsOpen(x, y) != tn.Good {
 			t.Fatalf("lattice/goodness mismatch at %v", c)
 		}
 	}
@@ -256,9 +253,9 @@ func twoComponentNetwork(reps []int32) *Network {
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1) // component A
 	b.AddEdge(2, 3) // component B
-	tiles := map[tiling.Coord]*TileNodes{}
+	tiles := make([]TileNodes, 4)
 	for i, r := range reps {
-		tiles[tiling.Coord{I: i, J: 0}] = &TileNodes{Good: true, Rep: r}
+		tiles[i] = TileNodes{Good: true, Rep: r}
 	}
 	return &Network{
 		Pts:   []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(1.5, 0.5), geom.Pt(2.5, 0.5), geom.Pt(3.5, 0.5)},

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/election"
 	"repro/internal/geom"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 	"repro/internal/rgg"
 	"repro/internal/tiling"
 )
@@ -18,6 +20,17 @@ import (
 //   - a tile is good when all five regions elected a leader;
 //   - each good tile connects its representative to its four relays, and
 //     relays of adjacent good tiles connect across the shared boundary.
+//
+// The construction runs as two data-parallel phases of the tile kernel
+// (udgKernel) over the dense tile slab of tiling.AssignTilesCSR: elect over
+// every tile, then wire over every tile. Tiles share nothing within a
+// phase, so both shard freely; shard boundaries depend only on the tile
+// count, the edge list feeds the insertion-order independent counting-sort
+// CSR build, and accounting folds through order-independent sums and maxes
+// — the result is byte-identical at any GOMAXPROCS. Below
+// parallel.DefaultGrain tiles (≈ 3.7·10⁴ points at λ = 16 in the default
+// geometry) the build is one shard and runs serially. When the base graph
+// is neither supplied nor skipped it is built with rgg.UDGGrid.
 //
 // In GeometryRepaired mode every such edge is within the connection radius
 // by construction (tiling.UDGSpec.Validate) and the build fails loudly if a
@@ -34,12 +47,11 @@ func BuildUDG(pts []geom.Point, box geom.Rect, spec tiling.UDGSpec, opt Options)
 		Pts:     pts,
 		Box:     box,
 		Map:     tiling.NewMap(box, spec.Side),
-		Tiles:   make(map[tiling.Coord]*TileNodes),
 		UDGSpec: &spec,
 	}
 	n.Base = opt.Base
 	if n.Base == nil && !opt.SkipBase {
-		n.Base = rgg.UDG(pts, spec.Radius)
+		n.Base = rgg.UDGGrid(pts, spec.Radius)
 	}
 	if n.Base != nil && n.Base.N != len(pts) {
 		return nil, fmt.Errorf("sens: base graph has %d vertices, deployment has %d", n.Base.N, len(pts))
@@ -48,86 +60,131 @@ func BuildUDG(pts []geom.Point, box geom.Rect, spec tiling.UDGSpec, opt Options)
 		return nil, fmt.Errorf("sens: alive mask has %d entries, deployment has %d", len(opt.Alive), len(pts))
 	}
 
-	// Steps 1–2 of Figure 7: tile identification and region classification.
-	gm := spec.Compile()
-	groups := tiling.AssignTiles(n.Map, pts)
-	n.Stats.Tiles = n.Map.Tiles()
+	kern := udgKernel{m: n.Map, gm: spec.Compile(), alg: opt.Election}
+	start, order := tiling.AssignTilesCSR(n.Map, pts)
+	nt := n.Map.Tiles()
+	n.Tiles = make([]TileNodes, nt)
+	var mu sync.Mutex // guards n.Stats while shards merge their accounting
 
-	// Step 2b–2c: per-region leader election.
-	var regionIDs [5][]int32 // C0, relay right/left/top/bottom
-	var local []geom.Point
-	var esc election.Scratch
-	//sensvet:allow detrange — each tile's election reads only that tile's points; scratch is reset per iteration, stats are commutative counters, stores are keyed by tile
-	for c, idx := range groups {
-		local = tiling.LocalPoints(n.Map, c, pts, idx, local)
-		for r := range regionIDs {
-			regionIDs[r] = regionIDs[r][:0]
+	// Phase 1: every tile elects into its own slab entry.
+	parallel.ForShard(nt, func(lo, hi int) {
+		var s tileScratch
+		for t := lo; t < hi; t++ {
+			n.Tiles[t] = kern.elect(t, pts, order[start[t]:start[t+1]], opt.Alive, &s)
 		}
-		pop := 0
-		for k, p := range local {
-			if opt.Alive != nil && !opt.Alive[idx[k]] {
-				continue
-			}
-			pop++
-			switch r := gm.Classify(p); r {
-			case tiling.UC0:
-				regionIDs[0] = append(regionIDs[0], idx[k])
-			case tiling.URelayRight, tiling.URelayLeft, tiling.URelayTop, tiling.URelayBottom:
-				d := int(r - tiling.URelayRight)
-				regionIDs[1+d] = append(regionIDs[1+d], idx[k])
-			}
-		}
-		tn := &TileNodes{Population: pop, Rep: -1}
-		for d := range tn.Disk {
-			tn.Disk[d] = -1
-		}
-		tn.Rep = electRegion(opt.Election, regionIDs[0], &n.Stats, &esc)
-		good := tn.Rep >= 0
-		for d := 0; d < 4; d++ {
-			tn.Bridge[d] = electRegion(opt.Election, regionIDs[1+d], &n.Stats, &esc)
-			good = good && tn.Bridge[d] >= 0
-		}
-		tn.Good = good
-		if good {
-			n.Stats.GoodTiles++
-		}
-		n.Tiles[c] = tn
-	}
+		mu.Lock()
+		n.Stats.merge(s.st)
+		mu.Unlock()
+	})
 
-	// Step 3: connections. The relaxed mode lets handshakes fail; the
-	// repaired mode treats a failure as a construction bug.
+	// Phase 2: every good tile wires its own edges and stitches its Right
+	// and Top borders. The relaxed mode lets handshakes fail; the repaired
+	// mode treats a failure as a construction bug.
 	requireBase := spec.Mode == tiling.GeometryRelaxed
-	b := graph.NewBuilder(len(pts))
-	//sensvet:allow detrange — edge emission order is canonicalized by the counting-sort CSR build; handshake stats are commutative counters
-	for c, tn := range n.Tiles {
-		if !tn.Good {
-			continue
-		}
-		// 3a: rep ↔ its four relays.
-		for d := range tiling.Directions {
-			if validateEdge(n, tn.Rep, tn.Bridge[d], requireBase) {
-				b.AddEdge(tn.Rep, tn.Bridge[d])
+	edges := parallel.CollectCap(nt, parallel.DefaultGrain, 6*min(nt, parallel.DefaultGrain),
+		func(lo, hi int, out []uint64) []uint64 {
+			var st Stats
+			handshake := func(u, v int32) bool { return validateEdge(n.Base, u, v, requireBase, &st) }
+			for t := lo; t < hi; t++ {
+				out = kern.wire(n.Tiles, t, out, handshake)
 			}
-		}
-		// 3b–3e: relay ↔ facing relay of the good neighbor. Process Right
-		// and Top only so each boundary is handled once.
-		for _, d := range []tiling.Direction{tiling.Right, tiling.Top} {
-			nb, ok := n.Tiles[c.Neighbor(d)]
-			if !ok || !nb.Good {
-				continue
-			}
-			u := tn.Bridge[d]
-			v := nb.Bridge[d.Opposite()]
-			if validateEdge(n, u, v, requireBase) {
-				b.AddEdge(u, v)
-			}
-		}
-	}
-	n.finalize(b)
+			mu.Lock()
+			n.Stats.merge(st)
+			mu.Unlock()
+			return out
+		})
+	n.finalize(graph.FromPacked(len(pts), edges, true))
 
 	if spec.Mode == tiling.GeometryRepaired && n.Stats.MissingBaseEdges > 0 {
 		return nil, fmt.Errorf("sens: repaired-geometry invariant violated: %d SENS edges absent from UDG base",
 			n.Stats.MissingBaseEdges)
 	}
 	return n, nil
+}
+
+// BuildUDGSharded is BuildUDG.
+//
+// Deprecated: BuildUDG is the tile-sharded build; call it directly.
+func BuildUDGSharded(pts []geom.Point, box geom.Rect, spec tiling.UDGSpec, opt Options) (*Network, error) {
+	return BuildUDG(pts, box, spec, opt)
+}
+
+// udgKernel is the UDG-SENS per-tile construction of Figure 7 over the
+// φ-indexed tile slab (tile t = y·W + x of the mapped window). Its two steps
+// are the only implementation of the construction's tile logic: BuildUDG
+// runs elect and then wire over every tile, and Kinetic re-runs them on the
+// tiles a motion event dirties.
+type udgKernel struct {
+	m   tiling.Map
+	gm  *tiling.UDGGeometry
+	alg election.Algorithm
+}
+
+// tileScratch is one worker's reusable elect state; st accumulates the
+// election cost of every tile it elected.
+type tileScratch struct {
+	esc     election.Scratch
+	local   []geom.Point
+	regions [5][]int32 // C0, relay right/left/top/bottom
+	st      Stats
+}
+
+// elect classifies the live points idx of tile t (alive nil: all points are
+// live) into C0 and the four relay regions and elects one leader per
+// region; the tile is good when all five elected. idx must be ascending —
+// the candidate order every election sees.
+func (k *udgKernel) elect(t int, pts []geom.Point, idx []int32, alive []bool, s *tileScratch) TileNodes {
+	tn := TileNodes{Disk: [4]int32{-1, -1, -1, -1}}
+	s.local = tiling.LocalPoints(k.m, k.m.TileAt(t), pts, idx, s.local)
+	for r := range s.regions {
+		s.regions[r] = s.regions[r][:0]
+	}
+	for i, p := range s.local {
+		if alive != nil && !alive[idx[i]] {
+			continue
+		}
+		tn.Population++
+		switch r := k.gm.Classify(p); r {
+		case tiling.UC0:
+			s.regions[0] = append(s.regions[0], idx[i])
+		case tiling.URelayRight, tiling.URelayLeft, tiling.URelayTop, tiling.URelayBottom:
+			d := 1 + int(r-tiling.URelayRight)
+			s.regions[d] = append(s.regions[d], idx[i])
+		}
+	}
+	tn.Rep = electRegion(k.alg, s.regions[0], &s.st, &s.esc)
+	tn.Good = tn.Rep >= 0
+	for d := range tn.Bridge {
+		tn.Bridge[d] = electRegion(k.alg, s.regions[1+d], &s.st, &s.esc)
+		tn.Good = tn.Good && tn.Bridge[d] >= 0
+	}
+	return tn
+}
+
+// wire appends the edges tile t owns to dst: when t is good, its four
+// rep↔relay edges and, toward a good Right or Top neighbor, the relay ↔
+// facing-relay edge across the shared border. Each border is stitched by
+// exactly one of its two tiles, so the tiles' edge lists are pairwise
+// disjoint. handshake, when non-nil, is the connect() call that decides
+// each edge; nil accepts every edge.
+func (k *udgKernel) wire(tiles []TileNodes, t int, dst []uint64, handshake func(u, v int32) bool) []uint64 {
+	tn := &tiles[t]
+	if !tn.Good {
+		return dst
+	}
+	add := func(u, v int32) {
+		if handshake == nil || handshake(u, v) {
+			dst = append(dst, graph.Pack(u, v))
+		}
+	}
+	for d := range tn.Bridge {
+		add(tn.Rep, tn.Bridge[d])
+	}
+	if w := k.m.W; t%w+1 < w && tiles[t+1].Good {
+		add(tn.Bridge[tiling.Right], tiles[t+1].Bridge[tiling.Left])
+	}
+	if up := t + k.m.W; up < len(tiles) && tiles[up].Good {
+		add(tn.Bridge[tiling.Top], tiles[up].Bridge[tiling.Bottom])
+	}
+	return dst
 }

@@ -95,7 +95,7 @@ func e04UDGClaim(ctx *scenario.Ctx) *Table {
 			if hops > maxHops {
 				maxHops = hops
 			}
-			ra, rb := n.Tiles[pr[0]].Rep, n.Tiles[pr[1]].Rep
+			ra, rb := n.Tile(pr[0]).Rep, n.Tile(pr[1]).Rep
 			if ra >= 0 && rb >= 0 {
 				plen := graph.DijkstraTo(n.Graph, ra, rb, graph.EuclideanWeight(n.Pts))
 				if e := n.Pts[ra].Dist(n.Pts[rb]); e > 0 && !math.IsInf(plen, 1) {
@@ -223,7 +223,7 @@ func e06NNClaim(ctx *scenario.Ctx) *Table {
 		if hops >= 0 && hops <= 5 {
 			ok++
 		}
-		ra, rb := n.Tiles[pr[0]].Rep, n.Tiles[pr[1]].Rep
+		ra, rb := n.Tile(pr[0]).Rep, n.Tile(pr[1]).Rep
 		plen := graph.DijkstraTo(n.Graph, ra, rb, graph.EuclideanWeight(n.Pts))
 		if e := n.Pts[ra].Dist(n.Pts[rb]); e > 0 && !math.IsInf(plen, 1) {
 			if ck := plen / e; ck > maxCk {

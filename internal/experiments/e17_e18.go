@@ -112,12 +112,11 @@ func e18DensityGradient(ctx *scenario.Ctx) *Table {
 		const bands = 4
 		good := make([]int, bands)
 		total := make([]int, bands)
-		for c, tn := range n.Tiles {
-			x, _, ok := n.Map.Phi(c)
-			if !ok {
-				continue
+		for i, tn := range n.Tiles {
+			if tn.Population == 0 {
+				continue // unoccupied: the band counts occupied tiles only
 			}
-			band := x * bands / n.Map.W
+			band := (i % n.Map.W) * bands / n.Map.W
 			if band >= bands {
 				band = bands - 1
 			}

@@ -185,7 +185,7 @@ func TestRouteOnSens(t *testing.T) {
 		}
 		okCount++
 		// Node path must be a real walk in the SENS graph ending at reps.
-		if res.NodePath[0] != n.Tiles[a].Rep || res.NodePath[len(res.NodePath)-1] != n.Tiles[b].Rep {
+		if res.NodePath[0] != n.Tile(a).Rep || res.NodePath[len(res.NodePath)-1] != n.Tile(b).Rep {
 			t.Fatalf("node path endpoints wrong")
 		}
 		for i := 1; i < len(res.NodePath); i++ {
@@ -366,9 +366,9 @@ func TestRouteOnSensErrors(t *testing.T) {
 	// A bad tile endpoint must be rejected.
 	var bad tiling.Coord
 	found := false
-	for c, tn := range n.Tiles {
+	for i, tn := range n.Tiles {
 		if !tn.Good {
-			bad, found = c, true
+			bad, found = n.Map.TileAt(i), true
 			break
 		}
 	}

@@ -46,7 +46,7 @@ type SensOptions struct {
 	ProbeBits float64
 }
 
-// sensCharger implements ChargeHooks over a SENS network's tile map,
+// sensCharger implements ChargeHooks over a SENS network's tile slab,
 // debiting lattice probes against the probing tile's representative.
 type sensCharger struct {
 	n   *core.Network
@@ -54,14 +54,8 @@ type sensCharger struct {
 }
 
 // rep returns the elected representative of the tile mapped to lattice
-// site idx, or −1.
-func (c *sensCharger) rep(idx int32) int32 {
-	tn := c.n.Tiles[c.n.Map.PhiInv(c.n.Lat.XY(idx))]
-	if tn == nil {
-		return -1
-	}
-	return tn.Rep
-}
+// site idx (the tile slab shares the lattice layout), or −1.
+func (c *sensCharger) rep(idx int32) int32 { return c.n.Tiles[idx].Rep }
 
 // Probe implements ChargeHooks: the probing rep transmits a ProbeBits query
 // over the rep-to-rep distance; the probed rep (when the tile elected one)
@@ -110,8 +104,8 @@ func RouteOnSensWith(n *core.Network, from, to tiling.Coord, sopt SensOptions) (
 	if !ok {
 		return out, errors.New("routing: target tile outside mapped window")
 	}
-	ft, tt := n.Tiles[from], n.Tiles[to]
-	if ft == nil || !ft.Good || tt == nil || !tt.Good {
+	ft, tt := n.Tile(from), n.Tile(to)
+	if !ft.Good || !tt.Good {
 		return out, errors.New("routing: endpoints must be good tiles")
 	}
 
@@ -133,9 +127,7 @@ func RouteOnSensWith(n *core.Network, from, to tiling.Coord, sopt SensOptions) (
 	var scratch graph.PathScratch
 	var seg []int32
 	for i := 1; i < len(lat.Trajectory); i++ {
-		pa := n.Map.PhiInv(n.Lat.XY(lat.Trajectory[i-1]))
-		pb := n.Map.PhiInv(n.Lat.XY(lat.Trajectory[i]))
-		ra, rb := n.Tiles[pa].Rep, n.Tiles[pb].Rep
+		ra, rb := n.Tiles[lat.Trajectory[i-1]].Rep, n.Tiles[lat.Trajectory[i]].Rep
 		seg = graph.BFSPathInto(n.Graph, ra, rb, &scratch, seg[:0])
 		if seg == nil {
 			// The coupling guarantees adjacent good tiles connect; a miss

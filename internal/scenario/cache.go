@@ -107,11 +107,37 @@ type NetOptions struct {
 	SkipBase bool
 }
 
+// The key functions below are the one definition of each cache-key shape;
+// serve.BuildSpec.Key composes the same functions, so a daemon snapshot's
+// identity is the engine's key for the same structure.
+
+// PoissonKey is the cache key of Ctx.Deploy's deployment.
+func PoissonKey(seed rng.Seed, stream uint64, box geom.Rect, lambda float64) string {
+	return fmt.Sprintf("poisson|s=%d|st=%d|box=%v|l=%v", seed, stream, box, lambda)
+}
+
+// PoissonSoAKey is the cache key of Ctx.DeploySoA's streamed deployment.
+func PoissonSoAKey(seed rng.Seed, stream uint64, box geom.Rect, lambda, genSide float64) string {
+	return fmt.Sprintf("poissonsoa|s=%d|st=%d|box=%v|l=%v|g=%v", seed, stream, box, lambda, genSide)
+}
+
+// UDGNetKey is the cache key of Ctx.UDGNet's network over the deployment
+// with key depKey.
+func UDGNetKey(depKey string, spec tiling.UDGSpec, opt NetOptions) string {
+	return fmt.Sprintf("udgsens|%s|spec=%+v|opt=%+v", depKey, spec, opt)
+}
+
+// HNGKey is the cache key of Ctx.HNG's graph over the deployment with key
+// depKey.
+func HNGKey(depKey string, spec hng.Spec, stream uint64) string {
+	return fmt.Sprintf("hng|%s|spec=%+v|st=%d", depKey, spec, stream)
+}
+
 // Deploy returns the Poisson(λ) deployment for substream stream of the
 // seed, building it on first use. The substream is consumed entirely by the
 // deployment (see the Cache correctness rule).
 func (c *Ctx) Deploy(stream uint64, box geom.Rect, lambda float64) Deployment {
-	key := fmt.Sprintf("poisson|s=%d|st=%d|box=%v|l=%v", c.Cfg.Seed, stream, box, lambda)
+	key := PoissonKey(c.Cfg.Seed, stream, box, lambda)
 	pts := Get(c.Cache, key, func() []geom.Point {
 		return pointprocess.Poisson(box, lambda, rng.Sub(c.Cfg.Seed, stream))
 	})
@@ -129,7 +155,7 @@ func (c *Ctx) Deploy(stream uint64, box geom.Rect, lambda float64) Deployment {
 // The SoA seed is Derive(seed, stream), not the raw seed, so tile
 // substreams cannot collide with scenario stream numbers.
 func (c *Ctx) DeploySoA(stream uint64, box geom.Rect, lambda, genSide float64) Deployment {
-	key := fmt.Sprintf("poissonsoa|s=%d|st=%d|box=%v|l=%v|g=%v", c.Cfg.Seed, stream, box, lambda, genSide)
+	key := PoissonSoAKey(c.Cfg.Seed, stream, box, lambda, genSide)
 	pts := Get(c.Cache, key, func() []geom.Point {
 		return pointprocess.PoissonSoA(box, lambda, rng.Derive(c.Cfg.Seed, stream), genSide).Points(nil)
 	})
@@ -178,7 +204,7 @@ func (c *Ctx) Baseline(name, baseKey string, build func() *rgg.Geometric) *rgg.G
 // construction (identical to letting core.BuildUDG build it: same points,
 // same radius).
 func (c *Ctx) UDGNet(dep Deployment, spec tiling.UDGSpec, opt NetOptions) (*core.Network, error) {
-	key := fmt.Sprintf("udgsens|%s|spec=%+v|opt=%+v", dep.Key, spec, opt)
+	key := UDGNetKey(dep.Key, spec, opt)
 	r := Get(c.Cache, key, func() netResult {
 		co := core.Options{Election: opt.Election, SkipBase: opt.SkipBase}
 		if !opt.SkipBase {
@@ -203,7 +229,7 @@ type hngResult struct {
 // contract), so HNG builds satisfy the Cache correctness rule; scenarios
 // sweeping a spec parameter must give each spec its own stream.
 func (c *Ctx) HNG(dep Deployment, spec hng.Spec, stream uint64) (*hng.Graph, error) {
-	key := fmt.Sprintf("hng|%s|spec=%+v|st=%d", dep.Key, spec, stream)
+	key := HNGKey(dep.Key, spec, stream)
 	r := Get(c.Cache, key, func() hngResult {
 		g, err := hng.Build(dep.Pts, spec, rng.Sub(c.Cfg.Seed, stream))
 		return hngResult{g, err}

@@ -5,13 +5,13 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/election"
 	"repro/internal/geom"
 	"repro/internal/hng"
 	"repro/internal/pointprocess"
 	"repro/internal/power"
 	"repro/internal/rgg"
 	"repro/internal/rng"
+	"repro/internal/scenario"
 	"repro/internal/tiling"
 )
 
@@ -104,30 +104,26 @@ func udgSpecFor(mode string) (tiling.UDGSpec, error) {
 	return tiling.UDGSpec{}, fmt.Errorf("unknown mode %q (want literal | repaired | relaxed)", mode)
 }
 
-// Key returns the snapshot's content-shaped identity, in the scenario
-// engine's cache-key scheme: the deployment key ("poisson|s=…|st=…|box=…|
-// l=…") extended by the structure key ("udgsens|…|spec=…|opt=…" /
-// "hng|…|spec=…|st=…"), a pure function of everything the build consumes.
-// The spec must be normalized; Build guarantees that.
+// Key returns the snapshot's content-shaped identity: the scenario engine's
+// cache key for the same deployment and structure (scenario.PoissonKey or
+// PoissonSoAKey extended by UDGNetKey or HNGKey), a pure function of
+// everything the build consumes. The spec must be normalized; Build
+// guarantees that.
 func (sp *BuildSpec) Key() string {
 	box := geom.Box(sp.Side, sp.Side)
-	dep := fmt.Sprintf("poisson|s=%d|st=%d|box=%v|l=%v", sp.Seed, sp.Stream, box, sp.Lambda)
+	seed := rng.Seed(sp.Seed)
+	dep := scenario.PoissonKey(seed, sp.Stream, box, sp.Lambda)
 	if sp.GenSide > 0 {
 		// The streamed deployment is a different point process realization:
-		// genSide joins the key (same shape as scenario.Ctx.DeploySoA).
-		dep = fmt.Sprintf("poissonsoa|s=%d|st=%d|box=%v|l=%v|g=%v", sp.Seed, sp.Stream, box, sp.Lambda, sp.GenSide)
+		// genSide joins the key.
+		dep = scenario.PoissonSoAKey(seed, sp.Stream, box, sp.Lambda, sp.GenSide)
 	}
 	switch sp.Kind {
 	case "udg":
 		spec, _ := udgSpecFor(sp.Mode)
-		opt := struct {
-			Election election.Algorithm
-			SkipBase bool
-		}{}
-		return fmt.Sprintf("udgsens|%s|spec=%+v|opt=%+v", dep, spec, opt)
+		return scenario.UDGNetKey(dep, spec, scenario.NetOptions{})
 	default:
-		spec := hng.Spec{P: sp.P, MaxChildren: sp.MaxChildren}
-		key := fmt.Sprintf("hng|%s|spec=%+v|st=%d", dep, spec, sp.Stream+1)
+		key := scenario.HNGKey(dep, hng.Spec{P: sp.P, MaxChildren: sp.MaxChildren}, sp.Stream+1)
 		if sp.BaseRadius > 0 {
 			key += fmt.Sprintf("|base=udg|r=%v", sp.BaseRadius)
 		}
@@ -137,7 +133,7 @@ func (sp *BuildSpec) Key() string {
 
 // Build constructs the immutable snapshot the spec describes: the Poisson
 // deployment from the spec's substream, then the UDG-SENS network via the
-// tile-sharded scale-tier pipeline (core.BuildUDGSharded, base included)
+// tile-sharded construction (core.BuildUDG, base included)
 // or the hierarchical neighbor graph (hng.Build, optional UDG base). The
 // result is deterministic — a pure function of the normalized spec — which
 // is what makes the content-shaped key an identity.
@@ -164,7 +160,7 @@ func Build(sp BuildSpec) (*Snapshot, error) {
 	switch sp.Kind {
 	case "udg":
 		spec, _ := udgSpecFor(sp.Mode)
-		net, err := core.BuildUDGSharded(pts, box, spec, core.Options{})
+		net, err := core.BuildUDG(pts, box, spec, core.Options{})
 		if err != nil {
 			return nil, err
 		}

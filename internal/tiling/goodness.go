@@ -46,8 +46,8 @@ func AssignTilesCSR(m Map, pts []geom.Point) (start, order []int32) {
 	parallel.ForShard(len(pts), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			c := m.Tiling.TileOf(pts[i])
-			if x, y, ok := m.Phi(c); ok {
-				cell[i] = int32(y*m.W + x)
+			if t, ok := m.Index(c); ok {
+				cell[i] = int32(t)
 			} else {
 				cell[i] = -1
 			}
@@ -90,7 +90,7 @@ func AssignTiles(m Map, pts []geom.Point) map[Coord][]int32 {
 	start, order := AssignTilesCSR(m, pts)
 	for t := 0; t < nt; t++ {
 		if start[t+1] > start[t] {
-			out[m.PhiInv(t%m.W, t/m.W)] = order[start[t]:start[t+1]]
+			out[m.TileAt(t)] = order[start[t]:start[t+1]]
 		}
 	}
 	return out

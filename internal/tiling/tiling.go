@@ -164,5 +164,16 @@ func (m Map) PhiInv(x, y int) Coord {
 	return Coord{I: x + m.I0, J: y + m.J0}
 }
 
+// Index returns the slab index y·W + x of tile c — the tile layout of
+// AssignTilesCSR and of the coupled lattice — and whether c lies in the
+// mapped window.
+func (m Map) Index(c Coord) (t int, ok bool) {
+	x, y, ok := m.Phi(c)
+	return y*m.W + x, ok
+}
+
+// TileAt returns the tile at slab index t, the inverse of Index.
+func (m Map) TileAt(t int) Coord { return m.PhiInv(t%m.W, t/m.W) }
+
 // Tiles returns the number of mapped tiles.
 func (m Map) Tiles() int { return m.W * m.H }

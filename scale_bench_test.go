@@ -100,7 +100,7 @@ func BenchmarkUDGGrid1M(b *testing.B) {
 	reportMem(b, before)
 }
 
-// BenchmarkBuildUDGSens1M runs the tile-sharded SENS construction over a
+// BenchmarkBuildUDGSens1M runs the SENS construction (tile-sharded) over a
 // million points (elections + border-stitched wiring; base graph skipped as
 // in the other SENS construction benchmarks).
 func BenchmarkBuildUDGSens1M(b *testing.B) {
@@ -113,7 +113,7 @@ func BenchmarkBuildUDGSens1M(b *testing.B) {
 	before := memprof.ReadHeap()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net, err := sensnet.BuildUDGSensSharded(pts, box, spec, sensnet.Options{SkipBase: true})
+		net, err := sensnet.BuildUDGSens(pts, box, spec, sensnet.Options{SkipBase: true})
 		if err != nil || len(net.Members) == 0 {
 			b.Fatalf("bad build: %v", err)
 		}
@@ -129,7 +129,7 @@ func BenchmarkLifetime1M(b *testing.B) {
 	gate1M(b)
 	box := sensnet.Box(scale1MSide, scale1MSide)
 	pts := sensnet.DeploySoA(box, 16, sensnet.Seed(13), scale1MGenSide).Points(nil)
-	net, err := sensnet.BuildUDGSensSharded(pts, box, sensnet.DefaultUDGSpec(), sensnet.Options{SkipBase: true})
+	net, err := sensnet.BuildUDGSens(pts, box, sensnet.DefaultUDGSpec(), sensnet.Options{SkipBase: true})
 	if err != nil {
 		b.Fatal(err)
 	}
