@@ -182,17 +182,16 @@ func DeployGradient(box Rect, lambda0, lambda1 float64, seed Seed) []Point {
 // Geometric is a geometric graph (positions + CSR adjacency).
 type Geometric = rgg.Geometric
 
-// UDG builds the unit disk graph with connection radius r.
+// UDG builds the unit disk graph with connection radius r by the pair-free
+// bucket-grid enumeration of UDGGrid.
 func UDG(pts []Point, r float64) *Geometric { return rgg.UDG(pts, r) }
 
 // NN builds the undirected k-nearest-neighbor graph.
 func NN(pts []Point, k int) *Geometric { return rgg.NN(pts, k) }
 
-// UDGGrid builds the identical unit disk graph as UDG by pair-free bucket
-// grid enumeration — the scale-tier builder: each unordered point pair is
-// examined at most once, edges stream into pre-sized per-shard buffers, and
-// memory stays O(n + m). Prefer it from ~10⁵ points up; the two builders
-// are equivalence-tested edge for edge.
+// UDGGrid is UDG under its scale-tier name: pair-free bucket-grid
+// enumeration, where each unordered point pair is examined at most once,
+// edges stream into pre-sized per-shard buffers, and memory stays O(n + m).
 func UDGGrid(pts []Point, r float64) *Geometric { return rgg.UDGGrid(pts, r) }
 
 // UDGGridSoA is UDGGrid over a struct-of-arrays deployment (DeploySoA); the

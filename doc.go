@@ -81,9 +81,10 @@
 // thousands of nodes per deployment) on three pieces:
 //
 //   - internal/graph: a flat edge-list Builder — packed (u, v) pairs
-//     appended without dedup scans — frozen into CSR by two stable
-//     counting-sort passes with dedup at build time. Output is independent
-//     of insertion order.
+//     appended without dedup scans — frozen into CSR by a cache-blocked
+//     sort (scatter into vertex blocks, radix-sort each block in cache,
+//     blocks in parallel) with dedup at build time. Output is independent
+//     of insertion order and worker count.
 //   - internal/parallel: For/Collect primitives that shard index ranges at
 //     a fixed granularity (never by worker count) and merge per-shard
 //     buffers in shard index order, so every parallel producer is

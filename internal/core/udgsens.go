@@ -25,7 +25,7 @@ import (
 // (udgKernel) over the dense tile slab of tiling.AssignTilesCSR: elect over
 // every tile, then wire over every tile. Tiles share nothing within a
 // phase, so both shard freely; shard boundaries depend only on the tile
-// count, the edge list feeds the insertion-order independent counting-sort
+// count, the edge list feeds the insertion-order independent cache-blocked
 // CSR build, and accounting folds through order-independent sums and maxes
 // — the result is byte-identical at any GOMAXPROCS. Below
 // parallel.DefaultGrain tiles (≈ 3.7·10⁴ points at λ = 16 in the default

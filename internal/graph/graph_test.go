@@ -1,7 +1,11 @@
 package graph
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -110,61 +114,128 @@ func sameCSR(a, b *CSR) bool {
 	return true
 }
 
-// TestBuildMatchesReferenceProperty checks the counting-sort Build against a
-// straightforward map-based reference over random edge multisets (with
-// duplicates and insertion-order shuffling).
+// TestBuildMatchesReferenceProperty checks the blocked CSR Build against a
+// straightforward map-based reference and the two-pass oracle over random
+// edge multisets — duplicates (either orientation), AddEdge self loops and
+// a shuffled re-insertion that must give the identical CSR. n = 23 is one
+// vertex block; the second n covers three full blocks and a partial one.
 func TestBuildMatchesReferenceProperty(t *testing.T) {
-	f := func(raw []uint16) bool {
-		const n = 23
-		b := NewBuilder(n)
-		adj := make(map[int32]map[int32]bool)
-		for _, r := range raw {
-			u, v := int32(r%n), int32((r/n)%n)
-			b.AddEdge(u, v)
-			if u != v {
-				if adj[u] == nil {
-					adj[u] = map[int32]bool{}
+	for _, n := range []int{23, 3<<blockBits + 517} {
+		f := func(raw []uint32, seed int64) bool {
+			b := NewBuilder(n)
+			adj := make(map[int32]map[int32]bool)
+			var inserted [][2]int32
+			add := func(u, v int32) {
+				b.AddEdge(u, v)
+				inserted = append(inserted, [2]int32{u, v})
+				if u != v {
+					if adj[u] == nil {
+						adj[u] = map[int32]bool{}
+					}
+					if adj[v] == nil {
+						adj[v] = map[int32]bool{}
+					}
+					adj[u][v] = true
+					adj[v][u] = true
 				}
-				if adj[v] == nil {
-					adj[v] = map[int32]bool{}
+			}
+			for _, r := range raw {
+				u, v := int32(r%uint32(n)), int32(r/uint32(n)%uint32(n))
+				add(u, v)
+				switch r % 5 {
+				case 0:
+					add(v, u) // reversed duplicate
+				case 1:
+					add(u, u) // self loop
 				}
-				adj[u][v] = true
-				adj[v][u] = true
 			}
-		}
-		g := b.Build()
-		edges := 0
-		for u := int32(0); u < n; u++ {
-			var want []int32
-			for v := range adj[u] {
-				want = append(want, v)
-			}
-			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			got := g.Neighbors(u)
-			if len(got) != len(want) {
+			g := b.Build()
+			if csrDiff(g, makeCSRReference(n, b.edges, true)) != "" {
 				return false
 			}
-			for i := range want {
-				if got[i] != want[i] {
+			rand.New(rand.NewSource(seed)).Shuffle(len(inserted), func(i, j int) {
+				inserted[i], inserted[j] = inserted[j], inserted[i]
+			})
+			shuffled := NewBuilder(n)
+			for _, e := range inserted {
+				shuffled.AddEdge(e[0], e[1])
+			}
+			if csrDiff(shuffled.Build(), g) != "" {
+				return false
+			}
+			edges := 0
+			for u := int32(0); u < int32(n); u++ {
+				var want []int32
+				for v := range adj[u] {
+					want = append(want, v)
+				}
+				sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+				got := g.Neighbors(u)
+				if len(got) != len(want) {
 					return false
 				}
+				for i := range want {
+					if got[i] != want[i] {
+						return false
+					}
+				}
+				edges += len(want)
 			}
-			edges += len(want)
+			return g.EdgeCount == edges/2
 		}
-		return g.EdgeCount == edges/2
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+		cfg := &quick.Config{MaxCount: 200, Values: func(args []reflect.Value, r *rand.Rand) {
+			raw := make([]uint32, r.Intn(4*n))
+			for i := range raw {
+				raw[i] = r.Uint32()
+			}
+			args[0], args[1] = reflect.ValueOf(raw), reflect.ValueOf(r.Int63())
+		}}
+		if err := quick.Check(f, cfg); err != nil {
+			t.Errorf("n=%d: %v", n, err)
+		}
 	}
 }
 
+// TestBuilderPanicsOnBadEdge pins the validation contract and its messages:
+// an out-of-range AddEdge, and a self loop or out-of-range vertex in a
+// packed slab — in a later vertex block and past the first scatter chunk of
+// a multi-block slab — panic on the caller's goroutine, through both
+// AddPacked and FromPacked.
 func TestBuilderPanicsOnBadEdge(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for out-of-range edge")
+	mustPanic := func(name, want string, fn func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if got := recover(); got != want {
+				t.Errorf("%s: panic %v, want %q", name, got, want)
+			}
+		}()
+		fn()
+	}
+	mustPanic("AddEdge", "graph: edge (0, 5) out of range [0, 2)", func() { NewBuilder(2).AddEdge(0, 5) })
+
+	const n = 3<<blockBits + 517
+	slab := make([]uint64, chunkEdges+100)
+	for i := range slab {
+		slab[i] = Pack(int32(i%n), int32((i*7+1)%n))
+		if u, v := Unpack(slab[i]); u == v {
+			slab[i] = Pack(u, (v+1)%n)
 		}
-	}()
-	NewBuilder(2).AddEdge(0, 5)
+	}
+	for _, bad := range []struct {
+		at   int
+		edge uint64
+		want string
+	}{
+		{1000, Pack(3000, 3000), "graph: packed self loop at vertex 3000"},
+		{len(slab) - 1, Pack(2500, n), fmt.Sprintf("graph: edge (2500, %d) out of range [0, %d)", n, n)},
+		{len(slab) - 2, Pack(-1, 2<<blockBits), fmt.Sprintf("graph: edge (-1, %d) out of range [0, %d)", 2<<blockBits, n)},
+	} {
+		edges := slices.Clone(slab)
+		edges[bad.at] = bad.edge
+		mustPanic("FromPacked", bad.want, func() { FromPacked(n, edges, true) })
+		mustPanic("AddPacked", bad.want, func() { NewBuilder(n).AddPacked(edges, false) })
+	}
 }
 
 func TestCSRStructure(t *testing.T) {

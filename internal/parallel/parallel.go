@@ -109,6 +109,49 @@ func forShardGrain(n, sz int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
+// ForScratch runs fn(s, lo, hi) over a sharding of [0, n) into grain-sized
+// shards across all cores and waits. Each worker calls newScratch once, at
+// its first shard, and hands that value to every shard it runs: scratch is
+// per worker, never per shard. Shard boundaries depend only on (n, grain);
+// a caller whose output is independent of which worker ran a shard gets the
+// same result at any GOMAXPROCS. One shard, or one core, runs on the
+// calling goroutine.
+func ForScratch[S any](n, grain int, newScratch func() S, fn func(s S, lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	sz := max(grain, 1)
+	shards := (n + sz - 1) / sz
+	workers := min(runtime.GOMAXPROCS(0), shards)
+	if workers <= 1 {
+		s := newScratch()
+		for i := 0; i < shards; i++ {
+			fn(s, i*sz, min((i+1)*sz, n))
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var s S
+			for started := false; ; started = true {
+				i := int(next.Add(1)) - 1
+				if i >= shards {
+					return
+				}
+				if !started {
+					s = newScratch()
+				}
+				fn(s, i*sz, min((i+1)*sz, n))
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // Collect runs fn over a fixed-size sharding of [0, n) across all cores and
 // returns the per-shard outputs concatenated in shard order. fn receives its
 // index range [lo, hi) and a buffer to append to (nil on entry) and returns

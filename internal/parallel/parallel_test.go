@@ -132,3 +132,30 @@ func TestGrainVariantsCoverAndSpread(t *testing.T) {
 		}
 	}
 }
+
+// TestForScratchPerWorker checks that ForScratch covers every index exactly
+// once and makes at most one scratch per worker — and exactly one, on the
+// calling goroutine, when everything fits in one shard.
+func TestForScratchPerWorker(t *testing.T) {
+	for _, tc := range []struct{ n, grain, procs int }{{0, 4, 2}, {5, 8, 4}, {100, 1, 1}, {100, 3, 4}, {1000, 7, 8}} {
+		prev := runtime.GOMAXPROCS(tc.procs)
+		hits := make([]int32, tc.n)
+		var made atomic.Int32
+		ForScratch(tc.n, tc.grain, func() *int { made.Add(1); return new(int) }, func(s *int, lo, hi int) {
+			*s += hi - lo // scratch is never shared between goroutines
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&hits[i], 1)
+			}
+		})
+		runtime.GOMAXPROCS(prev)
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("%+v: index %d hit %d times", tc, i, h)
+			}
+		}
+		shards := (tc.n + tc.grain - 1) / tc.grain
+		if m := int(made.Load()); m > min(tc.procs, shards) || (shards == 1 && m != 1) {
+			t.Errorf("%+v: %d scratch values for %d shards", tc, m, shards)
+		}
+	}
+}

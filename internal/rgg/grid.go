@@ -60,18 +60,20 @@ func boundingArea(pts []geom.Point) float64 {
 // stencil is exhaustive — including pairs at distance exactly r landing on
 // a cell boundary (property-tested).
 //
-// Compared to the per-point Within queries of UDG this does half the
-// distance tests and never materializes a candidate neighbor list: surviving
-// edges are appended straight into pre-sized per-shard packed-edge buffers
-// (capacity from the n·πr²·density expected-degree estimate) whose
-// deterministic concatenation feeds graph.FromPacked without a builder
-// copy. Memory is O(n + m) in a handful of slabs; the result is the
-// byte-identical CSR of UDG at any GOMAXPROCS (the counting-sort CSR build
-// is insertion-order independent).
+// Compared to per-point Within queries this does half the distance tests
+// and never materializes a candidate neighbor list: surviving edges are
+// appended straight into pre-sized per-shard packed-edge buffers (capacity
+// from the n·πr²·density expected-degree estimate) whose deterministic
+// concatenation feeds graph.FromPacked without a builder copy. Memory is
+// O(n + m) in a handful of slabs: for m edges the 8m-byte packed slab, and
+// during the CSR build Adj (8m bytes) and its 4m-byte side slab of source
+// bits — no sort buffer the size of the pair set. The CSR build is
+// insertion-order independent, so the result is identical at any
+// GOMAXPROCS.
 //
-// This is the fixed-radius builder of the million-node scale tier; at the
-// ~10⁴-point experiment scales either path is fine, and the two are
-// equivalence-gated against each other at 10⁴.
+// UDG is this builder; it serves every scale, from the ~10⁴-point
+// experiments to the million-node tier, and is equivalence-gated at 10⁴
+// against the per-point-query oracle in the package tests.
 func UDGGrid(pts []geom.Point, r float64) *Geometric {
 	if len(pts) == 0 || r <= 0 {
 		return &Geometric{CSR: graph.NewBuilder(len(pts)).Build(), Pos: pts}

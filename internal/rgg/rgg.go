@@ -32,45 +32,11 @@ type Geometric struct {
 // EdgeLength returns the Euclidean length of the edge {u, v}.
 func (g *Geometric) EdgeLength(u, v int32) float64 { return g.Pos[u].Dist(g.Pos[v]) }
 
-// UDG builds the unit disk graph with connection radius r over pts.
-// Expected time O(n) for Poisson inputs via a grid with cell size r; the
-// point loop runs sharded across all cores with per-shard edge buffers,
-// pre-sized from the n·πr²·density expected-degree estimate so large
-// builds skip the append-growth reallocation ladder (allocs/op is gated at
-// 100k points). The result is deterministic: identical CSR at any
-// GOMAXPROCS. The scale tier's UDGGrid builds the identical graph by
-// pair-free cell enumeration.
-func UDG(pts []geom.Point, r float64) *Geometric {
-	b := graph.NewBuilder(len(pts))
-	if len(pts) > 0 && r > 0 {
-		grid := spatial.NewGrid(pts, r)
-		// Per-shard capacity: the shard's slice of the expected edge total,
-		// with margin so Poisson fluctuation rarely forces a growth step.
-		expDegree := 2 * expectedUDGEdges(len(pts), boundingArea(pts), r) / float64(len(pts))
-		perShard := expDegree / 2 * parallel.DefaultGrain
-		capHint := int(perShard*1.2) + 16
-		nbrCap := int(expDegree*2) + 16
-		edges := parallel.CollectCap(len(pts), parallel.DefaultGrain, capHint, func(lo, hi int, out []uint64) []uint64 {
-			// The neighbor buffer is pre-sized too: twice the expected degree
-			// covers Poisson fluctuation for all but a vanishing fraction of
-			// points, and the rare outlier grows it once per shard at most.
-			buf := make([]int32, 0, nbrCap)
-			for i := lo; i < hi; i++ {
-				buf = grid.Within(pts[i], r, buf[:0])
-				for _, j := range buf {
-					// Emitting only j > i visits each pair once, so the edge
-					// set satisfies the builder's uniqueness fast path.
-					if j > int32(i) {
-						out = append(out, graph.Pack(int32(i), j))
-					}
-				}
-			}
-			return out
-		})
-		b.AddPacked(edges, true)
-	}
-	return &Geometric{CSR: b.Build(), Pos: pts}
-}
+// UDG builds the unit disk graph with connection radius r over pts: the
+// UDGGrid pair-free cell enumeration, the one fixed-radius builder behind
+// the scenarios, the experiments and the sensnet API. The result is
+// deterministic: identical CSR at any GOMAXPROCS.
+func UDG(pts []geom.Point, r float64) *Geometric { return UDGGrid(pts, r) }
 
 // NN builds the undirected k-nearest-neighbor graph over pts. Each vertex
 // contributes edges to its k nearest distinct points (all points if fewer

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 	"repro/internal/pointprocess"
 	"repro/internal/rng"
 	"repro/internal/spatial"
@@ -201,6 +202,30 @@ func BenchmarkNNBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		NN(pts, 8)
 	}
+}
+
+// udgWithin is the per-point-query UDG builder UDG used before it became
+// the UDGGrid enumeration, kept as an oracle: every point queries the
+// size-r grid for its neighbors within r and emits the pairs j > i,
+// sharded across cores, into the unique FromPacked path.
+func udgWithin(pts []geom.Point, r float64) *graph.CSR {
+	if len(pts) == 0 || r <= 0 {
+		return graph.NewBuilder(len(pts)).Build()
+	}
+	grid := spatial.NewGrid(pts, r)
+	edges := parallel.Collect(len(pts), func(lo, hi int, out []uint64) []uint64 {
+		var buf []int32
+		for i := lo; i < hi; i++ {
+			buf = grid.Within(pts[i], r, buf[:0])
+			for _, j := range buf {
+				if j > int32(i) {
+					out = append(out, graph.Pack(int32(i), j))
+				}
+			}
+		}
+		return out
+	})
+	return graph.FromPacked(len(pts), edges, true)
 }
 
 // serialUDG is the O(n²) serial reference: every pair within r, inserted
