@@ -71,15 +71,20 @@ e2e:
 # a from-scratch build after every move or removal, boundary points
 # included; the cache-blocked CSR build must equal the two-pass oracle for
 # edge multisets at vertex-block boundaries, on the dedup and unique paths
-# (5 s; 35 s in all). Ten seconds is a smoke test, not a campaign — run
-# longer fuzzes with 'go test ./internal/fault -fuzz=FuzzSchedule', 'go
-# test ./internal/mobility -fuzz=FuzzTrajectory', 'go test ./internal/core
-# -fuzz=FuzzKinetic' or 'go test ./internal/graph -fuzz=FuzzCSR' directly.
+# (5 s); target-bounded Dijkstra and BFS sweeps must equal the full sweeps
+# and the closure-weighted oracle on every target, for arbitrary edge
+# multisets and target sets (5 s; 40 s in all). Ten seconds is a smoke
+# test, not a campaign — run longer fuzzes with 'go test ./internal/fault
+# -fuzz=FuzzSchedule', 'go test ./internal/mobility -fuzz=FuzzTrajectory',
+# 'go test ./internal/core -fuzz=FuzzKinetic', 'go test ./internal/graph
+# -fuzz=FuzzCSR' or 'go test ./internal/graph -fuzz=FuzzBoundedSweep'
+# directly.
 fuzz-smoke:
 	$(GO) test ./internal/fault -run='^$$' -fuzz=FuzzSchedule -fuzztime=10s
 	$(GO) test ./internal/mobility -run='^$$' -fuzz=FuzzTrajectory -fuzztime=10s
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzKinetic -fuzztime=10s
 	$(GO) test ./internal/graph -run='^$$' -fuzz=FuzzCSR -fuzztime=5s
+	$(GO) test ./internal/graph -run='^$$' -fuzz=FuzzBoundedSweep -fuzztime=5s
 
 # bench runs every benchmark once with allocation reporting — the quick
 # "did I regress the pipeline" check.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/lattice"
 	"repro/internal/pointprocess"
+	"repro/internal/power"
 	"repro/internal/rgg"
 	"repro/internal/rng"
 	"repro/internal/scenario"
@@ -86,7 +87,7 @@ func e04UDGClaim(ctx *scenario.Ctx) *Table {
 		}
 		pairs := n.AdjacentGoodPairs()
 		ok, maxHops := 0, 0
-		maxCu := 0.0
+		var reps []power.Pair
 		for _, pr := range pairs {
 			hops, within := n.RepPathWithinBound(pr[0], pr[1], r.spec.Radius)
 			if hops >= 0 && within && hops <= 3 {
@@ -97,14 +98,10 @@ func e04UDGClaim(ctx *scenario.Ctx) *Table {
 			}
 			ra, rb := n.Tile(pr[0]).Rep, n.Tile(pr[1]).Rep
 			if ra >= 0 && rb >= 0 {
-				plen := graph.DijkstraTo(n.Graph, ra, rb, graph.EuclideanWeight(n.Pts))
-				if e := n.Pts[ra].Dist(n.Pts[rb]); e > 0 && !math.IsInf(plen, 1) {
-					if cu := plen / e; cu > maxCu {
-						maxCu = cu
-					}
-				}
+				reps = append(reps, power.Pair{U: ra, V: rb})
 			}
 		}
+		maxCu := maxRepStretch(n.Graph, n.Pts, reps)
 		t.AddRow(r.name, f2(r.lambda), d(n.Stats.GoodTiles), d(len(pairs)),
 			d(ok)+"/"+d(len(pairs)), d(maxHops), f4(maxCu), d(n.Stats.HandshakeFailures))
 	}
@@ -217,20 +214,15 @@ func e06NNClaim(ctx *scenario.Ctx) *Table {
 	}
 	pairs := n.AdjacentGoodPairs()
 	ok := 0
-	maxCk := 0.0
-	for _, pr := range pairs {
+	reps := make([]power.Pair, len(pairs))
+	for i, pr := range pairs {
 		hops, _ := n.RepPathWithinBound(pr[0], pr[1], math.Inf(1))
 		if hops >= 0 && hops <= 5 {
 			ok++
 		}
-		ra, rb := n.Tile(pr[0]).Rep, n.Tile(pr[1]).Rep
-		plen := graph.DijkstraTo(n.Graph, ra, rb, graph.EuclideanWeight(n.Pts))
-		if e := n.Pts[ra].Dist(n.Pts[rb]); e > 0 && !math.IsInf(plen, 1) {
-			if ck := plen / e; ck > maxCk {
-				maxCk = ck
-			}
-		}
+		reps[i] = power.Pair{U: n.Tile(pr[0]).Rep, V: n.Tile(pr[1]).Rep}
 	}
+	maxCk := maxRepStretch(n.Graph, n.Pts, reps)
 	validated := "yes (0 missing)"
 	if n.Stats.MissingBaseEdges > 0 {
 		validated = d(n.Stats.MissingBaseEdges) + " missing"
@@ -240,6 +232,19 @@ func e06NNClaim(ctx *scenario.Ctx) *Table {
 	t.AddNote("construction fails loudly if any SENS edge is absent from NN(2, 188); " +
 		"a clean build is the executable proof of Claim 2.3 on this realization")
 	return t
+}
+
+// maxRepStretch returns the largest shortest-path length over Euclidean
+// distance among the representative pairs connected in g: the stretch
+// constant of Claim 2.1 (cu) or Claim 2.3 (ck) on one realization.
+func maxRepStretch(g *graph.CSR, pts []geom.Point, reps []power.Pair) float64 {
+	worst := 0.0
+	for _, s := range power.MeasurePairs(g, nil, pts, reps, power.BatchSpec{}) {
+		if s.Euclid > 0 && !math.IsInf(s.SubLen, 1) {
+			worst = max(worst, s.SubLen/s.Euclid)
+		}
+	}
+	return worst
 }
 
 // e07KS reproduces Theorem 2.4's threshold search: for each k, the tile

@@ -1,22 +1,27 @@
 package graph
 
-import (
-	"math"
-
-	"repro/internal/geom"
-)
+import "math"
 
 // BFS computes hop distances from src; unreachable vertices get −1.
 // The dist slice is reused if non-nil and long enough.
 func BFS(g *CSR, src int32, dist []int32) []int32 {
-	return BFSInto(g, src, dist, nil)
+	return BFSInto(g, src, nil, dist, nil)
 }
 
-// BFSInto is BFS with a reusable queue buffer held in scratch (which may be
-// nil). Batch engines that sweep hop distances from many sources over the
-// same graph (power.Measurer) reuse both dist and the queue across sources
-// instead of re-growing an O(N) queue per call.
-func BFSInto(g *CSR, src int32, dist []int32, scratch *PathScratch) []int32 {
+// BFSInto is BFS bounded by a target set, with a reusable queue buffer held
+// in scratch (which may be nil). Batch engines that sweep hop distances
+// from many sources over the same graph (power.Measurer) reuse both dist
+// and the queue across sources instead of re-growing an O(N) queue per
+// call.
+//
+// The sweep returns as soon as the last of targets is discovered; nil or
+// empty targets means every vertex, a full sweep. A hop distance is final
+// when its vertex is discovered, and the discovery order up to the exit is
+// that of the full sweep, so dist holds the full sweep's value for every
+// target (and −1 for an unreachable one, in which case the sweep runs to
+// completion). Other entries of dist are unspecified after an early exit.
+// Duplicate targets and src itself are allowed.
+func BFSInto(g *CSR, src int32, targets []int32, dist []int32, scratch *PathScratch) []int32 {
 	if cap(dist) < g.N {
 		dist = make([]int32, g.N)
 	}
@@ -27,19 +32,32 @@ func BFSInto(g *CSR, src int32, dist []int32, scratch *PathScratch) []int32 {
 	if scratch == nil {
 		scratch = &PathScratch{}
 	}
+	marks := &scratch.marks
+	marks.mark(g.N, targets)
+	// Every vertex enters the queue at most once.
+	if cap(scratch.queue) < g.N {
+		scratch.queue = make([]int32, 0, g.N)
+	}
 	queue := scratch.queue[:0]
 	dist[src] = 0
-	queue = append(queue, src)
+	if !marks.reached(src) {
+		queue = append(queue, src)
+	}
+sweep:
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		du := dist[u]
 		for _, v := range g.Neighbors(u) {
 			if dist[v] < 0 {
 				dist[v] = du + 1
+				if marks.reached(v) {
+					break sweep
+				}
 				queue = append(queue, v)
 			}
 		}
 	}
+	marks.clear(targets)
 	scratch.queue = queue
 	return dist
 }
@@ -106,34 +124,77 @@ func BFSPathInto(g *CSR, src, dst int32, scratch *PathScratch, path []int32) []i
 	return path
 }
 
-// PathScratch holds reusable buffers for BFSPathInto.
+// PathScratch holds reusable buffers for BFSInto and BFSPathInto.
 type PathScratch struct {
 	parent []int32
 	queue  []int32
+	marks  targetMarks
 }
 
-// EuclideanWeight returns an edge-weight function measuring Euclidean length
-// between the endpoints' positions.
-func EuclideanWeight(pos []geom.Point) func(u, v int32) float64 {
-	return func(u, v int32) float64 { return pos[u].Dist(pos[v]) }
+// targetMarks is the target set of a bounded sweep: a slab indexed by
+// vertex plus the count of targets not yet reached. A sweep marks its
+// targets on entry and clears them before returning, so the slab is all
+// false between sweeps and one scratch serves graphs of any size.
+type targetMarks struct {
+	marked []bool
+	left   int
 }
 
-// PowerWeight returns an edge-weight function d(u,v)^beta — the standard
-// radio energy model used by Li–Wan–Wang for power stretch.
-func PowerWeight(pos []geom.Point, beta float64) func(u, v int32) float64 {
-	return func(u, v int32) float64 { return math.Pow(pos[u].Dist(pos[v]), beta) }
+// mark sets the marks of targets on a graph of n vertices and counts the
+// distinct ones. No targets leave left at zero: reached never fires and
+// the sweep runs over every vertex.
+func (t *targetMarks) mark(n int, targets []int32) {
+	t.left = 0
+	if len(targets) == 0 {
+		return
+	}
+	if len(t.marked) < n {
+		t.marked = make([]bool, n)
+	}
+	for _, v := range targets {
+		if !t.marked[v] {
+			t.marked[v] = true
+			t.left++
+		}
+	}
 }
 
-// Dijkstra computes weighted distances from src under the given edge weight
-// function; unreachable vertices get +Inf.
-func Dijkstra(g *CSR, src int32, weight func(u, v int32) float64) []float64 {
-	return DijkstraInto(g, src, weight, nil, nil)
+// reached records that v's distance is final and reports whether v was
+// the last pending target, the sweep's exit condition.
+func (t *targetMarks) reached(v int32) bool {
+	if t.left == 0 || !t.marked[v] {
+		return false
+	}
+	t.marked[v] = false
+	t.left--
+	return t.left == 0
 }
 
-// DijkstraInto is Dijkstra with caller-owned buffers: dist (resized to g.N)
-// and scratch (the priority queue). Either may be nil. Monte-Carlo loops
-// that run many single-source computations over the same graph reuse both.
-func DijkstraInto(g *CSR, src int32, weight func(u, v int32) float64, dist []float64, scratch *DijkstraScratch) []float64 {
+// clear unmarks every target, including unreachable ones a sweep ran to
+// completion without reaching.
+func (t *targetMarks) clear(targets []int32) {
+	for _, v := range targets {
+		t.marked[v] = false
+	}
+	t.left = 0
+}
+
+// DijkstraEdgesInto computes weighted distances from src, bounded by a
+// target set, with caller-owned buffers: dist (resized to g.N) and scratch
+// (the priority queue and target marks), either of which may be nil.
+// w[i] is the weight of the directed edge stored at Adj[i]; batch
+// measurement engines that sweep the same graph from many sources
+// (power.Measurer) fill w once and save the distance/power evaluation per
+// edge relaxation on every sweep. Unreachable vertices get +Inf.
+//
+// The sweep returns as soon as the last of targets is popped from the
+// queue; nil or empty targets means every vertex, a full sweep. Pops and
+// relaxations up to the exit are those of the full sweep, and a popped
+// vertex's distance is final, so dist holds the full sweep's bytes for
+// every target (+Inf for an unreachable one, in which case the sweep runs
+// to completion). Other entries of dist are unspecified after an early
+// exit. Duplicate targets and src itself are allowed.
+func DijkstraEdgesInto(g *CSR, src int32, targets []int32, w []float64, dist []float64, scratch *DijkstraScratch) []float64 {
 	if cap(dist) < g.N {
 		dist = make([]float64, g.N)
 	}
@@ -145,6 +206,8 @@ func DijkstraInto(g *CSR, src int32, weight func(u, v int32) float64, dist []flo
 	if scratch == nil {
 		scratch = &DijkstraScratch{}
 	}
+	marks := &scratch.marks
+	marks.mark(g.N, targets)
 	pq := &scratch.pq
 	pq.items = append(pq.items[:0], distItem{src, 0})
 	for len(pq.items) > 0 {
@@ -152,40 +215,8 @@ func DijkstraInto(g *CSR, src int32, weight func(u, v int32) float64, dist []flo
 		if it.d > dist[it.v] {
 			continue
 		}
-		for _, w := range g.Neighbors(it.v) {
-			nd := it.d + weight(it.v, w)
-			if nd < dist[w] {
-				dist[w] = nd
-				pq.push(distItem{w, nd})
-			}
-		}
-	}
-	return dist
-}
-
-// DijkstraEdgesInto is DijkstraInto with precomputed per-edge weights
-// instead of a weight callback: w[i] is the weight of the directed edge
-// stored at Adj[i]. Batch measurement engines that sweep the same graph
-// from many sources (power.Measurer) fill w once and save a callback call
-// plus the distance/power evaluation per edge relaxation on every sweep.
-func DijkstraEdgesInto(g *CSR, src int32, w []float64, dist []float64, scratch *DijkstraScratch) []float64 {
-	if cap(dist) < g.N {
-		dist = make([]float64, g.N)
-	}
-	dist = dist[:g.N]
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
-	if scratch == nil {
-		scratch = &DijkstraScratch{}
-	}
-	pq := &scratch.pq
-	pq.items = append(pq.items[:0], distItem{src, 0})
-	for len(pq.items) > 0 {
-		it := pq.pop()
-		if it.d > dist[it.v] {
-			continue
+		if marks.reached(it.v) {
+			break
 		}
 		for i := g.Start[it.v]; i < g.Start[it.v+1]; i++ {
 			nd := it.d + w[i]
@@ -195,42 +226,15 @@ func DijkstraEdgesInto(g *CSR, src int32, w []float64, dist []float64, scratch *
 			}
 		}
 	}
+	marks.clear(targets)
 	return dist
 }
 
-// DijkstraTo computes the weighted distance from src to dst, stopping early
-// once dst is settled. Returns +Inf if unreachable. Callers measuring many
-// pairs from the same source should batch through DijkstraInto instead (see
-// power.MeasurePairs); DijkstraTo is the simple reference form.
-func DijkstraTo(g *CSR, src, dst int32, weight func(u, v int32) float64) float64 {
-	dist := make([]float64, g.N)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
-	pq := &distHeap{items: []distItem{{src, 0}}}
-	for len(pq.items) > 0 {
-		it := pq.pop()
-		if it.v == dst {
-			return it.d
-		}
-		if it.d > dist[it.v] {
-			continue
-		}
-		for _, w := range g.Neighbors(it.v) {
-			nd := it.d + weight(it.v, w)
-			if nd < dist[w] {
-				dist[w] = nd
-				pq.push(distItem{w, nd})
-			}
-		}
-	}
-	return math.Inf(1)
-}
-
-// DijkstraScratch holds the reusable priority queue for DijkstraInto.
+// DijkstraScratch holds the reusable priority queue and target marks for
+// DijkstraEdgesInto.
 type DijkstraScratch struct {
-	pq distHeap
+	pq    distHeap
+	marks targetMarks
 }
 
 type distItem struct {

@@ -89,17 +89,36 @@ func edgeWeights(g *graph.CSR, pos []geom.Point, beta float64) []float64 {
 	return w
 }
 
+// pairsScratch is one Pairs worker's reusable state: the sweep scratch,
+// the distance buffers of each (graph, weight) sweep and the current source
+// group's targets.
+type pairsScratch struct {
+	dijkstra                 graph.DijkstraScratch
+	bfs                      graph.PathScratch
+	dSub, dBase, pSub, pBase []float64
+	hop                      []int32
+	targets                  []int32
+}
+
 // Pairs computes a StretchSample for every requested pair, in pair order,
 // by grouping the pairs by source vertex and running ONE buffered Dijkstra
 // per (source, weight slab) — instead of one point-to-point run per pair —
 // so a source sampled with k targets costs a single sweep for all k.
-// Sources fan out across cores via parallel.Collect with per-shard
-// DijkstraScratch and distance buffers, so the result is deterministic at
-// any GOMAXPROCS (the output depends only on the inputs, never on worker
-// count or scheduling).
+//
+// Each sweep is bounded by its group's targets: it stops once the last of
+// them settles (graph.DijkstraEdgesInto, graph.BFSInto), so a query that
+// reads a few distances settles only the vertices nearer than its farthest
+// target. Pops and relaxations up to that exit are those of a full sweep,
+// so every answer is the full sweep's bytes; a group with an unreachable
+// target runs its sweeps to completion.
+//
+// Source groups fan out across cores via parallel.ForScratch with
+// per-worker scratch, and each group writes its samples in place, so the
+// result is deterministic at any GOMAXPROCS (the output depends only on
+// the inputs, never on worker count or scheduling).
 //
 // Unreachable targets yield +Inf lengths (and Hops −1); callers filter
-// them exactly as they would filter a +Inf DijkstraTo result.
+// them exactly as they would filter a +Inf point-to-point result.
 func (m *Measurer) Pairs(pairs []Pair) []StretchSample {
 	if len(pairs) == 0 {
 		return nil
@@ -122,52 +141,48 @@ func (m *Measurer) Pairs(pairs []Pair) []StretchSample {
 	groupStart = append(groupStart, int32(len(keys)))
 	nGroups := len(groupStart) - 1
 
-	type indexed struct {
-		idx int32
-		s   StretchSample
-	}
-	// Grain 1: every source group is a full Dijkstra sweep (or four), far
-	// heavier than the per-shard scratch it allocates, so each source gets
-	// its own shard and sources spread across all cores even for the small
-	// group counts the samplers produce.
-	results := parallel.CollectGrain(nGroups, 1, func(lo, hi int, out []indexed) []indexed {
-		var scratch graph.DijkstraScratch
-		var bfsScratch graph.PathScratch
-		var dSub, dBase, pSub, pBase []float64
-		var hop []int32
+	out := make([]StretchSample, len(pairs))
+	// Grain 1: every source group is a Dijkstra sweep (or four), far
+	// heavier than scheduling one shard, so sources spread across all
+	// cores even for the small group counts the samplers produce.
+	parallel.ForScratch(nGroups, 1, func() *pairsScratch { return new(pairsScratch) }, func(ps *pairsScratch, lo, hi int) {
 		for k := lo; k < hi; k++ {
 			g0, g1 := groupStart[k], groupStart[k+1]
 			src := int32(keys[g0] >> 32)
-			dSub = graph.DijkstraEdgesInto(m.sub, src, m.wSubD, dSub, &scratch)
+			ps.targets = ps.targets[:0]
+			for _, key := range keys[g0:g1] {
+				ps.targets = append(ps.targets, pairs[uint32(key)].V)
+			}
+			ps.dSub = graph.DijkstraEdgesInto(m.sub, src, ps.targets, m.wSubD, ps.dSub, &ps.dijkstra)
 			if m.base != nil {
-				dBase = graph.DijkstraEdgesInto(m.base, src, m.wBaseD, dBase, &scratch)
+				ps.dBase = graph.DijkstraEdgesInto(m.base, src, ps.targets, m.wBaseD, ps.dBase, &ps.dijkstra)
 			}
 			if m.wSubP != nil {
-				pSub = graph.DijkstraEdgesInto(m.sub, src, m.wSubP, pSub, &scratch)
+				ps.pSub = graph.DijkstraEdgesInto(m.sub, src, ps.targets, m.wSubP, ps.pSub, &ps.dijkstra)
 				if m.base != nil {
-					pBase = graph.DijkstraEdgesInto(m.base, src, m.wBaseP, pBase, &scratch)
+					ps.pBase = graph.DijkstraEdgesInto(m.base, src, ps.targets, m.wBaseP, ps.pBase, &ps.dijkstra)
 				}
 			}
 			if m.spec.Hops {
-				hop = graph.BFSInto(m.sub, src, hop, &bfsScratch)
+				ps.hop = graph.BFSInto(m.sub, src, ps.targets, ps.hop, &ps.bfs)
 			}
-			for g := g0; g < g1; g++ {
-				idx := int32(uint32(keys[g]))
+			for _, key := range keys[g0:g1] {
+				idx := uint32(key)
 				dst := pairs[idx].V
 				s := StretchSample{
 					U:      src,
 					V:      dst,
 					Euclid: m.pos[src].Dist(m.pos[dst]),
-					SubLen: dSub[dst],
+					SubLen: ps.dSub[dst],
 				}
 				if m.spec.Hops {
-					s.Hops = int(hop[dst])
+					s.Hops = int(ps.hop[dst])
 				}
 				if m.wSubP != nil {
-					s.PowerSub = pSub[dst]
+					s.PowerSub = ps.pSub[dst]
 				}
 				if m.base != nil {
-					s.BaseLen = dBase[dst]
+					s.BaseLen = ps.dBase[dst]
 					switch {
 					case math.IsInf(s.SubLen, 1) || math.IsInf(s.BaseLen, 1):
 						s.DistStretch = math.Inf(1)
@@ -177,7 +192,7 @@ func (m *Measurer) Pairs(pairs []Pair) []StretchSample {
 						s.DistStretch = 1
 					}
 					if m.wSubP != nil {
-						s.PowerBase = pBase[dst]
+						s.PowerBase = ps.pBase[dst]
 						if s.PowerBase > 0 && !math.IsInf(s.PowerBase, 1) &&
 							!math.IsInf(s.PowerSub, 1) {
 							s.PowerStretch = s.PowerSub / s.PowerBase
@@ -186,16 +201,10 @@ func (m *Measurer) Pairs(pairs []Pair) []StretchSample {
 						}
 					}
 				}
-				out = append(out, indexed{idx: idx, s: s})
+				out[idx] = s
 			}
 		}
-		return out
 	})
-
-	out := make([]StretchSample, len(pairs))
-	for _, r := range results {
-		out[r.idx] = r.s
-	}
 	return out
 }
 

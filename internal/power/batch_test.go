@@ -36,9 +36,36 @@ func batchFixture(t *testing.T) (sub, base *rgg.Geometric, pts []geom.Point, pai
 	return sub, base, pts, pairs
 }
 
+// naiveDist is the closure-weighted reference the engine is checked
+// against: an O(N²) Dijkstra from u with weights computed per relaxation,
+// stopping once v is settled. +Inf if v is unreachable.
+func naiveDist(g *graph.CSR, u, v int32, weight func(a, b int32) float64) float64 {
+	dist := make([]float64, g.N)
+	done := make([]bool, g.N)
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[u] = 0
+	for {
+		x := int32(-1)
+		for i, d := range dist {
+			if !done[i] && !math.IsInf(d, 1) && (x < 0 || d < dist[x]) {
+				x = int32(i)
+			}
+		}
+		if x < 0 || x == v {
+			return dist[v]
+		}
+		done[x] = true
+		for _, y := range g.Neighbors(x) {
+			dist[y] = min(dist[y], dist[x]+weight(x, y))
+		}
+	}
+}
+
 // TestMeasurePairsMatchesNaive checks the batched source-grouped engine
-// against the naive reference: four independent DijkstraTo runs and a BFS
-// per pair, exactly what MeasureStretch did before batching.
+// against the naive reference: four independent point-to-point Dijkstra
+// runs and a BFS per pair, exactly what MeasureStretch did before batching.
 func TestMeasurePairsMatchesNaive(t *testing.T) {
 	sub, base, pts, pairs := batchFixture(t)
 	const beta = 3.0
@@ -46,8 +73,8 @@ func TestMeasurePairsMatchesNaive(t *testing.T) {
 	if len(out) != len(pairs) {
 		t.Fatalf("got %d samples for %d pairs", len(out), len(pairs))
 	}
-	dw := graph.EuclideanWeight(pts)
-	pw := graph.PowerWeight(pts, beta)
+	dw := func(a, b int32) float64 { return pts[a].Dist(pts[b]) }
+	pw := func(a, b int32) float64 { return math.Pow(pts[a].Dist(pts[b]), beta) }
 	var hops []int32
 	sawDisconnected := false
 	for i, p := range pairs {
@@ -55,10 +82,10 @@ func TestMeasurePairsMatchesNaive(t *testing.T) {
 		if s.U != p.U || s.V != p.V {
 			t.Fatalf("pair %d: sample is for (%d, %d), want (%d, %d)", i, s.U, s.V, p.U, p.V)
 		}
-		wantSub := graph.DijkstraTo(sub.CSR, p.U, p.V, dw)
-		wantBase := graph.DijkstraTo(base.CSR, p.U, p.V, dw)
-		wantPSub := graph.DijkstraTo(sub.CSR, p.U, p.V, pw)
-		wantPBase := graph.DijkstraTo(base.CSR, p.U, p.V, pw)
+		wantSub := naiveDist(sub.CSR, p.U, p.V, dw)
+		wantBase := naiveDist(base.CSR, p.U, p.V, dw)
+		wantPSub := naiveDist(sub.CSR, p.U, p.V, pw)
+		wantPBase := naiveDist(base.CSR, p.U, p.V, pw)
 		if !sameDist(s.SubLen, wantSub) || !sameDist(s.BaseLen, wantBase) ||
 			!sameDist(s.PowerSub, wantPSub) || !sameDist(s.PowerBase, wantPBase) {
 			t.Fatalf("pair (%d, %d): batched %+v vs naive sub=%v base=%v psub=%v pbase=%v",
@@ -97,11 +124,11 @@ func sameDist(got, want float64) bool {
 // engine (the E08 configuration): base and power fields must stay zero.
 func TestMeasurePairsSubOnly(t *testing.T) {
 	sub, _, pts, pairs := batchFixture(t)
-	dw := graph.EuclideanWeight(pts)
+	dw := func(a, b int32) float64 { return pts[a].Dist(pts[b]) }
 	out := MeasurePairs(sub.CSR, nil, pts, pairs, BatchSpec{Hops: true})
 	for i, p := range pairs {
 		s := out[i]
-		if !sameDist(s.SubLen, graph.DijkstraTo(sub.CSR, p.U, p.V, dw)) {
+		if !sameDist(s.SubLen, naiveDist(sub.CSR, p.U, p.V, dw)) {
 			t.Fatalf("pair (%d, %d): SubLen %v", p.U, p.V, s.SubLen)
 		}
 		if s.BaseLen != 0 || s.PowerSub != 0 || s.PowerBase != 0 ||
@@ -134,7 +161,7 @@ func TestMeasurePairsDeterministicAcrossGOMAXPROCS(t *testing.T) {
 
 // TestMeasureStretchAllocsBounded is the allocation regression gate for the
 // E11/E14 hot path: the batched engine with reused Dijkstra scratch must
-// stay orders of magnitude below the per-pair DijkstraTo loop it replaced
+// stay orders of magnitude below the per-pair Dijkstra loop it replaced
 // (which allocated a dist slab per call and boxed every heap push — ~2M
 // allocs per E11 run at bench scale).
 func TestMeasureStretchAllocsBounded(t *testing.T) {
@@ -153,6 +180,51 @@ func TestMeasureStretchAllocsBounded(t *testing.T) {
 		}
 	}); a > maxAllocs {
 		t.Errorf("MeasureStretch allocates %.0f/op for n=%d, want ≤ %d", a, len(pts), maxAllocs)
+	}
+}
+
+// TestPairsAllocsWarm is the allocation gate for a warm Measurer.Pairs
+// (weight slabs filled, the serving path's steady state). Sweep scratch is
+// per worker and samples are written in place, so a call allocates the same
+// at 1 and at 16 source groups. The limits are what Pairs allocated on this
+// fixture with per-group scratch and a collect-then-scatter merge; the
+// bounded sweeps' target marks must not push it past them.
+func TestPairsAllocsWarm(t *testing.T) {
+	g := rng.New(9)
+	pts := pointprocess.Poisson(geom.Box(12, 12), 8, g)
+	base := rgg.UDG(pts, 1.0)
+	sub := rgg.UDG(pts, 0.7)
+	members, _ := graph.LargestComponent(sub.CSR)
+	if len(members) < 500 {
+		t.Skip("sparse realization")
+	}
+	pairsFor := func(groups int) []Pair {
+		var pairs []Pair
+		for s := 0; s < groups; s++ {
+			for k := 0; k < 4; k++ {
+				pairs = append(pairs, Pair{U: members[s*7], V: members[(s*31+k*101+5)%len(members)]})
+			}
+		}
+		return pairs
+	}
+	for _, tc := range []struct {
+		hops            bool
+		limit1, limit16 float64
+	}{{false, 26, 337}, {true, 38, 529}} {
+		m := NewMeasurer(sub.CSR, base.CSR, pts, BatchSpec{Beta: 3, Hops: tc.hops})
+		allocs := func(groups int) float64 {
+			pairs := pairsFor(groups)
+			m.Pairs(pairs)
+			return testing.AllocsPerRun(5, func() { m.Pairs(pairs) })
+		}
+		a1, a16 := allocs(1), allocs(16)
+		if a1 > tc.limit1 || a16 > tc.limit16 {
+			t.Errorf("hops=%v: Pairs allocates %.0f/op at 1 group and %.0f/op at 16, want ≤ %.0f and ≤ %.0f",
+				tc.hops, a1, a16, tc.limit1, tc.limit16)
+		}
+		if a1 != a16 {
+			t.Errorf("hops=%v: Pairs allocates %.0f/op at 1 group but %.0f/op at 16", tc.hops, a1, a16)
+		}
 	}
 }
 

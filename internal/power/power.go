@@ -34,12 +34,6 @@ func PathCost(path []geom.Point, beta float64) float64 {
 	return sum
 }
 
-// MinPathPower returns the minimum power to route from u to v in g under
-// exponent beta (+Inf if disconnected).
-func MinPathPower(g *graph.CSR, pos []geom.Point, u, v int32, beta float64) float64 {
-	return graph.DijkstraTo(g, u, v, graph.PowerWeight(pos, beta))
-}
-
 // StretchSample is one (u, v) stretch/power measurement — the single sample
 // shape shared by every stretch sampler in the repository (the E08 rep
 // sampler in core wraps it with lattice data). Fields beyond U, V, Euclid

@@ -35,15 +35,15 @@ func TestMinPathPowerPrefersShortHops(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
 	b.AddEdge(0, 2)
-	g := b.Build()
-	got := MinPathPower(g, pos, 0, 2, 2)
-	if math.Abs(got-2) > 1e-12 {
+	minPower := func(g *graph.CSR, pos []geom.Point) float64 {
+		return MeasurePairs(g, nil, pos, []Pair{{U: 0, V: 2}}, BatchSpec{Beta: 2})[0].PowerSub
+	}
+	if got := minPower(b.Build(), pos); math.Abs(got-2) > 1e-12 {
 		t.Errorf("min power = %v want 2", got)
 	}
 	// Disconnected pair.
-	b2 := graph.NewBuilder(2)
-	if !math.IsInf(MinPathPower(b2.Build(), pos[:2], 0, 1, 2), 1) {
-		t.Error("disconnected pair should cost +Inf")
+	if got := minPower(graph.NewBuilder(3).Build(), pos); !math.IsInf(got, 1) {
+		t.Errorf("disconnected pair costs %v, want +Inf", got)
 	}
 }
 

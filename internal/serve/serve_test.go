@@ -147,11 +147,26 @@ func TestErrorPaths(t *testing.T) {
 	s := New(Config{})
 	id := loadSmall(t, s)
 
-	cases := []struct {
+	type errCase struct {
 		name, method, path, body string
 		status                   int
 		wantErr                  string // substring of the pinned error message
-	}{
+	}
+	run := func(srv *Server, cases []errCase) {
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				rec := doReq(t, srv, tc.method, tc.path, tc.body)
+				if rec.Code != tc.status {
+					t.Fatalf("status %d, want %d (body %s)", rec.Code, tc.status, rec.Body.String())
+				}
+				eb := decodeErr(t, rec)
+				if !strings.Contains(eb.Error, tc.wantErr) {
+					t.Fatalf("error %q does not mention %q", eb.Error, tc.wantErr)
+				}
+			})
+		}
+	}
+	run(s, []errCase{
 		{"unknown snapshot get", http.MethodGet, "/snapshots/deadbeef", "", http.StatusNotFound, `unknown snapshot "deadbeef"`},
 		{"unknown snapshot delete", http.MethodDelete, "/snapshots/deadbeef", "", http.StatusNotFound, `unknown snapshot "deadbeef"`},
 		{"unknown snapshot query", http.MethodPost, "/query/route", `{"snapshot":"deadbeef","pairs":[{"u":0,"v":1}]}`, http.StatusNotFound, `unknown snapshot "deadbeef"`},
@@ -168,20 +183,20 @@ func TestErrorPaths(t *testing.T) {
 		{"bad build JSON", http.MethodPost, "/snapshots", `kind=udg`, http.StatusBadRequest, "invalid JSON body"},
 		{"lifetime rounds cap", http.MethodPost, "/query/lifetime", `{"rounds":5000}`, http.StatusBadRequest, "out of range"},
 		{"lifetime negative rate", http.MethodPost, "/query/lifetime", `{"rate":-1}`, http.StatusBadRequest, "rate must be positive"},
+		{"lifetime rate above max", http.MethodPost, "/query/lifetime", `{"rate":1e9}`, http.StatusBadRequest, "at most 16"},
+		{"lifetime rate past int64", http.MethodPost, "/query/lifetime", `{"rate":1e19}`, http.StatusBadRequest, "at most 16"},
+		{"lifetime unknown snapshot", http.MethodPost, "/query/lifetime", `{"snapshot":"deadbeef"}`, http.StatusNotFound, `unknown snapshot "deadbeef"`},
 		{"coverage unknown snapshot", http.MethodPost, "/query/coverage", `{"snapshot":"deadbeef"}`, http.StatusNotFound, `unknown snapshot "deadbeef"`},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			rec := doReq(t, s, tc.method, tc.path, tc.body)
-			if rec.Code != tc.status {
-				t.Fatalf("status %d, want %d (body %s)", rec.Code, tc.status, rec.Body.String())
-			}
-			eb := decodeErr(t, rec)
-			if !strings.Contains(eb.Error, tc.wantErr) {
-				t.Fatalf("error %q does not mention %q", eb.Error, tc.wantErr)
-			}
-		})
-	}
+	})
+	// With no snapshot loaded, every query endpoint names the missing
+	// current snapshot.
+	const noCurrent = "no current snapshot (POST /snapshots first)"
+	run(New(Config{}), []errCase{
+		{"route no current snapshot", http.MethodPost, "/query/route", `{"pairs":[{"u":0,"v":1}]}`, http.StatusNotFound, noCurrent},
+		{"stretch no current snapshot", http.MethodPost, "/query/stretch", `{"pairs":[{"u":0,"v":1}]}`, http.StatusNotFound, noCurrent},
+		{"coverage no current snapshot", http.MethodPost, "/query/coverage", `{}`, http.StatusNotFound, noCurrent},
+		{"lifetime no current snapshot", http.MethodPost, "/query/lifetime", `{}`, http.StatusNotFound, noCurrent},
+	})
 	_ = id
 }
 

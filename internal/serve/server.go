@@ -283,10 +283,8 @@ func (s *Server) handleSnapshotList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	snap, release, ok := s.store.Acquire(id)
+	snap, release, ok := s.acquire(w, r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown snapshot %q", id)
 		return
 	}
 	defer release()
@@ -328,6 +326,21 @@ type QueryRequest struct {
 	Pairs []PairSpec `json:"pairs"`
 }
 
+// acquire resolves id ("" = current) against the store and pins the
+// snapshot, or answers 404 naming what is missing. On success the caller
+// owns the release func.
+func (s *Server) acquire(w http.ResponseWriter, id string) (snap *Snapshot, release func(), ok bool) {
+	snap, release, ok = s.store.Acquire(id)
+	if !ok {
+		if id == "" {
+			writeError(w, http.StatusNotFound, "no current snapshot (POST /snapshots first)")
+		} else {
+			writeError(w, http.StatusNotFound, "unknown snapshot %q", id)
+		}
+	}
+	return snap, release, ok
+}
+
 // resolveQuery decodes, validates and resolves the common query preamble.
 // On success the caller owns the release func.
 func (s *Server) resolveQuery(w http.ResponseWriter, r *http.Request) (req QueryRequest, snap *Snapshot, release func(), ok bool) {
@@ -346,13 +359,8 @@ func (s *Server) resolveQuery(w http.ResponseWriter, r *http.Request) (req Query
 		writeError(w, http.StatusBadRequest, "%d pairs exceed the per-request cap %d", len(req.Pairs), s.cfg.MaxPairsPerRequest)
 		return req, nil, nil, false
 	}
-	snap, release, found := s.store.Acquire(req.Snapshot)
-	if !found {
-		if req.Snapshot == "" {
-			writeError(w, http.StatusNotFound, "no current snapshot (POST /snapshots first)")
-		} else {
-			writeError(w, http.StatusNotFound, "unknown snapshot %q", req.Snapshot)
-		}
+	snap, release, ok = s.acquire(w, req.Snapshot)
+	if !ok {
 		return req, nil, nil, false
 	}
 	n := int32(snap.Graph.N)
@@ -517,9 +525,8 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	snap, release, ok := s.store.Acquire(req.Snapshot)
+	snap, release, ok := s.acquire(w, req.Snapshot)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown snapshot %q", req.Snapshot)
 		return
 	}
 	defer release()
@@ -541,10 +548,16 @@ type LifetimeRequest struct {
 	// rounds, rate) always returns the same summary.
 	Seed uint64 `json:"seed"`
 	// Rounds caps the simulation (default 512, max 4096); Rate is the
-	// per-source report rate (default 0.5).
+	// per-source report rate (default 0.5, max MaxLifetimeRate).
 	Rounds int     `json:"rounds"`
 	Rate   float64 `json:"rate"`
 }
+
+// MaxLifetimeRate is the largest report rate a lifetime query accepts, in
+// reports per source per round. The simulator does each report's work in
+// turn, so the rate bounds a query's cost per round; the scenario suite
+// sweeps rates up to 2.
+const MaxLifetimeRate = 16.0
 
 // LifetimeResponse is the body of POST /query/lifetime.
 type LifetimeResponse struct {
@@ -579,13 +592,12 @@ func (s *Server) handleLifetime(w http.ResponseWriter, r *http.Request) {
 	if req.Rate == 0 {
 		req.Rate = 0.5
 	}
-	if req.Rate < 0 {
-		writeError(w, http.StatusBadRequest, "rate must be positive (got %v)", req.Rate)
+	if req.Rate < 0 || req.Rate > MaxLifetimeRate {
+		writeError(w, http.StatusBadRequest, "rate must be positive and at most %g (got %v)", MaxLifetimeRate, req.Rate)
 		return
 	}
-	snap, release, ok := s.store.Acquire(req.Snapshot)
+	snap, release, ok := s.acquire(w, req.Snapshot)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown snapshot %q", req.Snapshot)
 		return
 	}
 	defer release()
