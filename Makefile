@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify test test-race bench bench-1m baseline bench-compare ci doclint sensvet scenarios fuzz-smoke e2e
+.PHONY: verify test test-race bench bench-1m baseline bench-compare ci sensvet scenarios fuzz-smoke e2e
 
 # verify is the tier-1 gate: build (including every example), vet, full
 # test suite. cmd/sensbench is a module of its own that root ./... skips;
@@ -14,27 +14,25 @@ verify:
 	$(GO) -C cmd/sensbench vet ./...
 	$(GO) test ./...
 
-# doclint fails when any exported identifier in the module lacks a godoc
-# comment (see cmd/doclint) — documentation regressions break the build.
-doclint:
-	$(GO) run ./cmd/doclint ./...
-
-# sensvet runs the determinism lints (see cmd/sensvet and DESIGN.md
+# sensvet is the one static-analysis gate (see cmd/sensvet and DESIGN.md
 # "Static-analysis gates"): map-iteration order leaks, wall-clock and
 # global-RNG use outside the serving layer, the RNG substream registry
-# cross-check, and waiver hygiene. The tree must stay sensvet-clean;
-# deliberate exceptions carry `//sensvet:allow <rule> — <reason>` waivers.
+# cross-check, exported internal/ API that nothing but its own package's
+# tests reaches (deadcode), exported identifiers without a godoc comment
+# (doclint; generated files exempt), and waiver hygiene. The tree must stay
+# sensvet-clean; deliberate exceptions carry
+# `//sensvet:allow <rule> — <reason>` waivers.
 sensvet:
 	$(GO) run ./cmd/sensvet ./...
 
 # ci is the full pre-merge pipeline: the tier-1 gate (build + vet + test),
-# the doc-comment lint, the determinism lints, the race-detector pass over
-# every internal and cmd package, the short-mode daemon e2e flow under
-# -race, a short fuzz smoke over the fault-schedule builder, and a
+# the sensvet static-analysis gate (determinism, dead internal API and doc
+# comments), the race-detector pass over every internal and cmd package,
+# the short-mode daemon e2e flow under -race, the fuzz smoke, and a
 # benchmark run diffed against the checked-in baseline, flagging >10% time
 # regressions. Set BENCH_STRICT=1 (time) or BENCH_STRICT_ALLOCS=1 (allocs)
 # to turn flags into a non-zero exit.
-ci: verify doclint sensvet test-race e2e fuzz-smoke bench-compare
+ci: verify sensvet test-race e2e fuzz-smoke bench-compare
 
 # scenarios emits per-scenario wall times (JSON) from a reduced-scale
 # engine run — the experiment-level perf trajectory.
@@ -73,18 +71,22 @@ e2e:
 # edge multisets at vertex-block boundaries, on the dedup and unique paths
 # (5 s); target-bounded Dijkstra and BFS sweeps must equal the full sweeps
 # and the closure-weighted oracle on every target, for arbitrary edge
-# multisets and target sets (5 s; 40 s in all). Ten seconds is a smoke
-# test, not a campaign — run longer fuzzes with 'go test ./internal/fault
-# -fuzz=FuzzSchedule', 'go test ./internal/mobility -fuzz=FuzzTrajectory',
-# 'go test ./internal/core -fuzz=FuzzKinetic', 'go test ./internal/graph
-# -fuzz=FuzzCSR' or 'go test ./internal/graph -fuzz=FuzzBoundedSweep'
-# directly.
+# multisets and target sets (5 s); the grid UDG builder must never panic
+# and must equal the O(n²) brute force on point sets with duplicates,
+# pairs at distance exactly r, far outliers and NaN/±Inf coordinates (5 s;
+# 45 s in all). Ten seconds is a smoke test, not a campaign — run longer
+# fuzzes with 'go test ./internal/fault -fuzz=FuzzSchedule', 'go test
+# ./internal/mobility -fuzz=FuzzTrajectory', 'go test ./internal/core
+# -fuzz=FuzzKinetic', 'go test ./internal/graph -fuzz=FuzzCSR', 'go test
+# ./internal/graph -fuzz=FuzzBoundedSweep' or 'go test ./internal/rgg
+# -fuzz=FuzzUDGGrid' directly.
 fuzz-smoke:
 	$(GO) test ./internal/fault -run='^$$' -fuzz=FuzzSchedule -fuzztime=10s
 	$(GO) test ./internal/mobility -run='^$$' -fuzz=FuzzTrajectory -fuzztime=10s
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzKinetic -fuzztime=10s
 	$(GO) test ./internal/graph -run='^$$' -fuzz=FuzzCSR -fuzztime=5s
 	$(GO) test ./internal/graph -run='^$$' -fuzz=FuzzBoundedSweep -fuzztime=5s
+	$(GO) test ./internal/rgg -run='^$$' -fuzz=FuzzUDGGrid -fuzztime=5s
 
 # bench runs every benchmark once with allocation reporting — the quick
 # "did I regress the pipeline" check.

@@ -73,6 +73,8 @@ func TestBadPreloadSpecs(t *testing.T) {
 		{"unknown key", "kind:udg,widgets:3", "unknown -preload key"},
 		{"bad value", "kind:udg,side:wide", "bad -preload value"},
 		{"bad kind", "kind:mesh", "unknown kind"},
+		{"NaN side", "kind:udg,side:NaN", "side must be finite"},
+		{"oversized", "kind:udg,side:1e4", "exceeds"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,12 +1,12 @@
 // Command sensvet is the project-specific static-analysis gate: it
-// enforces the determinism, RNG-substream and waiver contracts that keep
-// every result table byte-identical at GOMAXPROCS 1 and 8 (the conventions
-// doclint's move turned into CI failures for docs, applied to
-// nondeterminism). See internal/lint for the analyzers:
+// enforces the determinism, RNG-substream, dead-API, doc-comment and
+// waiver contracts of the repository. See internal/lint for the analyzers:
 //
 //   - detrange: map iteration in result-producing packages
 //   - detclock: wall-clock / global math/rand outside the allowlist
 //   - substreams: constant RNG streams vs the docs/substreams.md registry
+//   - deadcode: exported internal/ API reached only by its own package's tests
+//   - doclint: exported identifiers without a godoc comment
 //   - waiverlint: //sensvet:allow hygiene and stale-waiver detection
 //
 // Usage:
@@ -95,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// reportDirs expands the doclint-style directory arguments (dir, dir/...,
+// reportDirs expands the go-style directory arguments (dir, dir/...,
 // default ./...) into the set of absolute directories whose findings are
 // reported.
 func reportDirs(args []string) (map[string]bool, error) {

@@ -127,10 +127,6 @@ func (k *Kinetic) AliveMask() []bool { return k.alive }
 // Box returns the deployment region the network was built over.
 func (k *Kinetic) Box() geom.Rect { return k.box }
 
-// Delta exposes the maintained edge overlay for structural queries without
-// materialization.
-func (k *Kinetic) Delta() *graph.Delta { return k.delta }
-
 // Materialize flattens the maintained overlay into an immutable CSR equal,
 // edge for edge, to a from-scratch BuildUDG at the current state.
 func (k *Kinetic) Materialize() *graph.CSR { return k.delta.Materialize() }

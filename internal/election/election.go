@@ -48,14 +48,6 @@ func Broadcast(ids []int32) Result {
 	}
 }
 
-// Tournament elects a leader by knockout rounds: surviving candidates pair
-// up, each pair exchanges one message in each direction, and the larger ID
-// survives. An odd candidate gets a bye. ⌈log₂ n⌉ rounds, ≤ 2(n−1) messages.
-func Tournament(ids []int32) Result {
-	var s Scratch
-	return s.Tournament(ids)
-}
-
 // Scratch holds the reusable candidate buffer for repeated elections. The
 // SENS constructions run one election per occupied tile region — five (UDG)
 // or nine (NN) per tile across tens of thousands of tiles — and the
@@ -74,8 +66,10 @@ func (s *Scratch) Elect(alg Algorithm, ids []int32) Result {
 	return s.Tournament(ids)
 }
 
-// Tournament is the scratch-buffered form of the package-level Tournament:
-// identical result, zero allocations at steady state.
+// Tournament elects a leader by knockout rounds: surviving candidates pair
+// up, each pair exchanges one message in each direction, and the larger ID
+// survives. An odd candidate gets a bye. ⌈log₂ n⌉ rounds, ≤ 2(n−1) messages;
+// zero allocations once the scratch buffer has grown.
 func (s *Scratch) Tournament(ids []int32) Result {
 	if len(ids) == 0 {
 		return Result{Leader: -1}
@@ -112,11 +106,3 @@ const (
 	AlgorithmTournament Algorithm = iota
 	AlgorithmBroadcast
 )
-
-// Elect runs the selected protocol.
-func Elect(alg Algorithm, ids []int32) Result {
-	if alg == AlgorithmBroadcast {
-		return Broadcast(ids)
-	}
-	return Tournament(ids)
-}

@@ -7,12 +7,18 @@ import (
 	"repro/internal/rng"
 )
 
+// tournament runs one knockout election on a fresh scratch.
+func tournament(ids []int32) Result {
+	var s Scratch
+	return s.Tournament(ids)
+}
+
 func TestEmptyCandidates(t *testing.T) {
 	if r := Broadcast(nil); r.Leader != -1 || r.Messages != 0 {
 		t.Errorf("Broadcast(nil) = %+v", r)
 	}
-	if r := Tournament(nil); r.Leader != -1 || r.Messages != 0 {
-		t.Errorf("Tournament(nil) = %+v", r)
+	if r := tournament(nil); r.Leader != -1 || r.Messages != 0 {
+		t.Errorf("tournament(nil) = %+v", r)
 	}
 }
 
@@ -20,7 +26,7 @@ func TestSingleton(t *testing.T) {
 	if r := Broadcast([]int32{7}); r.Leader != 7 || r.Messages != 0 || r.Rounds != 0 {
 		t.Errorf("Broadcast singleton = %+v", r)
 	}
-	if r := Tournament([]int32{7}); r.Leader != 7 || r.Messages != 0 || r.Rounds != 0 {
+	if r := tournament([]int32{7}); r.Leader != 7 || r.Messages != 0 || r.Rounds != 0 {
 		t.Errorf("Tournament singleton = %+v", r)
 	}
 }
@@ -30,7 +36,7 @@ func TestBothElectMaximum(t *testing.T) {
 	if r := Broadcast(ids); r.Leader != 12 {
 		t.Errorf("Broadcast leader = %d", r.Leader)
 	}
-	if r := Tournament(ids); r.Leader != 12 {
+	if r := tournament(ids); r.Leader != 12 {
 		t.Errorf("Tournament leader = %d", r.Leader)
 	}
 }
@@ -41,15 +47,15 @@ func TestMessageAndRoundCounts(t *testing.T) {
 	if b.Messages != 8*7 || b.Rounds != 1 {
 		t.Errorf("Broadcast cost = %+v", b)
 	}
-	tr := Tournament(ids)
+	tr := tournament(ids)
 	// 8 → 4 → 2 → 1: rounds 3, messages 2·(4+2+1) = 14 = 2(n−1).
 	if tr.Rounds != 3 || tr.Messages != 14 {
 		t.Errorf("Tournament cost = %+v", tr)
 	}
 	// Odd count with byes: 5 → 3 → 2 → 1.
-	tr5 := Tournament([]int32{1, 2, 3, 4, 5})
+	tr5 := tournament([]int32{1, 2, 3, 4, 5})
 	if tr5.Rounds != 3 || tr5.Messages != 2*(2+1+1) {
-		t.Errorf("Tournament(5) cost = %+v", tr5)
+		t.Errorf("tournament(5) cost = %+v", tr5)
 	}
 }
 
@@ -60,7 +66,7 @@ func TestTournamentLinearMessages(t *testing.T) {
 		for i := range ids {
 			ids[i] = int32(g.IntN(1 << 20))
 		}
-		r := Tournament(ids)
+		r := tournament(ids)
 		if r.Messages > 2*(n-1) {
 			t.Errorf("n=%d: Tournament messages %d > 2(n−1)", n, r.Messages)
 		}
@@ -72,7 +78,7 @@ func TestAgreementProperty(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		return Broadcast(raw).Leader == Tournament(raw).Leader
+		return Broadcast(raw).Leader == tournament(raw).Leader
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -81,20 +87,21 @@ func TestAgreementProperty(t *testing.T) {
 
 func TestElectDispatch(t *testing.T) {
 	ids := []int32{3, 1, 2}
-	if r := Elect(AlgorithmBroadcast, ids); r.Leader != 3 || r.Messages != 6 {
+	var s Scratch
+	if r := s.Elect(AlgorithmBroadcast, ids); r.Leader != 3 || r.Messages != 6 {
 		t.Errorf("Elect broadcast = %+v", r)
 	}
-	if r := Elect(AlgorithmTournament, ids); r.Leader != 3 {
+	if r := s.Elect(AlgorithmTournament, ids); r.Leader != 3 || r.Messages != 4 {
 		t.Errorf("Elect tournament = %+v", r)
 	}
 }
 
-// TestScratchTournamentMatchesPackageLevel: the scratch-buffered tournament
-// is an accounting-identical drop-in for the allocating one.
+// TestScratchTournamentMatchesPackageLevel: a scratch reused across
+// elections answers exactly like a fresh one.
 func TestScratchTournamentMatchesPackageLevel(t *testing.T) {
 	var s Scratch
 	f := func(raw []int32) bool {
-		a := Tournament(raw)
+		a := tournament(raw)
 		b := s.Tournament(raw)
 		return a == b
 	}

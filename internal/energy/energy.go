@@ -149,13 +149,6 @@ func (bk *Bank) ChargeRx(v int32, bits float64) {
 	}
 }
 
-// ChargeIdle debits rounds' worth of idle drain against u's battery.
-func (bk *Bank) ChargeIdle(u int32, rounds float64) {
-	if bk.powered(u) {
-		bk.Batteries[u].Drain(bk.Model.Idle * rounds)
-	}
-}
-
 // TotalSpent sums the energy demanded of all batteries so far.
 func (bk *Bank) TotalSpent() float64 {
 	var s float64

@@ -47,11 +47,10 @@ func TestBankPoweredExemption(t *testing.T) {
 	bk.ChargeTx(0, 1, 1) // node 0 unpowered: free
 	bk.ChargeRx(2, 1)    // node 2 unpowered: free
 	bk.ChargeTx(1, 2, 1) // node 1 pays 1·(1 + 1·1²) = 2
-	bk.ChargeIdle(1, 1)  // plus the idle trickle
 	if bk.Batteries[0].Spent != 0 || bk.Batteries[2].Spent != 0 {
 		t.Errorf("unpowered nodes were charged: %+v", bk.Batteries)
 	}
-	want := 2 + bk.Model.Idle
+	want := 2.0
 	if got := bk.Batteries[1].Spent; math.Abs(got-want) > 1e-12 {
 		t.Errorf("powered node spent %v, want %v", got, want)
 	}

@@ -851,32 +851,3 @@ func QuadrantSinks(pos []geom.Point, nodes []int32) []int32 {
 	}
 	return sinks
 }
-
-// NearestSink returns the participant nearest the centroid of the
-// participant positions — the deterministic single-gateway choice (a
-// gateway in the middle of the field) — or −1 for an empty participant
-// set. nodes nil means all vertices.
-func NearestSink(pos []geom.Point, nodes []int32) int32 {
-	if nodes == nil {
-		nodes = make([]int32, len(pos))
-		for i := range nodes {
-			nodes[i] = int32(i)
-		}
-	}
-	if len(nodes) == 0 {
-		return -1
-	}
-	var cx, cy float64
-	for _, v := range nodes {
-		cx += pos[v].X
-		cy += pos[v].Y
-	}
-	c := geom.Pt(cx/float64(len(nodes)), cy/float64(len(nodes)))
-	best, bestD := nodes[0], math.Inf(1)
-	for _, v := range nodes {
-		if d := pos[v].Dist(c); d < bestD {
-			best, bestD = v, d
-		}
-	}
-	return best
-}

@@ -164,25 +164,6 @@ func (s *Schedule) WithBurst(from, to int, rate float64) *Schedule {
 	return &c
 }
 
-// Merge composes schedules: crashes are concatenated and re-sorted, burst
-// windows concatenated, and base loss rates combined as independent
-// sources.
-func Merge(schedules ...*Schedule) *Schedule {
-	out := &Schedule{}
-	keep := 1.0
-	for _, s := range schedules {
-		if s == nil {
-			continue
-		}
-		out.Crashes = append(out.Crashes, s.Crashes...)
-		out.Bursts = append(out.Bursts, s.Bursts...)
-		keep *= 1 - s.Loss
-	}
-	out.Loss = 1 - keep
-	sortEvents(out.Crashes)
-	return out
-}
-
 // sortEvents sorts crashes by (Round, Node) — the canonical order Validate
 // checks and AliveSet relies on.
 func sortEvents(evs []Event) {

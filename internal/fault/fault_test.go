@@ -109,22 +109,6 @@ func TestCrashScheduleFracAndMass(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := CrashSchedule([]int32{2}, 1, 3, 0).WithLoss(0.1)
-	b := CrashSchedule([]int32{7}, 1, 1, 0).WithLoss(0.2)
-	m := Merge(a, nil, b)
-	if err := m.Validate(); err != nil {
-		t.Fatalf("merged schedule invalid: %v", err)
-	}
-	if len(m.Crashes) != 2 || m.Crashes[0].Node != 7 || m.Crashes[1].Node != 2 {
-		t.Errorf("merge did not re-sort crashes: %+v", m.Crashes)
-	}
-	want := 1 - 0.9*0.8
-	if math.Abs(m.Loss-want) > 1e-12 {
-		t.Errorf("merged loss %v, want %v", m.Loss, want)
-	}
-}
-
 func TestVictimsDegree(t *testing.T) {
 	// Star: center 0 has max degree, leaves tie at 1 → ascending id.
 	g := buildCSR(4, [][2]int32{{0, 1}, {0, 2}, {0, 3}})

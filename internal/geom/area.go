@@ -1,12 +1,7 @@
 package geom
 
-import (
-	"math"
-	"math/rand/v2"
-)
-
 // Area returns the area of a region analytically when the shape supports it
-// and −1 otherwise; use MonteCarloArea for arbitrary regions.
+// and −1 otherwise; use GridArea for arbitrary regions.
 func Area(r Region) float64 {
 	switch v := r.(type) {
 	case Circle:
@@ -18,25 +13,6 @@ func Area(r Region) float64 {
 	default:
 		return -1
 	}
-}
-
-// MonteCarloArea estimates the area of an arbitrary region by uniform
-// sampling of its bounding box with n samples. The standard error of the
-// estimate is Area·sqrt((1−f)/(f·n)) where f is the hit fraction.
-func MonteCarloArea(r Region, n int, rng *rand.Rand) float64 {
-	b := r.Bounds()
-	w, h := b.Width(), b.Height()
-	if w <= 0 || h <= 0 || n <= 0 {
-		return 0
-	}
-	hits := 0
-	for i := 0; i < n; i++ {
-		p := Point{b.Min.X + rng.Float64()*w, b.Min.Y + rng.Float64()*h}
-		if r.Contains(p) {
-			hits++
-		}
-	}
-	return w * h * float64(hits) / float64(n)
 }
 
 // GridArea estimates the area of a region by evaluating membership on an
@@ -59,43 +35,4 @@ func GridArea(r Region, n int) float64 {
 		}
 	}
 	return w * h * float64(hits) / float64(n*n)
-}
-
-// MaxPairDist estimates the maximum distance between any point of region a
-// and any point of region b by membership evaluation on n×n grids over the
-// bounding boxes. It under-approximates the true supremum by O(cell size);
-// callers that need a guarantee should add a diameter-of-cell slack.
-func MaxPairDist(a, b Region, n int) float64 {
-	pa := gridMembers(a, n)
-	pb := gridMembers(b, n)
-	best := 0.0
-	for _, p := range pa {
-		for _, q := range pb {
-			if d := p.Dist2(q); d > best {
-				best = d
-			}
-		}
-	}
-	return math.Sqrt(best)
-}
-
-func gridMembers(r Region, n int) []Point {
-	b := r.Bounds()
-	w, h := b.Width(), b.Height()
-	if w <= 0 || h <= 0 {
-		return nil
-	}
-	dx, dy := w/float64(n), h/float64(n)
-	var out []Point
-	for i := 0; i < n; i++ {
-		x := b.Min.X + (float64(i)+0.5)*dx
-		for j := 0; j < n; j++ {
-			y := b.Min.Y + (float64(j)+0.5)*dy
-			p := Point{x, y}
-			if r.Contains(p) {
-				out = append(out, p)
-			}
-		}
-	}
-	return out
 }

@@ -32,28 +32,6 @@ func (c Circle) Bounds() Rect {
 	}
 }
 
-// Intersects reports whether the two closed disks share any point.
-func (c Circle) Intersects(d Circle) bool {
-	rr := c.R + d.R
-	return c.Center.Dist2(d.Center) <= rr*rr
-}
-
-// ContainsCircle reports whether d lies entirely within c.
-func (c Circle) ContainsCircle(d Circle) bool {
-	return c.Center.Dist(d.Center)+d.R <= c.R+1e-12
-}
-
-// IntersectsRect reports whether the disk and the rectangle share any point.
-func (c Circle) IntersectsRect(r Rect) bool {
-	return r.DistToPoint(c.Center) <= c.R
-}
-
-// InsideRect reports whether the disk lies entirely within the rectangle.
-func (c Circle) InsideRect(r Rect) bool {
-	return c.Center.X-c.R >= r.Min.X && c.Center.X+c.R <= r.Max.X &&
-		c.Center.Y-c.R >= r.Min.Y && c.Center.Y+c.R <= r.Max.Y
-}
-
 // MaxDistToPoint returns the largest distance from p to any point of the
 // disk: d(p, center) + R.
 func (c Circle) MaxDistToPoint(p Point) float64 {
@@ -63,116 +41,4 @@ func (c Circle) MaxDistToPoint(p Point) float64 {
 // String implements fmt.Stringer.
 func (c Circle) String() string {
 	return fmt.Sprintf("disk(%v, r=%.6g)", c.Center, c.R)
-}
-
-// LensArea returns the area of the intersection of two disks, computed
-// analytically. Returns 0 when the disks are disjoint and the smaller disk's
-// area when one contains the other.
-func LensArea(a, b Circle) float64 {
-	d := a.Center.Dist(b.Center)
-	if d >= a.R+b.R {
-		return 0
-	}
-	if d <= math.Abs(a.R-b.R) {
-		r := math.Min(a.R, b.R)
-		return math.Pi * r * r
-	}
-	// Standard circle-circle intersection ("lens") formula.
-	r1, r2 := a.R, b.R
-	d2, r12, r22 := d*d, r1*r1, r2*r2
-	alpha := 2 * math.Acos(clampUnit((d2+r12-r22)/(2*d*r1)))
-	beta := 2 * math.Acos(clampUnit((d2+r22-r12)/(2*d*r2)))
-	return 0.5*r12*(alpha-math.Sin(alpha)) + 0.5*r22*(beta-math.Sin(beta))
-}
-
-// SegmentArea returns the area of the circular segment of a disk with radius
-// r cut off by a chord at distance h from the center (0 ≤ h ≤ r). For h ≥ r
-// the segment is empty; for h ≤ 0 it is the half disk plus the complementary
-// segment.
-func SegmentArea(r, h float64) float64 {
-	if h >= r {
-		return 0
-	}
-	if h <= -r {
-		return math.Pi * r * r
-	}
-	return r*r*math.Acos(clampUnit(h/r)) - h*math.Sqrt(r*r-h*h)
-}
-
-// CircleRectArea returns the area of the intersection of a disk and a
-// rectangle, computed analytically by the standard decomposition into signed
-// quadrant contributions.
-func CircleRectArea(c Circle, r Rect) float64 {
-	// Translate so the disk is centered at the origin.
-	x0, x1 := r.Min.X-c.Center.X, r.Max.X-c.Center.X
-	y0, y1 := r.Min.Y-c.Center.Y, r.Max.Y-c.Center.Y
-	a := quadrantArea(x1, y1, c.R) - quadrantArea(x0, y1, c.R) -
-		quadrantArea(x1, y0, c.R) + quadrantArea(x0, y0, c.R)
-	return math.Max(0, a)
-}
-
-// quadrantArea returns the area of the intersection of the disk of radius r
-// at the origin with the quadrant (−∞, x] × (−∞, y]. Negative coordinates
-// are reduced to the non-negative case by reflection symmetry:
-// area{X ≤ x, Y ≤ y} = area{Y ≤ y} − area{X ≤ −x, Y ≤ y}.
-func quadrantArea(x, y, r float64) float64 {
-	if x <= -r || y <= -r {
-		return 0
-	}
-	if x >= r {
-		return halfPlaneArea(y, r)
-	}
-	if y >= r {
-		return halfPlaneArea(x, r)
-	}
-	if x < 0 {
-		return halfPlaneArea(y, r) - quadrantArea(-x, y, r)
-	}
-	if y < 0 {
-		return halfPlaneArea(x, r) - quadrantArea(x, -y, r)
-	}
-	// Now 0 ≤ x < r and 0 ≤ y < r.
-	full := math.Pi * r * r
-	if x*x+y*y >= r*r {
-		// Corner outside the disk: the two clipped segments are disjoint.
-		return full - SegmentArea(r, x) - SegmentArea(r, y)
-	}
-	// Corner inside the disk: the segments {X > x} and {Y > y} overlap in
-	// the corner region, which must be added back once.
-	return full - SegmentArea(r, x) - SegmentArea(r, y) + cornerRegionArea(x, y, r)
-}
-
-// halfPlaneArea returns the area of disk(0, r) ∩ {X ≤ x} (equally, {Y ≤ x}).
-func halfPlaneArea(x, r float64) float64 {
-	if x <= -r {
-		return 0
-	}
-	if x >= r {
-		return math.Pi * r * r
-	}
-	return math.Pi*r*r - SegmentArea(r, x)
-}
-
-// cornerRegionArea returns the area of disk(0, r) ∩ {X > x, Y > y} for
-// 0 ≤ x, 0 ≤ y with the corner (x, y) strictly inside the disk:
-// ∫_x^{√(r²−y²)} (√(r²−t²) − y) dt.
-func cornerRegionArea(x, y, r float64) float64 {
-	xMax := math.Sqrt(math.Max(0, r*r-y*y))
-	if x >= xMax {
-		return 0
-	}
-	F := func(t float64) float64 {
-		return 0.5*(t*math.Sqrt(math.Max(0, r*r-t*t))+r*r*math.Asin(clampUnit(t/r))) - y*t
-	}
-	return F(xMax) - F(x)
-}
-
-func clampUnit(v float64) float64 {
-	if v > 1 {
-		return 1
-	}
-	if v < -1 {
-		return -1
-	}
-	return v
 }

@@ -71,29 +71,5 @@ func (p Point) Rotate(theta float64) Point {
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.6g, %.6g)", p.X, p.Y) }
 
-// L1Dist returns the Manhattan distance |p.X−q.X| + |p.Y−q.Y|.
-func L1Dist(p, q Point) float64 {
-	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
-}
-
-// LInfDist returns the Chebyshev distance max(|p.X−q.X|, |p.Y−q.Y|).
-func LInfDist(p, q Point) float64 {
-	return math.Max(math.Abs(p.X-q.X), math.Abs(p.Y-q.Y))
-}
-
 // Midpoint returns the midpoint of segment pq.
 func Midpoint(p, q Point) Point { return Point{(p.X + q.X) / 2, (p.Y + q.Y) / 2} }
-
-// Centroid returns the centroid of a non-empty point set, or the origin for
-// an empty slice.
-func Centroid(pts []Point) Point {
-	if len(pts) == 0 {
-		return Point{}
-	}
-	var c Point
-	for _, p := range pts {
-		c.X += p.X
-		c.Y += p.Y
-	}
-	return c.Scale(1 / float64(len(pts)))
-}

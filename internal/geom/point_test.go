@@ -2,7 +2,6 @@ package geom
 
 import (
 	"math"
-	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -39,12 +38,6 @@ func TestPointDistances(t *testing.T) {
 	if got := p.Dist2(q); got != 25 {
 		t.Errorf("Dist2 = %v, want 25", got)
 	}
-	if got := L1Dist(p, q); got != 7 {
-		t.Errorf("L1Dist = %v, want 7", got)
-	}
-	if got := LInfDist(p, q); got != 4 {
-		t.Errorf("LInfDist = %v, want 4", got)
-	}
 	if got := q.Norm(); got != 5 {
 		t.Errorf("Norm = %v, want 5", got)
 	}
@@ -66,12 +59,6 @@ func TestLerpMidpointCentroid(t *testing.T) {
 	}
 	if got := Midpoint(p, q); got != Pt(1, 2) {
 		t.Errorf("Midpoint = %v", got)
-	}
-	if got := Centroid([]Point{p, q, Pt(4, 2)}); got != Pt(2, 2) {
-		t.Errorf("Centroid = %v", got)
-	}
-	if got := Centroid(nil); got != Pt(0, 0) {
-		t.Errorf("Centroid(nil) = %v", got)
 	}
 }
 
@@ -222,132 +209,7 @@ func TestCircleBasics(t *testing.T) {
 	if c.Bounds() != NewRect(Pt(-1, -1), Pt(3, 3)) {
 		t.Errorf("Bounds = %v", c.Bounds())
 	}
-	d := NewCircle(Pt(4, 1), 1)
-	if !c.Intersects(d) {
-		t.Error("tangent circles should intersect")
-	}
-	if c.Intersects(NewCircle(Pt(10, 10), 1)) {
-		t.Error("far circles should not intersect")
-	}
-	if !c.ContainsCircle(NewCircle(Pt(1, 1), 1)) {
-		t.Error("ContainsCircle concentric failed")
-	}
-	if c.ContainsCircle(NewCircle(Pt(3, 1), 1)) {
-		t.Error("ContainsCircle overflowing succeeded")
-	}
 	if got := c.MaxDistToPoint(Pt(1, 5)); got != 6 {
 		t.Errorf("MaxDistToPoint = %v", got)
-	}
-}
-
-func TestCircleRectInteraction(t *testing.T) {
-	c := NewCircle(Pt(0, 0), 1)
-	if !c.IntersectsRect(NewRect(Pt(0.5, 0.5), Pt(2, 2))) {
-		t.Error("IntersectsRect overlapping failed")
-	}
-	if c.IntersectsRect(NewRect(Pt(2, 2), Pt(3, 3))) {
-		t.Error("IntersectsRect far rect succeeded")
-	}
-	if !c.InsideRect(NewRect(Pt(-1, -1), Pt(1, 1))) {
-		t.Error("InsideRect exact fit failed")
-	}
-	if c.InsideRect(NewRect(Pt(-0.5, -1), Pt(1, 1))) {
-		t.Error("InsideRect should fail when disk pokes out")
-	}
-}
-
-func TestLensArea(t *testing.T) {
-	a := NewCircle(Pt(0, 0), 1)
-	// Disjoint.
-	if got := LensArea(a, NewCircle(Pt(3, 0), 1)); got != 0 {
-		t.Errorf("disjoint lens = %v", got)
-	}
-	// Contained.
-	if got := LensArea(a, NewCircle(Pt(0, 0), 0.5)); !almostEq(got, math.Pi/4, 1e-12) {
-		t.Errorf("contained lens = %v", got)
-	}
-	// Identical circles.
-	if got := LensArea(a, a); !almostEq(got, math.Pi, 1e-12) {
-		t.Errorf("identical lens = %v", got)
-	}
-	// Symmetric half-overlap sanity: circles distance 1 apart, unit radius.
-	// Known value: 2·(π/3 − √3/4) ≈ 1.228369...
-	got := LensArea(a, NewCircle(Pt(1, 0), 1))
-	want := 2 * (math.Pi/3 - math.Sqrt(3)/4)
-	if !almostEq(got, want, 1e-9) {
-		t.Errorf("half lens = %v want %v", got, want)
-	}
-}
-
-func TestLensAreaMatchesMonteCarlo(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	for trial := 0; trial < 20; trial++ {
-		a := NewCircle(Pt(rng.Float64()*2-1, rng.Float64()*2-1), 0.3+rng.Float64())
-		b := NewCircle(Pt(rng.Float64()*2-1, rng.Float64()*2-1), 0.3+rng.Float64())
-		want := LensArea(a, b)
-		got := MonteCarloArea(Intersection{a, b}, 200000, rng)
-		if math.Abs(got-want) > 0.05*math.Max(1, want) {
-			t.Errorf("lens(%v, %v): analytic %v vs MC %v", a, b, want, got)
-		}
-	}
-}
-
-func TestSegmentArea(t *testing.T) {
-	// h = 0: half disk.
-	if got := SegmentArea(2, 0); !almostEq(got, 2*math.Pi, 1e-12) {
-		t.Errorf("half disk = %v", got)
-	}
-	// h = r: empty.
-	if got := SegmentArea(1, 1); got != 0 {
-		t.Errorf("empty segment = %v", got)
-	}
-	// h = −r: full disk.
-	if got := SegmentArea(1, -1); !almostEq(got, math.Pi, 1e-9) {
-		t.Errorf("full segment = %v", got)
-	}
-	// Monotone decreasing in h.
-	prev := math.Inf(1)
-	for h := -1.0; h <= 1.0; h += 0.05 {
-		v := SegmentArea(1, h)
-		if v > prev+1e-12 {
-			t.Fatalf("SegmentArea not monotone at h=%v: %v > %v", h, v, prev)
-		}
-		prev = v
-	}
-}
-
-func TestCircleRectArea(t *testing.T) {
-	c := NewCircle(Pt(0, 0), 1)
-	// Rect containing the disk entirely.
-	if got := CircleRectArea(c, NewRect(Pt(-2, -2), Pt(2, 2))); !almostEq(got, math.Pi, 1e-9) {
-		t.Errorf("full containment = %v", got)
-	}
-	// Half plane cut.
-	if got := CircleRectArea(c, NewRect(Pt(-2, -2), Pt(0, 2))); !almostEq(got, math.Pi/2, 1e-9) {
-		t.Errorf("half = %v", got)
-	}
-	// Quarter.
-	if got := CircleRectArea(c, NewRect(Pt(0, 0), Pt(2, 2))); !almostEq(got, math.Pi/4, 1e-9) {
-		t.Errorf("quarter = %v", got)
-	}
-	// Disjoint.
-	if got := CircleRectArea(c, NewRect(Pt(2, 2), Pt(3, 3))); !almostEq(got, 0, 1e-9) {
-		t.Errorf("disjoint = %v", got)
-	}
-}
-
-func TestCircleRectAreaMatchesMonteCarlo(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 9))
-	for trial := 0; trial < 20; trial++ {
-		c := NewCircle(Pt(rng.Float64()*2-1, rng.Float64()*2-1), 0.3+rng.Float64())
-		r := NewRect(
-			Pt(rng.Float64()*3-1.5, rng.Float64()*3-1.5),
-			Pt(rng.Float64()*3-1.5, rng.Float64()*3-1.5),
-		)
-		want := CircleRectArea(c, r)
-		got := MonteCarloArea(Intersection{c, r}, 200000, rng)
-		if math.Abs(got-want) > 0.05*math.Max(0.5, want) {
-			t.Errorf("circle-rect(%v, %v): analytic %v vs MC %v", c, r, want, got)
-		}
 	}
 }

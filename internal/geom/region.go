@@ -168,22 +168,6 @@ func maxDistToRegion(p Point, r Region) float64 {
 	}
 }
 
-// HalfPlane is the closed half plane {p : n·p ≤ c} with outward normal n.
-type HalfPlane struct {
-	N Point   // normal vector (need not be unit)
-	C float64 // offset
-}
-
-// Contains reports whether n·p ≤ c.
-func (h HalfPlane) Contains(p Point) bool { return h.N.Dot(p) <= h.C+1e-12 }
-
-// Bounds returns an effectively unbounded rectangle; half planes should be
-// used inside Intersection with bounded partners.
-func (h HalfPlane) Bounds() Rect {
-	const big = 1e18
-	return Rect{Point{-big, -big}, Point{big, big}}
-}
-
 // Annulus is the set of points with rInner ≤ d(p, center) ≤ rOuter.
 type Annulus struct {
 	Center         Point
@@ -241,33 +225,4 @@ func (t translated) Contains(p Point) bool { return t.base.Contains(p.Sub(t.d)) 
 func (t translated) Bounds() Rect {
 	b := t.base.Bounds()
 	return Rect{b.Min.Add(t.d), b.Max.Add(t.d)}
-}
-
-// MirrorX returns the region reflected across the vertical line x = axis.
-func MirrorX(r Region, axis float64) Region { return mirrored{r, axis, true} }
-
-// MirrorY returns the region reflected across the horizontal line y = axis.
-func MirrorY(r Region, axis float64) Region { return mirrored{r, axis, false} }
-
-type mirrored struct {
-	base Region
-	axis float64
-	x    bool
-}
-
-func (m mirrored) Contains(p Point) bool {
-	if m.x {
-		p.X = 2*m.axis - p.X
-	} else {
-		p.Y = 2*m.axis - p.Y
-	}
-	return m.base.Contains(p)
-}
-
-func (m mirrored) Bounds() Rect {
-	b := m.base.Bounds()
-	if m.x {
-		return NewRect(Point{2*m.axis - b.Min.X, b.Min.Y}, Point{2*m.axis - b.Max.X, b.Max.Y})
-	}
-	return NewRect(Point{b.Min.X, 2*m.axis - b.Min.Y}, Point{b.Max.X, 2*m.axis - b.Max.Y})
 }

@@ -32,14 +32,8 @@ func NewDelta(base *CSR) *Delta {
 // Base returns the underlying immutable CSR.
 func (d *Delta) Base() *CSR { return d.base }
 
-// NumVertices returns the vertex count (identical to the base).
-func (d *Delta) NumVertices() int { return d.base.N }
-
 // EdgeCount returns the current undirected edge count through the overlay.
 func (d *Delta) EdgeCount() int { return d.edges }
-
-// Touched returns the number of vertices with overlay adjacencies.
-func (d *Delta) Touched() int { return len(d.touched) }
 
 // Neighbors returns the current sorted adjacency of u. The slice aliases
 // internal storage: valid until the next mutation of u.
@@ -126,21 +120,6 @@ func (d *Delta) RemoveEdge(u, v int32) bool {
 	d.deleteSorted(v, u)
 	d.edges--
 	return true
-}
-
-// DropVertex removes every edge incident to u — the overlay form of a node
-// death. Returns the number of edges removed.
-func (d *Delta) DropVertex(u int32) int {
-	nbrs := d.Neighbors(u)
-	if len(nbrs) == 0 {
-		return 0
-	}
-	// Copy: RemoveEdge mutates the adjacency being iterated.
-	tmp := append([]int32(nil), nbrs...)
-	for _, v := range tmp {
-		d.RemoveEdge(u, v)
-	}
-	return len(tmp)
 }
 
 // Materialize freezes the current overlay view into a standalone CSR with

@@ -85,24 +85,6 @@ func TestDeltaMatchesBuilderUnderRandomEdits(t *testing.T) {
 	}
 }
 
-func TestDeltaDropVertex(t *testing.T) {
-	b := NewBuilder(5)
-	b.AddEdgeUnique(0, 1)
-	b.AddEdgeUnique(0, 2)
-	b.AddEdgeUnique(0, 3)
-	b.AddEdgeUnique(1, 2)
-	d := NewDelta(b.Build())
-	if got := d.DropVertex(0); got != 3 {
-		t.Fatalf("DropVertex removed %d edges, want 3", got)
-	}
-	if d.Degree(0) != 0 || d.EdgeCount() != 1 || !d.HasEdge(1, 2) {
-		t.Fatalf("after drop: deg0=%d edges=%d has(1,2)=%v", d.Degree(0), d.EdgeCount(), d.HasEdge(1, 2))
-	}
-	if got := d.DropVertex(0); got != 0 {
-		t.Fatalf("second DropVertex removed %d edges, want 0", got)
-	}
-}
-
 func TestDeltaUntouchedVerticesAliasBase(t *testing.T) {
 	b := NewBuilder(4)
 	b.AddEdgeUnique(0, 1)
@@ -110,8 +92,8 @@ func TestDeltaUntouchedVerticesAliasBase(t *testing.T) {
 	base := b.Build()
 	d := NewDelta(base)
 	d.AddEdge(0, 2)
-	if d.Touched() != 2 {
-		t.Fatalf("Touched=%d want 2", d.Touched())
+	if len(d.touched) != 2 {
+		t.Fatalf("touched vertices = %d want 2", len(d.touched))
 	}
 	// Vertex 3 was never touched: its view must be the base slab itself.
 	got := d.Neighbors(3)

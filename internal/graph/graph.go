@@ -111,18 +111,6 @@ func (b *Builder) AddPacked(edges []uint64, unique bool) {
 	}
 }
 
-// Grow ensures capacity for at least m further edge insertions without
-// reallocation — the pre-sizing hook for callers that know their edge count
-// (or a good estimate) up front.
-func (b *Builder) Grow(m int) {
-	if m <= 0 || cap(b.edges)-len(b.edges) >= m {
-		return
-	}
-	grown := make([]uint64, len(b.edges), len(b.edges)+m)
-	copy(grown, b.edges)
-	b.edges = grown
-}
-
 // checkPacked validates a packed edge slab: in range, no self loops.
 func checkPacked(n int, edges []uint64) {
 	for _, e := range edges {

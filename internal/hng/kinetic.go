@@ -197,9 +197,6 @@ func (k *Kinetic) Levels() []int32 { return k.levels }
 // AliveMask returns the current alive mask (live view, not a copy).
 func (k *Kinetic) AliveMask() []bool { return k.alive }
 
-// Delta returns the live edge overlay CSR consumers read through.
-func (k *Kinetic) Delta() *graph.Delta { return k.delta }
-
 // Materialize freezes the current graph into a standalone CSR — the object
 // the equivalence gate compares against Rebuild.
 func (k *Kinetic) Materialize() *graph.CSR { return k.delta.Materialize() }

@@ -1,10 +1,10 @@
 // Package lint implements sensvet, the project-specific static-analysis
-// suite that turns this repository's determinism conventions into a CI
-// gate (the doclint move, applied to nondeterminism): every result table is
-// pinned byte-identical at GOMAXPROCS 1 and 8, and the conventions that
-// guarantee became checkable rules.
+// suite and the repository's one static-analysis gate: the conventions that
+// keep every result table byte-identical at GOMAXPROCS 1 and 8, keep the
+// internal API no larger than its callers need, and keep exported
+// identifiers documented are checkable rules here.
 //
-// Four analyzers ship (see their files for the precise rules):
+// Six analyzers ship (see their files for the precise rules):
 //
 //   - detrange: range over a map in a result-producing package is the
 //     canonical GOMAXPROCS-independent nondeterminism leak — flagged unless
@@ -15,6 +15,10 @@
 //   - substreams: constant RNG substream numbers cross-checked against the
 //     docs/substreams.md registry (collisions, stale entries, missing
 //     entries), turning the prose substream map into a checked artifact.
+//   - deadcode: exported internal/ API that no non-test code of the tree and
+//     no other package's tests reach.
+//   - doclint: exported identifiers without a godoc comment (generated
+//     files exempt).
 //   - waiverlint: every //sensvet:allow waiver must carry a rule and a
 //     reason, and must still suppress something (the allowlist only
 //     shrinks).
@@ -38,8 +42,7 @@ import (
 type Diagnostic struct {
 	// Pos locates the finding.
 	Pos token.Position
-	// Rule names the analyzer that produced it (detrange, detclock,
-	// substreams, waiverlint).
+	// Rule names the analyzer that produced it (one of Rules()).
 	Rule string
 	// Msg describes the finding.
 	Msg string
@@ -54,7 +57,7 @@ func (d Diagnostic) String() string {
 // Rules lists the analyzer names sensvet ships, the valid targets of a
 // //sensvet:allow waiver.
 func Rules() []string {
-	return []string{"detrange", "detclock", "substreams", "waiverlint"}
+	return []string{"detrange", "detclock", "substreams", "deadcode", "doclint", "waiverlint"}
 }
 
 // Options configures a Run.
@@ -72,6 +75,8 @@ func Run(mod *Module, opt Options) []Diagnostic {
 	diags = append(diags, detrange(mod)...)
 	diags = append(diags, detclock(mod)...)
 	diags = append(diags, substreams(mod, opt.RegistryPath)...)
+	diags = append(diags, deadcode(mod)...)
+	diags = append(diags, doclint(mod)...)
 
 	waivers := scanWaivers(mod)
 	kept := applyWaivers(diags, waivers)

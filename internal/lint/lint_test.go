@@ -170,3 +170,13 @@ func TestModuleClean(t *testing.T) {
 		t.Errorf("repository not sensvet-clean: %s", d)
 	}
 }
+
+// TestWaiversTargetEveryRule pins that each shipped analyzer, deadcode and
+// doclint included, is a valid waiver target.
+func TestWaiversTargetEveryRule(t *testing.T) {
+	for _, want := range []string{"detrange", "detclock", "substreams", "deadcode", "doclint", "waiverlint"} {
+		if w := parseWaiver("//sensvet:allow " + want + " — fixture reason"); w.Malformed != "" {
+			t.Errorf("waiver for %s is malformed: %s", want, w.Malformed)
+		}
+	}
+}

@@ -13,7 +13,8 @@ import (
 )
 
 // Package is one parsed, best-effort type-checked package of the module
-// under analysis. Files holds the non-test sources in filename order; Info
+// under analysis. Files holds the non-test sources in filename order,
+// TestFiles the _test.go sources (parsed only, never type-checked); Info
 // carries whatever type information the checker could establish (stdlib
 // imports resolve shallowly — see the Module doc — so analyzers must treat
 // a missing or invalid type as "unknown", never as proof).
@@ -29,6 +30,9 @@ type Package struct {
 	Files []*ast.File
 	// Filenames holds the absolute source paths, parallel to Files.
 	Filenames []string
+	// TestFiles holds the parsed _test.go sources of the directory (both
+	// the in-package and the external _test package), sorted by filename.
+	TestFiles []*ast.File
 	// Info is the (best-effort) type information for Files.
 	Info *types.Info
 	// Types is the checked package object; incomplete when imports
@@ -166,13 +170,17 @@ func parseDir(mod *Module, dir string) (*Package, error) {
 	importSet := make(map[string]bool)
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") {
 			continue
 		}
 		full := filepath.Join(dir, name)
 		f, err := parser.ParseFile(mod.Fset, full, nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("lint: %v", err)
+		}
+		if strings.HasSuffix(name, "_test.go") {
+			pkg.TestFiles = append(pkg.TestFiles, f)
+			continue
 		}
 		pkg.Files = append(pkg.Files, f)
 		pkg.Filenames = append(pkg.Filenames, full)
@@ -202,9 +210,9 @@ func typecheck(mod *Module) {
 	imp := &shimImporter{byPath: byPath, shims: make(map[string]*types.Package)}
 	for _, p := range topoOrder(mod.Pkgs, byPath) {
 		info := &types.Info{
-			Types:     make(map[ast.Expr]types.TypeAndValue),
-			Defs:      make(map[*ast.Ident]types.Object),
-			Uses:      make(map[*ast.Ident]types.Object),
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
 			Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		}
 		conf := types.Config{

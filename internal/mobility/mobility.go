@@ -108,13 +108,6 @@ func (t *Trajectory) TotalMoves() int {
 	return n
 }
 
-// Apply replays step moves onto a position slice.
-func Apply(pts []geom.Point, step []Move) {
-	for _, m := range step {
-		pts[m.Node] = m.To
-	}
-}
-
 // walker is the per-node motion state shared by both models.
 type walker struct {
 	pos    geom.Point

@@ -127,3 +127,11 @@ func TestParseModel(t *testing.T) {
 		t.Error("Model.String mismatch")
 	}
 }
+
+// Apply replays step moves onto a position slice — the reference the
+// trajectory tests check every step against.
+func Apply(pts []geom.Point, step []Move) {
+	for _, m := range step {
+		pts[m.Node] = m.To
+	}
+}

@@ -1,6 +1,6 @@
 // Package parallel provides the shared data-parallel primitives used by the
-// graph-construction pipeline and the experiment drivers: a work-stealing
-// For loop and a sharded Collect that gathers per-shard results into one
+// graph-construction pipeline and the experiment drivers: work-stealing
+// ForGrain/ForShard loops and a sharded Collect that gathers per-shard results into one
 // slice with a deterministic merge order.
 //
 // Determinism contract: Collect splits [0, n) into fixed-size shards whose
@@ -17,7 +17,7 @@ import (
 	"sync/atomic"
 )
 
-// shardSize is the default number of indices per Collect/For shard. Fixed
+// shardSize is the default number of indices per Collect/ForShard shard. Fixed
 // (rather than derived from the worker count) so shard boundaries are a
 // pure function of n; large enough to amortize per-shard scratch
 // allocations and scheduling overhead over ~10³ items. Loops whose
@@ -26,12 +26,12 @@ import (
 // let those callers choose a finer, still-pure-function-of-n granularity.
 const shardSize = 1024
 
-// DefaultGrain is the shard size For/Collect use when no explicit grain is
+// DefaultGrain is the shard size ForShard/Collect use when no explicit grain is
 // given — exported so capacity-hinting callers (CollectCap) can size their
 // per-shard buffers for the default sharding.
 const DefaultGrain = shardSize
 
-// Workers returns the number of workers For and Collect will use for n
+// Workers returns the number of workers ForShard and Collect will use for n
 // items at the default grain: min(GOMAXPROCS, number of shards).
 func Workers(n int) int {
 	shards := (n + shardSize - 1) / shardSize
@@ -45,15 +45,11 @@ func Workers(n int) int {
 	return w
 }
 
-// For runs fn(i) for every i in [0, n) across all cores and waits for
-// completion. Iterations must be independent; fn is called from multiple
-// goroutines. Scheduling is dynamic (shard-grained work stealing), so fn
-// must not rely on any particular assignment of indices to goroutines.
-func For(n int, fn func(i int)) {
-	ForGrain(n, shardSize, fn)
-}
-
-// ForGrain is For with an explicit shard size: coarse-grained callers whose
+// ForGrain runs fn(i) for every i in [0, n) across all cores, in shards of
+// grain indices, and waits for completion. Iterations must be independent;
+// fn is called from multiple goroutines, and scheduling is dynamic
+// (shard-grained work stealing), so fn must not rely on any particular
+// assignment of indices to goroutines. Coarse-grained callers whose
 // per-item cost dwarfs scheduling overhead (experiment rows, shortest-path
 // sweeps) pass a small grain — typically 1 — so up to n items run
 // concurrently even when n is far below the default shard size. Boundaries
@@ -67,7 +63,7 @@ func ForGrain(n, grain int, fn func(i int)) {
 }
 
 // ForShard runs fn(lo, hi) over a fixed-size sharding of [0, n) across all
-// cores and waits. It is the loop-blocked form of For: callers that need
+// cores and waits. It is the loop-blocked form of ForGrain: callers that need
 // worker-local scratch allocate it once per shard instead of once per index.
 func ForShard(n int, fn func(lo, hi int)) {
 	forShardGrain(n, shardSize, fn)

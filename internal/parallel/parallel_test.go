@@ -10,14 +10,14 @@ import (
 func TestForCoversAllIndices(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 100, shardSize, shardSize + 1, 3*shardSize + 17} {
 		hits := make([]int32, n)
-		For(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+		ForGrain(n, DefaultGrain, func(i int) { atomic.AddInt32(&hits[i], 1) })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("n=%d: index %d hit %d times", n, i, h)
 			}
 		}
 	}
-	For(0, func(i int) { t.Error("fn called for n=0") })
+	ForGrain(0, DefaultGrain, func(i int) { t.Error("fn called for n=0") })
 }
 
 func TestForShardPartition(t *testing.T) {
@@ -88,7 +88,7 @@ func TestWorkers(t *testing.T) {
 }
 
 func TestGrainVariantsCoverAndSpread(t *testing.T) {
-	// ForGrain(grain 1) covers every index exactly once, like For.
+	// ForGrain(grain 1) covers every index exactly once, like the default grain.
 	for _, n := range []int{0, 1, 3, 100, shardSize + 5} {
 		hits := make([]int32, n)
 		ForGrain(n, 1, func(i int) { atomic.AddInt32(&hits[i], 1) })

@@ -92,71 +92,8 @@ func Binomial(box geom.Rect, n int, rng *rand.Rand) []geom.Point {
 	return pts
 }
 
-// Thin returns an independent p-thinning of the point set: each point is
-// retained independently with probability p. Thinning a Poisson(λ) process
-// yields a Poisson(pλ) process.
-func Thin(pts []geom.Point, p float64, rng *rand.Rand) []geom.Point {
-	out := make([]geom.Point, 0, int(float64(len(pts))*p)+1)
-	for _, pt := range pts {
-		if rng.Float64() < p {
-			out = append(out, pt)
-		}
-	}
-	return out
-}
-
-// CountIn returns the number of points lying in the region r.
-func CountIn(pts []geom.Point, r geom.Region) int {
-	n := 0
-	for _, p := range pts {
-		if r.Contains(p) {
-			n++
-		}
-	}
-	return n
-}
-
-// FilterIn returns the points lying in the region r.
-func FilterIn(pts []geom.Point, r geom.Region) []geom.Point {
-	var out []geom.Point
-	for _, p := range pts {
-		if r.Contains(p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// VoidProbability returns the exact probability that a region of the given
-// area contains no point of a Poisson(λ) process: e^{−λ·area}.
-func VoidProbability(lambda, area float64) float64 {
-	return math.Exp(-lambda * area)
-}
-
 // OccupancyProbability returns 1 − e^{−λ·area}, the probability that a
 // region of the given area contains at least one point.
 func OccupancyProbability(lambda, area float64) float64 {
 	return -math.Expm1(-lambda * area)
-}
-
-// PoissonCDF returns P(N ≤ k) for N ~ Poisson(mean), computed by direct
-// summation of the pmf (adequate for the tile-population checks, where
-// mean ≤ a few hundred).
-func PoissonCDF(k int, mean float64) float64 {
-	if k < 0 {
-		return 0
-	}
-	if mean <= 0 {
-		return 1
-	}
-	term := math.Exp(-mean)
-	sum := term
-	for i := 1; i <= k; i++ {
-		term *= mean / float64(i)
-		sum += term
-	}
-	if sum > 1 {
-		return 1
-	}
-	return sum
 }

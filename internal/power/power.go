@@ -25,15 +25,6 @@ const (
 // EdgeCost returns d^β for one hop of length d.
 func EdgeCost(d, beta float64) float64 { return math.Pow(d, beta) }
 
-// PathCost returns the total power cost of a path given as vertex positions.
-func PathCost(path []geom.Point, beta float64) float64 {
-	var sum float64
-	for i := 1; i < len(path); i++ {
-		sum += EdgeCost(path[i-1].Dist(path[i]), beta)
-	}
-	return sum
-}
-
 // StretchSample is one (u, v) stretch/power measurement — the single sample
 // shape shared by every stretch sampler in the repository (the E08 rep
 // sampler in core wraps it with lattice data). Fields beyond U, V, Euclid

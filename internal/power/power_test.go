@@ -18,12 +18,8 @@ func TestEdgeAndPathCost(t *testing.T) {
 	if got := EdgeCost(0, 2); got != 0 {
 		t.Errorf("EdgeCost(0) = %v", got)
 	}
-	path := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 2)}
-	if got := PathCost(path, 2); got != 1+4 {
-		t.Errorf("PathCost = %v", got)
-	}
-	if got := PathCost(path[:1], 2); got != 0 {
-		t.Errorf("single-point path cost = %v", got)
+	if got := EdgeCost(math.Sqrt2, 2); math.Abs(got-2) > 1e-12 {
+		t.Errorf("EdgeCost(√2, 2) = %v", got)
 	}
 }
 

@@ -15,40 +15,17 @@ import (
 // buffer, small enough to spread across cores.
 const gridCellGrain = 256
 
-// expectedUDGEdges estimates the undirected edge count of UDG(pts, r) from
-// the empirical density over the bounding area: each point sees ~density·πr²
-// neighbors, each edge is shared by two. Used to pre-size edge collectors;
-// an overestimate costs slack capacity, an underestimate costs one growth
-// step, so the margin leans high.
-func expectedUDGEdges(nPts int, area, r float64) float64 {
-	if area <= 0 || nPts == 0 {
+// ExpectedUDGEdges estimates the undirected edge count of the unit disk
+// graph of radius r over n points spread over the given area: each point
+// sees ~density·πr² neighbors, each edge is shared by two. UDGGrid uses it
+// to pre-size edge collectors (an overestimate costs slack capacity, an
+// underestimate one growth step, so the margin leans high); the daemon uses
+// it to refuse oversized builds before allocating anything.
+func ExpectedUDGEdges(n, area, r float64) float64 {
+	if !(area > 0) || n == 0 {
 		return 0
 	}
-	density := float64(nPts) / area
-	return float64(nPts) * density * math.Pi * r * r / 2
-}
-
-// boundingArea returns the area of the bounding box of pts.
-func boundingArea(pts []geom.Point) float64 {
-	if len(pts) == 0 {
-		return 0
-	}
-	b := geom.Rect{Min: pts[0], Max: pts[0]}
-	for _, p := range pts[1:] {
-		if p.X < b.Min.X {
-			b.Min.X = p.X
-		}
-		if p.Y < b.Min.Y {
-			b.Min.Y = p.Y
-		}
-		if p.X > b.Max.X {
-			b.Max.X = p.X
-		}
-		if p.Y > b.Max.Y {
-			b.Max.Y = p.Y
-		}
-	}
-	return b.Width() * b.Height()
+	return n * (n / area) * math.Pi * r * r / 2
 }
 
 // UDGGrid builds the unit disk graph with connection radius r over pts by
@@ -75,7 +52,7 @@ func boundingArea(pts []geom.Point) float64 {
 // experiments to the million-node tier, and is equivalence-gated at 10⁴
 // against the per-point-query oracle in the package tests.
 func UDGGrid(pts []geom.Point, r float64) *Geometric {
-	if len(pts) == 0 || r <= 0 {
+	if len(pts) == 0 || !(r > 0) {
 		return &Geometric{CSR: graph.NewBuilder(len(pts)).Build(), Pos: pts}
 	}
 	grid := spatial.NewGrid(pts, r)
@@ -83,7 +60,8 @@ func UDGGrid(pts []geom.Point, r float64) *Geometric {
 	nc := nx * ny
 	r2 := r * r
 
-	perShard := expectedUDGEdges(len(pts), boundingArea(pts), r) / float64(nc) * gridCellGrain
+	b := grid.Bounds()
+	perShard := ExpectedUDGEdges(float64(len(pts)), b.Width()*b.Height(), r) / float64(nc) * gridCellGrain
 	capHint := int(perShard*1.2) + 16
 
 	// The half-open cell stencil: Self pairs within the cell, then the four

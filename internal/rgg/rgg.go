@@ -65,18 +65,3 @@ func NN(pts []geom.Point, k int) *Geometric {
 	}
 	return &Geometric{CSR: b.Build(), Pos: pts}
 }
-
-// OutNeighbors returns, for each vertex, its k nearest neighbors (the
-// directed k-NN relation) — used by tests to verify that NN is exactly the
-// symmetrized relation.
-func OutNeighbors(pts []geom.Point, k int) [][]int32 {
-	tree := spatial.NewKDTree(pts)
-	out := make([][]int32, len(pts))
-	parallel.ForShard(len(pts), func(lo, hi int) {
-		var scratch spatial.KNNScratch
-		for i := lo; i < hi; i++ {
-			out[i] = tree.KNearestInto(pts[i], k, i, &scratch, nil)
-		}
-	})
-	return out
-}

@@ -101,8 +101,12 @@ func TestNNIsSymmetrizedRelation(t *testing.T) {
 	pts := pointprocess.Binomial(geom.Box(5, 5), 200, g)
 	const k = 3
 	nn := NN(pts, k)
-	out := OutNeighbors(pts, k)
-	// Edge {u, v} exists iff v ∈ out(u) or u ∈ out(v).
+	// The directed k-NN relation by exhaustive scan. Edge {u, v} exists iff
+	// v ∈ out(u) or u ∈ out(v).
+	out := make([][]int32, len(pts))
+	for i := range pts {
+		out[i] = spatial.BruteKNearest(pts, pts[i], k, i)
+	}
 	inOut := func(u, v int32) bool {
 		for _, w := range out[u] {
 			if w == v {

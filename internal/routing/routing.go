@@ -358,10 +358,3 @@ func between(a, b, v int) bool {
 	}
 	return v >= b && v <= a
 }
-
-// ShortestOpenPath returns the optimal (BFS) hop count between two open
-// sites, or −1 if disconnected — the baseline the probe bound is measured
-// against.
-func ShortestOpenPath(l *lattice.Lattice, sx, sy, tx, ty int) int {
-	return l.ChemicalDistance(sx, sy, tx, ty)
-}

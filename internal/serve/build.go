@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -53,10 +55,34 @@ type BuildSpec struct {
 	SlabCap int `json:"slabCap"`
 }
 
-// normalize applies defaults and validates the spec.
+// Admission limits of a snapshot build, checked before anything is
+// allocated. MaxSnapshotPoints bounds the expected point count λ·side² and
+// the generation-tile count (side/genSide)²; MaxSnapshotEdges bounds the
+// expected edge count of the UDG base graph. A spec past either limit is
+// refused with 413. The limits sit ~200× above the 10⁴-point serving
+// snapshot and leave the 10⁶-point scale tier admissible.
+const (
+	MaxSnapshotPoints = 2e6
+	MaxSnapshotEdges  = 5e7
+)
+
+// errTooLarge marks a spec refused by the admission limits (HTTP 413)
+// rather than malformed (HTTP 400).
+var errTooLarge = errors.New("snapshot too large")
+
+// normalize applies defaults and validates the spec, including the
+// admission limits.
 func (sp *BuildSpec) normalize() error {
 	if sp.Kind != "udg" && sp.Kind != "hng" {
 		return fmt.Errorf("unknown kind %q (want udg | hng)", sp.Kind)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"side", sp.Side}, {"lambda", sp.Lambda}, {"genSide", sp.GenSide}, {"baseRadius", sp.BaseRadius}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%s must be finite (got %v)", f.name, f.v)
+		}
 	}
 	if sp.Side == 0 {
 		sp.Side = 30
@@ -73,7 +99,8 @@ func (sp *BuildSpec) normalize() error {
 	if sp.Mode == "" {
 		sp.Mode = "repaired"
 	}
-	if _, err := udgSpecFor(sp.Mode); sp.Kind == "udg" && err != nil {
+	udgSpec, err := udgSpecFor(sp.Mode)
+	if sp.Kind == "udg" && err != nil {
 		return err
 	}
 	if sp.P == 0 {
@@ -85,8 +112,28 @@ func (sp *BuildSpec) normalize() error {
 	if sp.BaseRadius < 0 {
 		return fmt.Errorf("baseRadius must be >= 0 (got %v)", sp.BaseRadius)
 	}
+	if sp.SlabCap < 0 {
+		return fmt.Errorf("slabCap must be >= 0 (got %d)", sp.SlabCap)
+	}
 	if sp.SlabCap == 0 {
 		sp.SlabCap = 8
+	}
+
+	area := sp.Side * sp.Side
+	if pts := sp.Lambda * area; pts > MaxSnapshotPoints {
+		return fmt.Errorf("%w: expected %.3g points (λ·side²) exceeds %g", errTooLarge, pts, float64(MaxSnapshotPoints))
+	}
+	if sp.GenSide > 0 {
+		if tiles := area / (sp.GenSide * sp.GenSide); tiles > MaxSnapshotPoints {
+			return fmt.Errorf("%w: %.3g generation tiles ((side/genSide)²) exceeds %g", errTooLarge, tiles, float64(MaxSnapshotPoints))
+		}
+	}
+	radius := sp.BaseRadius
+	if sp.Kind == "udg" {
+		radius = udgSpec.Radius
+	}
+	if edges := rgg.ExpectedUDGEdges(sp.Lambda*area, area, radius); edges > MaxSnapshotEdges {
+		return fmt.Errorf("%w: expected %.3g base edges exceeds %g", errTooLarge, edges, float64(MaxSnapshotEdges))
 	}
 	return nil
 }

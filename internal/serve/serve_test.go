@@ -181,6 +181,13 @@ func TestErrorPaths(t *testing.T) {
 		{"bad build kind", http.MethodPost, "/snapshots", `{"kind":"mesh"}`, http.StatusBadRequest, "unknown kind"},
 		{"bad build mode", http.MethodPost, "/snapshots", `{"kind":"udg","mode":"wild"}`, http.StatusBadRequest, "unknown mode"},
 		{"bad build JSON", http.MethodPost, "/snapshots", `kind=udg`, http.StatusBadRequest, "invalid JSON body"},
+		{"negative slab cap", http.MethodPost, "/snapshots", `{"kind":"udg","slabCap":-1}`, http.StatusBadRequest, "slabCap must be >= 0"},
+		{"build side overflow", http.MethodPost, "/snapshots", `{"kind":"udg","side":1e200}`, http.StatusRequestEntityTooLarge, "points (λ·side²) exceeds 2e+06"},
+		{"build lambda overflow", http.MethodPost, "/snapshots", `{"kind":"udg","lambda":1e300}`, http.StatusRequestEntityTooLarge, "points (λ·side²) exceeds 2e+06"},
+		{"build side 1e4", http.MethodPost, "/snapshots", `{"kind":"udg","side":1e4}`, http.StatusRequestEntityTooLarge, "expected 1.6e+09 points"},
+		{"build genSide tile overflow", http.MethodPost, "/snapshots", `{"kind":"udg","genSide":1e-300}`, http.StatusRequestEntityTooLarge, "generation tiles"},
+		{"build dense udg edges", http.MethodPost, "/snapshots", `{"kind":"udg","side":40,"lambda":1000}`, http.StatusRequestEntityTooLarge, "base edges exceeds 5e+07"},
+		{"build hng base edges", http.MethodPost, "/snapshots", `{"kind":"hng","side":100,"baseRadius":50}`, http.StatusRequestEntityTooLarge, "base edges exceeds 5e+07"},
 		{"lifetime rounds cap", http.MethodPost, "/query/lifetime", `{"rounds":5000}`, http.StatusBadRequest, "out of range"},
 		{"lifetime negative rate", http.MethodPost, "/query/lifetime", `{"rate":-1}`, http.StatusBadRequest, "rate must be positive"},
 		{"lifetime rate above max", http.MethodPost, "/query/lifetime", `{"rate":1e9}`, http.StatusBadRequest, "at most 16"},

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -228,7 +229,11 @@ func (s *Server) handleSnapshotBuild(w http.ResponseWriter, r *http.Request) {
 	}
 	sp := req.BuildSpec
 	if err := sp.normalize(); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid snapshot spec: %v", err)
+		status := http.StatusBadRequest
+		if errors.Is(err, errTooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, "invalid snapshot spec: %v", err)
 		return
 	}
 	activate := req.Activate == nil || *req.Activate

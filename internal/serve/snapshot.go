@@ -102,15 +102,6 @@ func (s *Snapshot) acquire() { s.refs.Add(1) }
 
 func (s *Snapshot) release() { s.refs.Add(-1) }
 
-// Retired reports whether the snapshot has been removed from the store (by
-// rollover replacement or DELETE).
-func (s *Snapshot) Retired() bool { return s.retired.Load() }
-
-// Drained reports whether the snapshot is retired with no in-flight
-// queries — the point at which the store holds no reference and the
-// snapshot's slabs, CSRs and positions become garbage.
-func (s *Snapshot) Drained() bool { return s.retired.Load() && s.refs.Load() == 0 }
-
 // SlabStats exposes the snapshot's weight-slab cache counters (hits,
 // misses, evictions) for /metrics.
 func (s *Snapshot) SlabStats() power.SlabCacheStats { return s.slabs.Counters() }

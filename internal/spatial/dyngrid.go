@@ -66,9 +66,6 @@ func (g *DynGrid) Len() int { return g.live }
 // Cap returns the number of slots (live or removed).
 func (g *DynGrid) Cap() int { return len(g.pts) }
 
-// Point returns the current position of slot i (stale if i is removed).
-func (g *DynGrid) Point(i int32) geom.Point { return g.pts[i] }
-
 // Alive reports whether slot i is currently indexed.
 func (g *DynGrid) Alive(i int32) bool { return g.cellOf[i] >= 0 }
 
@@ -121,8 +118,8 @@ func (g *DynGrid) Move(i int32, p geom.Point) {
 	g.cellOf[i] = c
 }
 
-// Remove deletes slot i from the index; its position is retained so a later
-// Insert can resurrect it. Removing a removed slot is a no-op.
+// Remove deletes slot i from the index for good; its position is retained.
+// Removing a removed slot is a no-op.
 func (g *DynGrid) Remove(i int32) {
 	if g.cellOf[i] < 0 {
 		return
@@ -130,18 +127,6 @@ func (g *DynGrid) Remove(i int32) {
 	g.cellDelete(g.cellOf[i], i)
 	g.cellOf[i] = -1
 	g.live--
-}
-
-// Insert (re)activates slot i at position p. i must currently be removed.
-func (g *DynGrid) Insert(i int32, p geom.Point) {
-	if g.cellOf[i] >= 0 {
-		panic("spatial: Insert on live slot")
-	}
-	g.pts[i] = p
-	c := int32(g.cellIndex(p))
-	g.cellInsert(c, i)
-	g.cellOf[i] = c
-	g.live++
 }
 
 // AppendAlive appends every live slot index to dst in ascending order and

@@ -15,7 +15,7 @@ func liveSubset(g *DynGrid) ([]geom.Point, []int32) {
 	var idx []int32
 	for i := int32(0); i < int32(g.Cap()); i++ {
 		if g.Alive(i) {
-			pts = append(pts, g.Point(i))
+			pts = append(pts, g.pts[i])
 			idx = append(idx, i)
 		}
 	}
@@ -104,7 +104,7 @@ func TestDynGridMatchesFreshIndex(t *testing.T) {
 	}
 	cur := make([]geom.Point, len(pts))
 	for i := range cur {
-		cur[i] = g.Point(int32(i))
+		cur[i] = g.pts[i]
 	}
 	fresh := NewDynGrid(cur, box, 0.12)
 	var s1, s2 KNNScratch

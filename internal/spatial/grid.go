@@ -26,37 +26,35 @@ type Grid struct {
 	order  []int32 // point indices grouped by cell
 }
 
+// maxCellsPerPoint and minCellBudget bound a grid to
+// maxCellsPerPoint·n + minCellBudget cells. A Poisson deployment at
+// density λ indexed at cell size r has ~1/(λr²) cells per point, so the
+// bound only binds on sparse or outlier-stretched point sets, where it
+// keeps the cell slab O(n) instead of O(extent²).
+const (
+	maxCellsPerPoint = 16
+	minCellBudget    = 1024
+)
+
 // NewGrid indexes pts with the given cell size. The bounds are computed from
-// the data; cell must be positive.
+// the finite coordinates of the data (points with a NaN or infinite
+// coordinate are clamped into border cells); cell must be positive. When
+// the bounds would need more than maxCellsPerPoint·n + minCellBudget cells
+// — a far outlier, say — the cell size is doubled until they fit: a cell
+// never shrinks below the requested size, so radius-cell stencils stay
+// exact.
 func NewGrid(pts []geom.Point, cell float64) *Grid {
-	if cell <= 0 {
+	if !(cell > 0) {
 		panic("spatial: non-positive cell size")
 	}
-	g := &Grid{pts: pts, cell: cell}
-	if len(pts) == 0 {
-		g.bounds = geom.Rect{}
-		g.nx, g.ny = 1, 1
-		g.start = make([]int32, 2)
-		return g
+	g := &Grid{pts: pts, cell: cell, bounds: finiteBounds(pts)}
+	budget := float64(maxCellsPerPoint*len(pts) + minCellBudget)
+	w, h := math.Min(g.bounds.Width(), math.MaxFloat64), math.Min(g.bounds.Height(), math.MaxFloat64)
+	for (math.Floor(w/g.cell)+1)*(math.Floor(h/g.cell)+1) > budget {
+		g.cell *= 2
 	}
-	b := geom.Rect{Min: pts[0], Max: pts[0]}
-	for _, p := range pts[1:] {
-		if p.X < b.Min.X {
-			b.Min.X = p.X
-		}
-		if p.Y < b.Min.Y {
-			b.Min.Y = p.Y
-		}
-		if p.X > b.Max.X {
-			b.Max.X = p.X
-		}
-		if p.Y > b.Max.Y {
-			b.Max.Y = p.Y
-		}
-	}
-	g.bounds = b
-	g.nx = int(b.Width()/cell) + 1
-	g.ny = int(b.Height()/cell) + 1
+	g.nx = int(w/g.cell) + 1
+	g.ny = int(h/g.cell) + 1
 	// Counting sort points into cells (CSR layout).
 	g.cellOf = make([]int32, len(pts))
 	counts := make([]int32, g.nx*g.ny+1)
@@ -85,6 +83,10 @@ func (g *Grid) Len() int { return len(g.pts) }
 // Points returns the indexed point slice (not a copy).
 func (g *Grid) Points() []geom.Point { return g.pts }
 
+// Bounds returns the bounding box of the indexed points' finite
+// coordinates.
+func (g *Grid) Bounds() geom.Rect { return g.bounds }
+
 // Dims returns the cell-grid dimensions (nx columns × ny rows).
 func (g *Grid) Dims() (nx, ny int) { return g.nx, g.ny }
 
@@ -103,21 +105,43 @@ func (g *Grid) CellPoints(cx, cy int) []int32 {
 }
 
 func (g *Grid) cellCoords(p geom.Point) (int, int) {
-	cx := int((p.X - g.bounds.Min.X) / g.cell)
-	cy := int((p.Y - g.bounds.Min.Y) / g.cell)
-	if cx < 0 {
-		cx = 0
+	return clampCell((p.X-g.bounds.Min.X)/g.cell, g.nx), clampCell((p.Y-g.bounds.Min.Y)/g.cell, g.ny)
+}
+
+// clampCell truncates a fractional cell coordinate into [0, n): NaN and
+// values below zero map to 0, values (or +Inf) at or past n to n−1. The
+// comparison happens in floating point, so a coordinate beyond the int
+// range never reaches the conversion.
+func clampCell(f float64, n int) int {
+	switch {
+	case !(f >= 0):
+		return 0
+	case f >= float64(n):
+		return n - 1
 	}
-	if cy < 0 {
-		cy = 0
+	return int(f)
+}
+
+// finiteBounds returns the bounding box of the points' finite coordinates,
+// per axis; an axis without any finite coordinate gets the range [0, 0].
+func finiteBounds(pts []geom.Point) geom.Rect {
+	lo := geom.Point{X: math.Inf(1), Y: math.Inf(1)}
+	hi := geom.Point{X: math.Inf(-1), Y: math.Inf(-1)}
+	for _, p := range pts {
+		if !math.IsNaN(p.X) && !math.IsInf(p.X, 0) {
+			lo.X, hi.X = min(lo.X, p.X), max(hi.X, p.X)
+		}
+		if !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0) {
+			lo.Y, hi.Y = min(lo.Y, p.Y), max(hi.Y, p.Y)
+		}
 	}
-	if cx >= g.nx {
-		cx = g.nx - 1
+	if lo.X > hi.X {
+		lo.X, hi.X = 0, 0
 	}
-	if cy >= g.ny {
-		cy = g.ny - 1
+	if lo.Y > hi.Y {
+		lo.Y, hi.Y = 0, 0
 	}
-	return cx, cy
+	return geom.Rect{Min: lo, Max: hi}
 }
 
 func (g *Grid) cellIndex(p geom.Point) int {
@@ -132,14 +156,10 @@ func (g *Grid) Within(q geom.Point, r float64, dst []int32) []int32 {
 		return dst
 	}
 	r2 := r * r
-	cx0 := int(math.Floor((q.X - r - g.bounds.Min.X) / g.cell))
-	cx1 := int(math.Floor((q.X + r - g.bounds.Min.X) / g.cell))
-	cy0 := int(math.Floor((q.Y - r - g.bounds.Min.Y) / g.cell))
-	cy1 := int(math.Floor((q.Y + r - g.bounds.Min.Y) / g.cell))
-	cx0 = clampInt(cx0, 0, g.nx-1)
-	cx1 = clampInt(cx1, 0, g.nx-1)
-	cy0 = clampInt(cy0, 0, g.ny-1)
-	cy1 = clampInt(cy1, 0, g.ny-1)
+	cx0 := clampCell((q.X-r-g.bounds.Min.X)/g.cell, g.nx)
+	cx1 := clampCell((q.X+r-g.bounds.Min.X)/g.cell, g.nx)
+	cy0 := clampCell((q.Y-r-g.bounds.Min.Y)/g.cell, g.ny)
+	cy1 := clampCell((q.Y+r-g.bounds.Min.Y)/g.cell, g.ny)
 	for cy := cy0; cy <= cy1; cy++ {
 		rowBase := cy * g.nx
 		for cx := cx0; cx <= cx1; cx++ {
@@ -152,19 +172,6 @@ func (g *Grid) Within(q geom.Point, r float64, dst []int32) []int32 {
 		}
 	}
 	return dst
-}
-
-// KNearest returns the indices of the k points nearest to q, excluding any
-// point whose index equals exclude (pass −1 to exclude nothing). Results are
-// sorted by increasing distance (ties by index). Fewer than k indices are
-// returned if the index holds fewer eligible points. Allocates the result;
-// hot loops use KNearestInto.
-func (g *Grid) KNearest(q geom.Point, k int, exclude int) []int32 {
-	if k <= 0 || len(g.pts) == 0 {
-		return nil
-	}
-	var s KNNScratch
-	return g.KNearestInto(q, k, exclude, &s, nil)
 }
 
 // KNearestInto appends to dst the indices of the k points nearest to q —

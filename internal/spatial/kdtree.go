@@ -184,18 +184,6 @@ type kdVisit struct {
 	dist2 float64 // squared distance from q to the splitting plane
 }
 
-// KNearest returns the indices of the k points nearest to q, excluding any
-// point whose index equals exclude (−1 to exclude nothing), sorted by
-// increasing distance (ties by index). Allocates the result; hot loops use
-// KNearestInto.
-func (t *KDTree) KNearest(q geom.Point, k int, exclude int) []int32 {
-	if k <= 0 || t.root < 0 {
-		return nil
-	}
-	var s KNNScratch
-	return t.KNearestInto(q, k, exclude, &s, nil)
-}
-
 // KNearestInto appends to dst the indices of the k points nearest to q —
 // excluding index exclude (−1 for none), sorted by increasing distance with
 // ties broken by index — and returns the extended slice. scratch carries the

@@ -80,7 +80,7 @@ func TestGridKNearestMatchesBruteForce(t *testing.T) {
 				}
 			}
 		}
-		got := grid.KNearest(q, k, exclude)
+		got := grid.KNearestInto(q, k, exclude, new(KNNScratch), nil)
 		want := BruteKNearest(pts, q, k, exclude)
 		if !sameDistances(pts, q, got, want) {
 			t.Fatalf("grid KNearest(%v, %d, excl %d) = %v want %v", q, k, exclude, got, want)
@@ -95,7 +95,7 @@ func TestKDTreeKNearestMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		q := geom.Pt(g.Float64()*10, g.Float64()*10)
 		k := 1 + g.IntN(25)
-		got := tree.KNearest(q, k, -1)
+		got := tree.KNearestInto(q, k, -1, new(KNNScratch), nil)
 		want := BruteKNearest(pts, q, k, -1)
 		if !sameDistances(pts, q, got, want) {
 			t.Fatalf("kdtree KNearest(%v, %d) = %v want %v", q, k, got, want)
@@ -130,7 +130,7 @@ func TestKNearestSortedByDistance(t *testing.T) {
 	grid := NewGrid(pts, 1.0)
 	tree := NewKDTree(pts)
 	q := geom.Pt(5, 5)
-	for _, res := range [][]int32{grid.KNearest(q, 15, -1), tree.KNearest(q, 15, -1)} {
+	for _, res := range [][]int32{grid.KNearestInto(q, 15, -1, new(KNNScratch), nil), tree.KNearestInto(q, 15, -1, new(KNNScratch), nil)} {
 		prev := -1.0
 		for _, i := range res {
 			d := pts[i].Dist2(q)
@@ -150,24 +150,24 @@ func TestEmptyAndDegenerateInputs(t *testing.T) {
 	if got := grid.Within(geom.Pt(0, 0), 5, nil); len(got) != 0 {
 		t.Error("empty grid Within should be empty")
 	}
-	if got := grid.KNearest(geom.Pt(0, 0), 3, -1); len(got) != 0 {
+	if got := grid.KNearestInto(geom.Pt(0, 0), 3, -1, new(KNNScratch), nil); len(got) != 0 {
 		t.Error("empty grid KNearest should be empty")
 	}
 	tree := NewKDTree(nil)
 	if got := tree.Within(geom.Pt(0, 0), 5, nil); len(got) != 0 {
 		t.Error("empty kdtree Within should be empty")
 	}
-	if got := tree.KNearest(geom.Pt(0, 0), 3, -1); len(got) != 0 {
+	if got := tree.KNearestInto(geom.Pt(0, 0), 3, -1, new(KNNScratch), nil); len(got) != 0 {
 		t.Error("empty kdtree KNearest should be empty")
 	}
 
 	// Single point.
 	one := []geom.Point{geom.Pt(1, 1)}
 	g1 := NewGrid(one, 1)
-	if got := g1.KNearest(geom.Pt(0, 0), 3, -1); len(got) != 1 || got[0] != 0 {
+	if got := g1.KNearestInto(geom.Pt(0, 0), 3, -1, new(KNNScratch), nil); len(got) != 1 || got[0] != 0 {
 		t.Errorf("single-point grid KNearest = %v", got)
 	}
-	if got := g1.KNearest(geom.Pt(0, 0), 3, 0); len(got) != 0 {
+	if got := g1.KNearestInto(geom.Pt(0, 0), 3, 0, new(KNNScratch), nil); len(got) != 0 {
 		t.Errorf("excluding the only point should yield nothing, got %v", got)
 	}
 
@@ -178,7 +178,7 @@ func TestEmptyAndDegenerateInputs(t *testing.T) {
 		t.Errorf("identical points Within = %v", got)
 	}
 	ts := NewKDTree(same)
-	if got := ts.KNearest(geom.Pt(2, 2), 2, -1); len(got) != 2 {
+	if got := ts.KNearestInto(geom.Pt(2, 2), 2, -1, new(KNNScratch), nil); len(got) != 2 {
 		t.Errorf("identical points KNearest = %v", got)
 	}
 }
@@ -186,11 +186,11 @@ func TestEmptyAndDegenerateInputs(t *testing.T) {
 func TestKNearestFewerThanK(t *testing.T) {
 	pts := randomPoints(5, 10)
 	grid := NewGrid(pts, 1)
-	if got := grid.KNearest(geom.Pt(5, 5), 10, -1); len(got) != 5 {
+	if got := grid.KNearestInto(geom.Pt(5, 5), 10, -1, new(KNNScratch), nil); len(got) != 5 {
 		t.Errorf("k > n should return all points, got %d", len(got))
 	}
 	tree := NewKDTree(pts)
-	if got := tree.KNearest(geom.Pt(5, 5), 10, -1); len(got) != 5 {
+	if got := tree.KNearestInto(geom.Pt(5, 5), 10, -1, new(KNNScratch), nil); len(got) != 5 {
 		t.Errorf("kdtree k > n should return all points, got %d", len(got))
 	}
 }
@@ -214,7 +214,7 @@ func TestGridCellSizeVariations(t *testing.T) {
 		if !equalInt32(got, want) {
 			t.Errorf("cell=%v: Within mismatch", cell)
 		}
-		gotK := grid.KNearest(q, 7, -1)
+		gotK := grid.KNearestInto(q, 7, -1, new(KNNScratch), nil)
 		wantK := BruteKNearest(pts, q, 7, -1)
 		if !sameDistances(pts, q, gotK, wantK) {
 			t.Errorf("cell=%v: KNearest mismatch", cell)
@@ -259,10 +259,12 @@ func BenchmarkGridKNearest(b *testing.B) {
 	pts := randomPoints(100000, 22)
 	grid := NewGrid(pts, 0.2)
 	g := rng.New(23)
+	var scratch KNNScratch
+	var buf []int32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := geom.Pt(g.Float64()*10, g.Float64()*10)
-		grid.KNearest(q, 10, -1)
+		buf = grid.KNearestInto(q, 10, -1, &scratch, buf[:0])
 	}
 }
 
@@ -270,10 +272,12 @@ func BenchmarkKDTreeKNearest(b *testing.B) {
 	pts := randomPoints(100000, 22)
 	tree := NewKDTree(pts)
 	g := rng.New(23)
+	var scratch KNNScratch
+	var buf []int32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := geom.Pt(g.Float64()*10, g.Float64()*10)
-		tree.KNearest(q, 10, -1)
+		buf = tree.KNearestInto(q, 10, -1, &scratch, buf[:0])
 	}
 }
 
@@ -309,10 +313,10 @@ func TestKNearestExactAgreementDegenerate(t *testing.T) {
 			for k := 1; k <= len(pts)+2; k++ {
 				for _, exclude := range []int{-1, 0, len(pts) - 1} {
 					want := BruteKNearest(pts, q, k, exclude)
-					if got := grid.KNearest(q, k, exclude); !equalInt32(got, want) {
+					if got := grid.KNearestInto(q, k, exclude, new(KNNScratch), nil); !equalInt32(got, want) {
 						t.Fatalf("%s: grid KNearest(%v, %d, %d) = %v want %v", name, q, k, exclude, got, want)
 					}
-					if got := tree.KNearest(q, k, exclude); !equalInt32(got, want) {
+					if got := tree.KNearestInto(q, k, exclude, new(KNNScratch), nil); !equalInt32(got, want) {
 						t.Fatalf("%s: kdtree KNearest(%v, %d, %d) = %v want %v", name, q, k, exclude, got, want)
 					}
 				}
@@ -321,9 +325,9 @@ func TestKNearestExactAgreementDegenerate(t *testing.T) {
 	}
 }
 
-// TestKNearestIntoMatchesAllocating checks that the buffered variants with a
-// shared scratch reproduce the allocating wrappers exactly, including when
-// dst is reused across queries.
+// TestKNearestIntoMatchesAllocating checks that the buffered queries with a
+// shared scratch reproduce fresh-scratch answers exactly, including when dst
+// is reused across queries.
 func TestKNearestIntoMatchesAllocating(t *testing.T) {
 	pts := randomPoints(600, 31)
 	grid := NewGrid(pts, 0.6)
@@ -339,11 +343,11 @@ func TestKNearestIntoMatchesAllocating(t *testing.T) {
 			exclude = g.IntN(len(pts))
 		}
 		buf = grid.KNearestInto(q, k, exclude, &scratch, buf[:0])
-		if want := grid.KNearest(q, k, exclude); !equalInt32(buf, want) {
+		if want := grid.KNearestInto(q, k, exclude, new(KNNScratch), nil); !equalInt32(buf, want) {
 			t.Fatalf("grid Into mismatch at trial %d: %v want %v", trial, buf, want)
 		}
 		buf = tree.KNearestInto(q, k, exclude, &scratch, buf[:0])
-		if want := tree.KNearest(q, k, exclude); !equalInt32(buf, want) {
+		if want := tree.KNearestInto(q, k, exclude, new(KNNScratch), nil); !equalInt32(buf, want) {
 			t.Fatalf("kdtree Into mismatch at trial %d: %v want %v", trial, buf, want)
 		}
 	}

@@ -51,9 +51,6 @@ func FitLinear(xs, ys []float64) (LinearFit, error) {
 	return fit, nil
 }
 
-// Predict evaluates the fitted line at x.
-func (f LinearFit) Predict(x float64) float64 { return f.Slope*x + f.Intercept }
-
 // ExpDecayFit holds a fit of the exponential-decay model y ≈ A·exp(−c·x),
 // obtained by a log-linear least-squares fit on the positive observations.
 // Rate is c (positive for genuine decay).
@@ -89,9 +86,6 @@ func FitExpDecay(xs, ys []float64) (ExpDecayFit, error) {
 	}, nil
 }
 
-// Predict evaluates the fitted decay curve at x.
-func (f ExpDecayFit) Predict(x float64) float64 { return f.A * math.Exp(-f.Rate*x) }
-
 // MonotoneThreshold locates, by bisection, the input x in [lo, hi] at which
 // the (noisy, assumed increasing) function f crosses the level target.
 // It evaluates f at most maxEval times and returns the bracketing midpoint
@@ -123,87 +117,4 @@ func MonotoneThreshold(f func(x float64) float64, lo, hi, target, tolX float64, 
 		evals++
 	}
 	return (lo + hi) / 2, true
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi   float64
-	Counts   []int
-	Under    int // observations < Lo
-	Over     int // observations ≥ Hi
-	NSamples int
-}
-
-// NewHistogram creates a histogram with n bins over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		n = 1
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, n)}
-}
-
-// Add records an observation.
-func (h *Histogram) Add(x float64) {
-	h.NSamples++
-	if x < h.Lo {
-		h.Under++
-		return
-	}
-	if x >= h.Hi {
-		h.Over++
-		return
-	}
-	i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-}
-
-// BinCenter returns the center of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Fraction returns the fraction of all samples landing in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.NSamples == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.NSamples)
-}
-
-// Mode returns the index of the most populated bin.
-func (h *Histogram) Mode() int {
-	best, bi := -1, 0
-	for i, c := range h.Counts {
-		if c > best {
-			best, bi = c, i
-		}
-	}
-	return bi
-}
-
-// CCDF returns, for each bin boundary, the empirical complementary CDF
-// P(X ≥ boundary), including Under/Over mass.
-func (h *Histogram) CCDF() (boundaries, ccdf []float64) {
-	n := len(h.Counts)
-	w := (h.Hi - h.Lo) / float64(n)
-	boundaries = make([]float64, n+1)
-	ccdf = make([]float64, n+1)
-	total := float64(h.NSamples)
-	if total == 0 {
-		total = 1
-	}
-	// Counts at or above each boundary.
-	tail := h.Over
-	for i := n; i >= 0; i-- {
-		boundaries[i] = h.Lo + float64(i)*w
-		ccdf[i] = float64(tail) / total
-		if i > 0 {
-			tail += h.Counts[i-1]
-		}
-	}
-	return boundaries, ccdf
 }

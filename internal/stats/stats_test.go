@@ -118,9 +118,6 @@ func TestFitLinearExact(t *testing.T) {
 	if math.Abs(fit.R2-1) > 1e-12 {
 		t.Errorf("R2 = %v", fit.R2)
 	}
-	if got := fit.Predict(10); math.Abs(got-21) > 1e-12 {
-		t.Errorf("Predict = %v", got)
-	}
 }
 
 func TestFitLinearErrors(t *testing.T) {
@@ -168,9 +165,6 @@ func TestFitExpDecay(t *testing.T) {
 	}
 	if math.Abs(fit.A-3) > 1e-9 || math.Abs(fit.Rate-0.7) > 1e-9 {
 		t.Errorf("fit = %+v", fit)
-	}
-	if got := fit.Predict(2); math.Abs(got-ys[2]) > 1e-9 {
-		t.Errorf("Predict = %v want %v", got, ys[2])
 	}
 }
 
@@ -224,73 +218,13 @@ func TestMonotoneThreshold(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i%10) + 0.5)
-	}
-	h.Add(-5) // under
-	h.Add(15) // over
-	if h.NSamples != 102 || h.Under != 1 || h.Over != 1 {
-		t.Errorf("histogram counters: %+v", h)
-	}
-	for i := 0; i < 10; i++ {
-		if h.Counts[i] != 10 {
-			t.Errorf("bin %d = %d want 10", i, h.Counts[i])
-		}
-	}
-	if c := h.BinCenter(0); c != 0.5 {
-		t.Errorf("BinCenter = %v", c)
-	}
-	if f := h.Fraction(3); math.Abs(f-10.0/102) > 1e-12 {
-		t.Errorf("Fraction = %v", f)
-	}
-	h.Add(3.3)
-	if h.Mode() != 3 {
-		t.Errorf("Mode = %d", h.Mode())
-	}
-}
-
-func TestHistogramCCDF(t *testing.T) {
-	h := NewHistogram(0, 4, 4)
-	for _, v := range []float64{0.5, 1.5, 1.6, 2.5, 3.5, 3.6, 3.7} {
-		h.Add(v)
-	}
-	bounds, ccdf := h.CCDF()
-	if len(bounds) != 5 || len(ccdf) != 5 {
-		t.Fatalf("CCDF lengths: %d %d", len(bounds), len(ccdf))
-	}
-	if ccdf[0] != 1 {
-		t.Errorf("CCDF(0) = %v want 1", ccdf[0])
-	}
-	// P(X ≥ 3) = 3/7.
-	if math.Abs(ccdf[3]-3.0/7) > 1e-12 {
-		t.Errorf("CCDF(3) = %v", ccdf[3])
-	}
-	if ccdf[4] != 0 {
-		t.Errorf("CCDF(4) = %v want 0", ccdf[4])
-	}
-	// CCDF must be non-increasing.
-	for i := 1; i < len(ccdf); i++ {
-		if ccdf[i] > ccdf[i-1]+1e-12 {
-			t.Errorf("CCDF increased at %d: %v > %v", i, ccdf[i], ccdf[i-1])
-		}
-	}
-}
-
 func TestMeanMinMaxHelpers(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5}
 	if Mean(xs) != 2.8 {
 		t.Errorf("Mean = %v", Mean(xs))
 	}
-	if MaxFloat(xs) != 5 || MinFloat(xs) != 1 {
-		t.Errorf("Max/Min = %v/%v", MaxFloat(xs), MinFloat(xs))
-	}
 	if !math.IsNaN(Mean(nil)) {
 		t.Error("Mean(nil) should be NaN")
-	}
-	if !math.IsInf(MaxFloat(nil), -1) || !math.IsInf(MinFloat(nil), 1) {
-		t.Error("Max/Min of empty should be ∓Inf")
 	}
 }
 

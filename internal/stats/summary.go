@@ -147,25 +147,3 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// MaxFloat returns the maximum value (−Inf for an empty sample).
-func MaxFloat(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// MinFloat returns the minimum value (+Inf for an empty sample).
-func MinFloat(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
