@@ -2,11 +2,15 @@ GO ?= go
 
 .PHONY: verify test test-race bench bench-1m baseline bench-compare ci sensvet scenarios fuzz-smoke e2e
 
-# verify is the tier-1 gate: build (including every example), vet, full
-# test suite. cmd/sensbench is a module of its own that root ./... skips;
-# it is built and vetted explicitly so a core API change that breaks the
-# benchmark harness fails here.
+# verify is the tier-1 gate: gofmt, build (including every example), vet,
+# full test suite. The gofmt check covers every Go file outside testdata/
+# directories (fixture sources keep deliberate layouts) and the
+# benchmark's build directory. cmd/sensbench is a module of its own that
+# root ./... skips; it is built and vetted explicitly so a core API change
+# that breaks the benchmark harness fails here.
 verify:
+	@out=$$(find . -path ./.bench_build -prune -o -name testdata -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l: unformatted files:"; echo "$$out"; exit 1; fi
 	$(GO) build ./...
 	$(GO) build ./examples/...
 	$(GO) -C cmd/sensbench build -o /dev/null ./...
@@ -73,13 +77,17 @@ e2e:
 # and the closure-weighted oracle on every target, for arbitrary edge
 # multisets and target sets (5 s); the grid UDG builder must never panic
 # and must equal the O(n²) brute force on point sets with duplicates,
-# pairs at distance exactly r, far outliers and NaN/±Inf coordinates (5 s;
-# 45 s in all). Ten seconds is a smoke test, not a campaign — run longer
+# pairs at distance exactly r, far outliers and NaN/±Inf coordinates (5 s);
+# the kinetic HNG maintainer must equal a from-scratch Rebuild after every
+# move, removal or batched round, coincident and box-boundary points
+# included, and a round must equal its events applied one at a time (5 s;
+# 50 s in all). Ten seconds is a smoke test, not a campaign — run longer
 # fuzzes with 'go test ./internal/fault -fuzz=FuzzSchedule', 'go test
 # ./internal/mobility -fuzz=FuzzTrajectory', 'go test ./internal/core
 # -fuzz=FuzzKinetic', 'go test ./internal/graph -fuzz=FuzzCSR', 'go test
-# ./internal/graph -fuzz=FuzzBoundedSweep' or 'go test ./internal/rgg
-# -fuzz=FuzzUDGGrid' directly.
+# ./internal/graph -fuzz=FuzzBoundedSweep', 'go test ./internal/rgg
+# -fuzz=FuzzUDGGrid' or 'go test ./internal/hng -fuzz=FuzzHNGKinetic'
+# directly.
 fuzz-smoke:
 	$(GO) test ./internal/fault -run='^$$' -fuzz=FuzzSchedule -fuzztime=10s
 	$(GO) test ./internal/mobility -run='^$$' -fuzz=FuzzTrajectory -fuzztime=10s
@@ -87,6 +95,7 @@ fuzz-smoke:
 	$(GO) test ./internal/graph -run='^$$' -fuzz=FuzzCSR -fuzztime=5s
 	$(GO) test ./internal/graph -run='^$$' -fuzz=FuzzBoundedSweep -fuzztime=5s
 	$(GO) test ./internal/rgg -run='^$$' -fuzz=FuzzUDGGrid -fuzztime=5s
+	$(GO) test ./internal/hng -run='^$$' -fuzz=FuzzHNGKinetic -fuzztime=5s
 
 # bench runs every benchmark once with allocation reporting — the quick
 # "did I regress the pipeline" check.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/graph"
+	"repro/internal/mobility"
 	"repro/internal/tiling"
 )
 
@@ -26,9 +27,10 @@ type KineticStats struct {
 
 // Kinetic maintains a UDG-SENS network incrementally under node motion and
 // death. The invariant it preserves is exact structural equivalence: after
-// any sequence of Move and Remove calls, Materialize returns edge-for-edge
-// the graph that BuildUDG would produce from scratch at the current
-// positions with the current alive mask (and SkipBase).
+// any sequence of Round, Move and Remove calls, Materialize returns
+// edge-for-edge the graph that BuildUDG would produce from scratch at the
+// current positions with the current alive mask (and SkipBase). Move and
+// Remove are one-event rounds.
 //
 // The repair is dirty-tile local. Elections are deterministic functions of
 // a tile's member set, and a tile's contribution to the network — its four
@@ -66,9 +68,18 @@ type Kinetic struct {
 	scratch tileScratch
 	dirty   []int // tiles whose membership changed since the last repair
 	cdirty  []int // tiles whose contribution may have changed
-	next    []uint64
-	swaps   []contribSwap
+	// mark flags each tile's membership in dirty (markDirty) and cdirty
+	// (markContrib), so set insertion is O(1).
+	mark  []uint8
+	next  []uint64
+	swaps []contribSwap
 }
+
+// Tile mark bits.
+const (
+	markDirty uint8 = 1 << iota
+	markContrib
+)
 
 // contribSwap replaces contrib[t] with next[lo:hi].
 type contribSwap struct{ t, lo, hi int }
@@ -94,6 +105,7 @@ func NewKinetic(n *Network, opt Options) (*Kinetic, error) {
 		tiles:   append([]TileNodes(nil), n.Tiles...),
 		contrib: make([][]uint64, nt),
 		delta:   graph.NewDelta(n.Graph),
+		mark:    make([]uint8, nt),
 	}
 	for i := range k.alive {
 		k.alive[i] = opt.Alive == nil || opt.Alive[i]
@@ -167,51 +179,77 @@ func (k *Kinetic) memberRemove(t int, i int32) {
 	k.members[t] = slices.Delete(list, at, at+1)
 }
 
-// addTile adds tile t to the small tile set set.
-func addTile(set []int, t int) []int {
-	if slices.Contains(set, t) {
-		return set
+// addTile adds tile t to the tile set list whose membership bit is bit.
+func (k *Kinetic) addTile(list []int, t int, bit uint8) []int {
+	if k.mark[t]&bit != 0 {
+		return list
 	}
-	return append(set, t)
+	k.mark[t] |= bit
+	return append(list, t)
 }
 
-// Move updates node u's position and repairs every structure the
-// displacement can affect. u must be alive.
+// tileOf returns the mapped tile holding p, if any.
+func (k *Kinetic) tileOf(p geom.Point) (int, bool) {
+	return k.kern.m.Index(k.kern.m.Tiling.TileOf(p))
+}
+
+// Round applies one batch of events and repairs once: every death in dead
+// (entries naming an already-dead node are no-ops), then every move in
+// moves whose node is still alive, in order — a node that dies and moves in
+// the same round stays where it died, and a node listed more than once ends
+// at its last listed position. The dirty tiles of all events are unioned
+// and flushed by a single repair. moved counts the move entries applied.
+func (k *Kinetic) Round(dead []int32, moves []mobility.Move) (moved int) {
+	for _, u := range dead {
+		if !k.alive[u] {
+			continue
+		}
+		k.alive[u] = false
+		if t, ok := k.tileOf(k.pts[u]); ok {
+			k.memberRemove(t, u)
+			k.dirty = k.addTile(k.dirty, t, markDirty)
+		}
+	}
+	for _, mv := range moves {
+		u := mv.Node
+		if !k.alive[u] {
+			continue
+		}
+		from, fromOK := k.tileOf(k.pts[u])
+		to, toOK := k.tileOf(mv.To)
+		k.pts[u] = mv.To
+		if fromOK && toOK && from == to {
+			// Same tile, but the region classification may have changed.
+			k.dirty = k.addTile(k.dirty, from, markDirty)
+		} else {
+			if fromOK {
+				k.memberRemove(from, u)
+				k.dirty = k.addTile(k.dirty, from, markDirty)
+			}
+			if toOK {
+				k.memberInsert(to, u)
+				k.dirty = k.addTile(k.dirty, to, markDirty)
+			}
+		}
+		moved++
+	}
+	k.repair()
+	return moved
+}
+
+// Move is the one-move round: it updates node u's position and repairs
+// every structure the displacement can affect. u must be alive.
 func (k *Kinetic) Move(u int32, p geom.Point) {
 	if !k.alive[u] {
 		panic("sens: Move on dead node")
 	}
-	from, fromOK := k.kern.m.Index(k.kern.m.Tiling.TileOf(k.pts[u]))
-	to, toOK := k.kern.m.Index(k.kern.m.Tiling.TileOf(p))
-	k.pts[u] = p
-	if fromOK && toOK && from == to {
-		// Same tile, but the region classification may have changed.
-		k.dirty = addTile(k.dirty, from)
-	} else {
-		if fromOK {
-			k.memberRemove(from, u)
-			k.dirty = addTile(k.dirty, from)
-		}
-		if toOK {
-			k.memberInsert(to, u)
-			k.dirty = addTile(k.dirty, to)
-		}
-	}
-	k.repair()
+	k.Round(nil, []mobility.Move{{Node: u, To: p}})
 }
 
-// Remove marks node u dead and repairs its tile. Removing a dead node is a
-// no-op.
+// Remove is the one-death round: it marks node u dead and repairs its
+// tile. Removing a dead node is a no-op.
 func (k *Kinetic) Remove(u int32) {
-	if !k.alive[u] {
-		return
-	}
-	k.alive[u] = false
-	if t, ok := k.kern.m.Index(k.kern.m.Tiling.TileOf(k.pts[u])); ok {
-		k.memberRemove(t, u)
-		k.dirty = addTile(k.dirty, t)
-		k.repair()
-	}
+	k.Round([]int32{u}, nil)
 }
 
 // repair flushes the dirty tiles in ascending index order: re-elect each
@@ -228,19 +266,21 @@ func (k *Kinetic) repair() {
 	w := k.kern.m.W
 	for _, t := range k.dirty {
 		k.stats.TileRecomputes++
+		k.mark[t] &^= markDirty
 		k.tiles[t] = k.kern.elect(t, k.pts, k.members[t], nil, &k.scratch)
-		k.cdirty = addTile(k.cdirty, t)
+		k.cdirty = k.addTile(k.cdirty, t, markContrib)
 		if t%w > 0 {
-			k.cdirty = addTile(k.cdirty, t-1) // Left neighbor
+			k.cdirty = k.addTile(k.cdirty, t-1, markContrib) // Left neighbor
 		}
 		if t >= w {
-			k.cdirty = addTile(k.cdirty, t-w) // Bottom neighbor
+			k.cdirty = k.addTile(k.cdirty, t-w, markContrib) // Bottom neighbor
 		}
 	}
 	k.dirty = k.dirty[:0]
 	slices.Sort(k.cdirty)
 	k.next, k.swaps = k.next[:0], k.swaps[:0]
 	for _, t := range k.cdirty {
+		k.mark[t] &^= markContrib
 		lo := len(k.next)
 		k.next = k.kern.wire(k.tiles, t, k.next, nil)
 		if slices.Equal(k.contrib[t], k.next[lo:]) {

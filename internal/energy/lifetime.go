@@ -198,6 +198,9 @@ type MobileNetwork interface {
 	Step(round int) bool
 	// Died informs the structure of a permanent node death — battery
 	// exhaustion or crash — so subsequent repairs route around the node.
+	// The structure may buffer deaths and apply them at its next Step:
+	// Graph is read only after a Step that reports a change, so a repair
+	// batched into that Step is indistinguishable from an eager one.
 	Died(u int32)
 	// Graph returns the current topology. Only consulted after a Step that
 	// reported a change (and once at start).

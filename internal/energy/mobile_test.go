@@ -1,6 +1,7 @@
 package energy
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/fault"
@@ -92,6 +93,91 @@ func TestMobileJitterDeterministic(t *testing.T) {
 	}
 	if a.Rounds == 0 || a.Delivered == 0 {
 		t.Fatalf("mobile run did nothing: %+v", a)
+	}
+}
+
+// dyingMobile drifts every node a little every `every` rounds, and its graph
+// sheds the edges of dead nodes. An eager one drops a node's edges as Died
+// reports it; a deferring one buffers deaths until the next motion step, as
+// the MobileNetwork contract allows.
+type dyingMobile struct {
+	base    *graph.CSR
+	pos     []geom.Point
+	every   int
+	eager   bool
+	dead    []bool
+	pending []int32
+	applied int // buffered deaths applied by a motion step
+	g       *graph.CSR
+}
+
+func (m *dyingMobile) Step(round int) bool {
+	if round%m.every != 0 {
+		return false
+	}
+	for _, u := range m.pending {
+		m.dead[u] = true
+	}
+	m.applied += len(m.pending)
+	m.pending = m.pending[:0]
+	for i := range m.pos {
+		m.pos[i].Y += 0.002
+	}
+	m.g = nil
+	return true
+}
+
+func (m *dyingMobile) Died(u int32) {
+	if m.eager {
+		m.dead[u], m.g = true, nil
+		return
+	}
+	m.pending = append(m.pending, u)
+}
+
+func (m *dyingMobile) Graph() *graph.CSR {
+	if m.g == nil {
+		b := graph.NewBuilder(m.base.N)
+		for u := int32(0); u < int32(m.base.N); u++ {
+			for _, v := range m.base.Neighbors(u) {
+				if u < v && !m.dead[u] && !m.dead[v] {
+					b.AddEdgeUnique(u, v)
+				}
+			}
+		}
+		m.g = b.Build()
+	}
+	return m.g
+}
+
+func (m *dyingMobile) Positions() []geom.Point { return m.pos }
+
+// TestMobileDeferredDeathsMatchEager pins the Died contract: a structure
+// that buffers deaths until its next Step yields a Report identical to one
+// that applies each death at once, because Graph is only consulted after a
+// Step that reports a change.
+func TestMobileDeferredDeathsMatchEager(t *testing.T) {
+	g, pos := gridInstance(6)
+	spec := lineSpec()
+	spec.Rate = 0.5
+	spec.Capacity = 400
+	spec.MaxRounds = 200
+	run := func(eager bool) (*Report, *dyingMobile) {
+		m := &dyingMobile{base: g, pos: append([]geom.Point(nil), pos...), every: 3,
+			eager: eager, dead: make([]bool, g.N)}
+		rep, err := SimulateMobileLifetime(m, nil, []int32{0}, spec, rng.New(33))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, m
+	}
+	want, _ := run(true)
+	got, deferred := run(false)
+	if deferred.applied == 0 {
+		t.Fatal("no buffered death reached a motion step; the test exercises nothing")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("deferred deaths changed the report:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -248,7 +248,7 @@ func h02Baselines(ctx *scenario.Ctx) *Table {
 // HNG fragments (how badly?), and restoring a healthy structure on the
 // survivors can go two ways. "rebuild" reruns the construction from scratch
 // (fresh promotion draws, survivor indices); "repair" feeds the same deaths
-// one by one through the incremental maintainer (hng.Kinetic) and
+// as one round through the incremental maintainer (hng.Kinetic) and
 // cross-checks the result edge-for-edge against a same-levels from-scratch
 // Rebuild — the equivalence gate, surfaced in the golden table. The
 // deployment is shared through the cache (the failure draws use their own
@@ -300,12 +300,14 @@ func h03Churn(ctx *scenario.Ctx) *Table {
 				d(rb.MaxDegree()), connected, "—")
 			return
 		}
-		k := hng.NewKinetic(h, dep.Box)
+		var dead []int32
 		for j := range alive {
 			if !alive[j] {
-				k.Remove(int32(j))
+				dead = append(dead, int32(j))
 			}
 		}
+		k := hng.NewKinetic(h, dep.Box)
+		k.Round(dead, nil)
 		got := k.Materialize()
 		matches := "yes"
 		if ref, err := hng.Rebuild(k.Positions(), k.Levels(), alive, h.Spec); err != nil {

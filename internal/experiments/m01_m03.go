@@ -84,10 +84,12 @@ func registerMobility() {
 
 // kineticStructure is the operation surface the two incremental maintainers
 // share; the M scenarios and the mobile-lifetime adapter drive either
-// through it.
+// through it. M01 and M02 report per-move repair counters, so they drive
+// Move; M03 reads only the graph and repairs once per motion step through
+// Round.
 type kineticStructure interface {
 	Move(u int32, p geom.Point)
-	Remove(u int32)
+	Round(dead []int32, moves []mobility.Move) (moved int)
 	Materialize() *graph.CSR
 	Positions() []geom.Point
 	AliveMask() []bool
@@ -320,12 +322,16 @@ func m02Drift(ctx *scenario.Ctx) *Table {
 // mobileStructure adapts a kinetic maintainer replaying a cached trajectory
 // to energy.MobileNetwork: every `every` rounds it applies the next
 // trajectory step to the surviving nodes, and battery deaths flow back into
-// the maintainer so the structure sheds the dead as it moves.
+// the maintainer so the structure sheds the dead as it moves. Deaths are
+// buffered until the next motion step, which hands them and the step's
+// moves to the maintainer as one Round; the simulation reads Graph only
+// after a Step that reports a change, so the deferral is invisible to it.
 type mobileStructure struct {
 	k     kineticStructure
 	traj  *mobility.Trajectory
 	every int
 	next  int
+	dead  []int32
 	g     *graph.CSR
 }
 
@@ -333,25 +339,13 @@ func (m *mobileStructure) Step(round int) bool {
 	if m.next >= len(m.traj.Steps) || round%m.every != 0 {
 		return false
 	}
-	alive := m.k.AliveMask()
-	moved := false
-	for _, mv := range m.traj.Steps[m.next] {
-		if alive[mv.Node] {
-			m.k.Move(mv.Node, mv.To)
-			moved = true
-		}
-	}
+	moved := m.k.Round(m.dead, m.traj.Steps[m.next])
+	m.dead, m.g = m.dead[:0], nil
 	m.next++
-	if moved {
-		m.g = nil
-	}
-	return moved
+	return moved > 0
 }
 
-func (m *mobileStructure) Died(u int32) {
-	m.k.Remove(u)
-	m.g = nil
-}
+func (m *mobileStructure) Died(u int32) { m.dead = append(m.dead, u) }
 
 func (m *mobileStructure) Graph() *graph.CSR {
 	if m.g == nil {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -10,23 +11,30 @@ import (
 // through it without the base ever being rewritten. A vertex is either
 // untouched — its adjacency comes straight from the base slab — or touched,
 // in which case the overlay holds its full replacement adjacency (sorted,
-// like the base). Repair around k moved nodes therefore costs O(k·degree)
-// overlay entries while the other n−k vertices stay zero-cost views into
-// the base.
+// like the base) in a segment of one shared arena. Repair around k moved
+// nodes therefore costs O(k·degree) arena entries while the other n−k
+// vertices stay zero-cost views into the base.
 //
 // Mutators keep both endpoints' adjacencies in sync, so the overlay is an
 // undirected graph at every point. Materialize freezes the current view
 // into a standalone CSR — the form the equivalence gate compares
 // edge-for-edge against a from-scratch rebuild.
 type Delta struct {
-	base    *CSR
-	touched map[int32][]int32 // full replacement adjacency per touched vertex
-	edges   int               // current undirected edge count
+	base  *CSR
+	seg   []adjSeg // per vertex; cap 0 = untouched
+	arena []int32  // replacement adjacencies of the touched vertices
+	edges int      // current undirected edge count
 }
+
+// adjSeg locates one touched vertex's adjacency: arena[off:off+n], with
+// room up to off+cap. A segment that outgrows its room moves to the end of
+// the arena with twice the room, so a vertex's segment settles once its
+// degree stops growing.
+type adjSeg struct{ off, n, cap int32 }
 
 // NewDelta returns an empty overlay over base.
 func NewDelta(base *CSR) *Delta {
-	return &Delta{base: base, touched: make(map[int32][]int32), edges: base.EdgeCount}
+	return &Delta{base: base, seg: make([]adjSeg, base.N), edges: base.EdgeCount}
 }
 
 // Base returns the underlying immutable CSR.
@@ -36,10 +44,10 @@ func (d *Delta) Base() *CSR { return d.base }
 func (d *Delta) EdgeCount() int { return d.edges }
 
 // Neighbors returns the current sorted adjacency of u. The slice aliases
-// internal storage: valid until the next mutation of u.
+// internal storage: valid until the next mutation.
 func (d *Delta) Neighbors(u int32) []int32 {
-	if adj, ok := d.touched[u]; ok {
-		return adj
+	if s := d.seg[u]; s.cap > 0 {
+		return d.arena[s.off : s.off+s.n : s.off+s.n]
 	}
 	return d.base.Neighbors(u)
 }
@@ -54,44 +62,51 @@ func (d *Delta) HasEdge(u, v int32) bool {
 	return i < len(a) && a[i] == v
 }
 
-// adj returns u's overlay adjacency, copying it out of the base on first
-// touch.
-func (d *Delta) adj(u int32) []int32 {
-	if a, ok := d.touched[u]; ok {
-		return a
+// touch returns u's overlay segment, copying its base adjacency into the
+// arena (with two slots of room) on first touch.
+func (d *Delta) touch(u int32) *adjSeg {
+	s := &d.seg[u]
+	if s.cap == 0 {
+		base := d.base.Neighbors(u)
+		s.off, s.n, s.cap = int32(len(d.arena)), int32(len(base)), int32(len(base)+2)
+		d.arena = append(append(d.arena, base...), 0, 0)
 	}
-	base := d.base.Neighbors(u)
-	a := make([]int32, len(base), len(base)+2)
-	copy(a, base)
-	d.touched[u] = a
-	return a
+	return s
 }
 
 // insertSorted adds v into u's overlay adjacency; reports whether it was
 // absent.
 func (d *Delta) insertSorted(u, v int32) bool {
-	a := d.adj(u)
+	s := d.touch(u)
+	a := d.arena[s.off : s.off+s.n]
 	i := sort.Search(len(a), func(i int) bool { return a[i] >= v })
 	if i < len(a) && a[i] == v {
 		return false
 	}
-	a = append(a, 0)
+	if s.n == s.cap {
+		off := int32(len(d.arena))
+		d.arena = slices.Grow(d.arena, int(2*s.cap))[:off+2*s.cap]
+		copy(d.arena[off:], d.arena[s.off:s.off+s.n])
+		s.off, s.cap = off, 2*s.cap
+	}
+	a = d.arena[s.off : s.off+s.n+1]
 	copy(a[i+1:], a[i:])
 	a[i] = v
-	d.touched[u] = a
+	s.n++
 	return true
 }
 
 // deleteSorted removes v from u's overlay adjacency; reports whether it was
 // present.
 func (d *Delta) deleteSorted(u, v int32) bool {
-	a := d.adj(u)
+	s := d.touch(u)
+	a := d.arena[s.off : s.off+s.n]
 	i := sort.Search(len(a), func(i int) bool { return a[i] >= v })
 	if i >= len(a) || a[i] != v {
 		return false
 	}
 	copy(a[i:], a[i+1:])
-	d.touched[u] = a[:len(a)-1]
+	s.n--
 	return true
 }
 

@@ -361,7 +361,7 @@ func construct(pts []geom.Point, levels []int32, alive []bool, spec Spec) *Graph
 	// Top-level spanning tree: Prim over the (small) highest occupied level,
 	// deterministic via smallest-index tie-breaks.
 	if t := byLevel[top-1]; len(t) > 1 {
-		edges = append(edges, mstEdges(t, subPts[top-1])...)
+		edges = mstAppend(edges, t, subPts[top-1], &mstScratch{})
 		h.Stats.MSTEdges += len(t) - 1
 	}
 
@@ -371,15 +371,23 @@ func construct(pts []geom.Point, levels []int32, alive []bool, spec Spec) *Graph
 	return h
 }
 
-// mstEdges returns the packed Euclidean MST edges of the node subset via
-// O(k²) Prim — the top level set is geometrically small (expected O(1/p)),
-// so the dense sweep beats building another spatial index.
-func mstEdges(ids []int32, pos []geom.Point) []uint64 {
+// mstScratch is reusable working storage for mstAppend.
+type mstScratch struct {
+	inTree []bool
+	best   []float64
+	from   []int32
+}
+
+// mstAppend appends the packed Euclidean MST edges of the node subset to
+// out via O(k²) Prim — the top level set is geometrically small (expected
+// O(1/p)), so the dense sweep beats building another spatial index.
+func mstAppend(out []uint64, ids []int32, pos []geom.Point, s *mstScratch) []uint64 {
 	k := len(ids)
-	out := make([]uint64, 0, k-1)
-	inTree := make([]bool, k)
-	best := make([]float64, k)
-	from := make([]int32, k)
+	s.inTree = slices.Grow(s.inTree[:0], k)[:k]
+	s.best = slices.Grow(s.best[:0], k)[:k]
+	s.from = slices.Grow(s.from[:0], k)[:k]
+	inTree, best, from := s.inTree, s.best, s.from
+	clear(inTree)
 	for i := range best {
 		best[i] = math.Inf(1)
 		from[i] = 0

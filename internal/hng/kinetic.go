@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/graph"
+	"repro/internal/mobility"
 	"repro/internal/spatial"
 )
 
@@ -25,7 +26,9 @@ type KineticStats struct {
 }
 
 // kGroup is the live state of one pruning group (parent, child level):
-// its member set (unsorted) and the edges it currently emits.
+// its member set (unsorted) and the edges it currently emits. A group that
+// empties stays in the map with its storage, so children moving back and
+// forth between parents reuse it instead of reallocating.
 type kGroup struct {
 	members []int32
 	edges   []uint64
@@ -34,10 +37,11 @@ type kGroup struct {
 // Kinetic maintains a hierarchical neighbor graph incrementally under node
 // motion and death. It holds per-level kinetic spatial indexes, every node's
 // current up-link and within-link, the pruning-group states, and the
-// top-level MST, and repairs exactly the region a Move or Remove touches:
-// links whose nearest neighbor may have changed (found by radius queries
-// bounded by per-level maximum link lengths), the pruning groups those links
-// feed, and the MST only when a top-level node is involved.
+// top-level MST, and repairs exactly the region a Round touches: links whose
+// nearest neighbor may have changed (found by radius queries bounded by
+// per-level maximum link lengths), the pruning groups those links feed, and
+// the MST only when a top-level node is involved. Move and Remove are
+// one-event rounds.
 //
 // The invariant — property-tested at GOMAXPROCS 1 and 8 — is that after any
 // operation sequence, Materialize() equals Rebuild(positions, levels, alive)
@@ -82,14 +86,25 @@ type Kinetic struct {
 	stats KineticStats
 
 	// Reusable scratch.
-	scratch  spatial.KNNScratch
-	nnBuf    []int32
-	candBuf  []int32
-	queryBuf []int32
-	seen     []bool
-	dirty    map[uint64]struct{}
-	sortBuf  []int32
-	keyBuf   []uint64
+	scratch    spatial.KNNScratch
+	nnBuf      []int32
+	candBuf    []int32
+	queryBuf   []int32
+	seen       []bool
+	dirty      map[uint64]struct{}
+	sortBuf    []int32
+	keyBuf     []uint64
+	deadBuf    []int32
+	movedBuf   []movedNode
+	mstPos     []geom.Point
+	mstScratch mstScratch
+}
+
+// movedNode is one node repositioned in the current round, with its
+// position entering the round.
+type movedNode struct {
+	u   int32
+	old geom.Point
 }
 
 // groupKey packs a (parent, child level) pruning-group identity.
@@ -158,7 +173,7 @@ func NewKinetic(h *Graph, box geom.Rect) *Kinetic {
 	// already holds exactly these edges.
 	k.init = true
 	for u := int32(0); u < int32(n); u++ {
-		k.relink(u, k.dirty)
+		k.relink(u)
 	}
 	clear(k.dirty)
 	for key := range k.groups {
@@ -268,7 +283,7 @@ func (k *Kinetic) queryWithin(u int32) (int32, float64) {
 }
 
 // groupAdd registers u as a child of p and marks the group dirty.
-func (k *Kinetic) groupAdd(p, u int32, dirty map[uint64]struct{}) {
+func (k *Kinetic) groupAdd(p, u int32) {
 	key := groupKey(p, k.levels[u])
 	g := k.groups[key]
 	if g == nil {
@@ -276,11 +291,11 @@ func (k *Kinetic) groupAdd(p, u int32, dirty map[uint64]struct{}) {
 		k.groups[key] = g
 	}
 	g.members = append(g.members, u)
-	dirty[key] = struct{}{}
+	k.dirty[key] = struct{}{}
 }
 
 // groupRemove unregisters child u from parent p and marks the group dirty.
-func (k *Kinetic) groupRemove(p, u int32, dirty map[uint64]struct{}) {
+func (k *Kinetic) groupRemove(p, u int32) {
 	key := groupKey(p, k.levels[u])
 	g := k.groups[key]
 	for i, m := range g.members {
@@ -290,26 +305,26 @@ func (k *Kinetic) groupRemove(p, u int32, dirty map[uint64]struct{}) {
 			break
 		}
 	}
-	dirty[key] = struct{}{}
+	k.dirty[key] = struct{}{}
 }
 
 // relink recomputes u's up-link and within-link from the current grids,
 // updating group membership, the emitted within edge, and the per-level
 // radius bounds. Group edge regeneration is deferred to the dirty set.
-func (k *Kinetic) relink(u int32, dirty map[uint64]struct{}) {
+func (k *Kinetic) relink(u int32) {
 	k.stats.LinkRecomputes++
 	lvl := k.levels[u]
 
 	np, nd2 := k.queryParent(u)
 	if op := k.parent[u]; np != op {
 		if op >= 0 {
-			k.groupRemove(op, u, dirty)
+			k.groupRemove(op, u)
 		}
 		k.parent[u] = np
 		if np >= 0 {
 			k.parentD2[u] = nd2
 			k.parentDist[u] = k.pts[u].Dist(k.pts[np])
-			k.groupAdd(np, u, dirty)
+			k.groupAdd(np, u)
 			if nd2 > k.maxUpD2[lvl] {
 				k.maxUpD2[lvl] = nd2
 			}
@@ -317,7 +332,7 @@ func (k *Kinetic) relink(u int32, dirty map[uint64]struct{}) {
 	} else if np >= 0 && nd2 != k.parentD2[u] {
 		k.parentD2[u] = nd2
 		k.parentDist[u] = k.pts[u].Dist(k.pts[np])
-		dirty[groupKey(np, lvl)] = struct{}{}
+		k.dirty[groupKey(np, lvl)] = struct{}{}
 		if nd2 > k.maxUpD2[lvl] {
 			k.maxUpD2[lvl] = nd2
 		}
@@ -355,8 +370,7 @@ func (k *Kinetic) recomputeGroup(key uint64, g *kGroup) {
 	}
 	g.edges = g.edges[:0]
 	if len(g.members) == 0 {
-		delete(k.groups, key)
-		return
+		return // kept, storage and all, for the next child to attach
 	}
 	parent := int32(key >> 8)
 	k.sortBuf = append(k.sortBuf[:0], g.members...)
@@ -402,11 +416,11 @@ func (k *Kinetic) rebuildMST() {
 	if len(ids) <= 1 {
 		return
 	}
-	pos := make([]geom.Point, len(ids))
-	for i, u := range ids {
-		pos[i] = k.pts[u]
+	k.mstPos = k.mstPos[:0]
+	for _, u := range ids {
+		k.mstPos = append(k.mstPos, k.pts[u])
 	}
-	k.mst = append(k.mst, mstEdges(ids, pos)...)
+	k.mst = mstAppend(k.mst, ids, k.mstPos, &k.mstScratch)
 	for _, e := range k.mst {
 		u, v := graph.Unpack(e)
 		k.emit(u, v)
@@ -482,15 +496,6 @@ func (k *Kinetic) affected(y, u int32, q geom.Point, upRelevant, withinRelevant 
 	return false
 }
 
-// flushCandidates relinks every collected candidate and clears the buffer.
-func (k *Kinetic) flushCandidates(dirty map[uint64]struct{}) {
-	for _, y := range k.candBuf {
-		k.seen[y] = false
-		k.relink(y, dirty)
-	}
-	k.candBuf = k.candBuf[:0]
-}
-
 // flushDirty regenerates every dirty pruning group, in sorted key order:
 // overflow-chain edges can be shared across groups, so the refcounted
 // EdgeChanges tally depends on flush order — sorting keeps it (and the
@@ -509,67 +514,108 @@ func (k *Kinetic) flushDirty() {
 	}
 }
 
-// Move updates node u's position and repairs the structure around it: u's
-// own links, the links of nodes that referenced (or now prefer) u near its
-// old and new positions, the pruning groups those links feed, and — only
-// when u is top-level — the top MST.
-func (k *Kinetic) Move(u int32, p geom.Point) {
-	if !k.alive[u] {
-		panic("hng: Move on dead node")
+// Round applies one batch of events and repairs the structure once. It
+// applies every death in dead (entries naming an already-dead node, or
+// repeating one, are no-ops), then every move in moves whose node is still
+// alive, in order: a node that dies and moves in the same round stays where
+// it died, and a node listed more than once ends at its last listed
+// position. moved counts the move entries applied.
+//
+// The repair collects candidates for all events against the pre-round link
+// state (a node's old and new positions for a move, its last position for a
+// death), relinks each moved node once in first-listed order and then each
+// candidate once in collection order, regenerates the dirty pruning groups
+// once in ascending key, and rebuilds the top MST at most once — when a
+// top-level node died or moved, or the top level emptied. Afterwards
+// Materialize equals Rebuild at the new positions and alive set.
+func (k *Kinetic) Round(dead []int32, moves []mobility.Move) (moved int) {
+	oldTop := k.top
+	mst := false
+	k.deadBuf = k.deadBuf[:0]
+	for _, u := range dead {
+		if !k.alive[u] {
+			continue
+		}
+		k.kill(u)
+		k.deadBuf = append(k.deadBuf, u)
+		mst = mst || k.levels[u] == oldTop
 	}
-	old := k.pts[u]
-	l := k.levels[u]
-	k.pts[u] = p
-	for i := int32(0); i < l; i++ {
-		k.grids[i].Move(u, p)
+	k.movedBuf = k.movedBuf[:0]
+	for _, mv := range moves {
+		u := mv.Node
+		if !k.alive[u] {
+			continue
+		}
+		if !k.seen[u] {
+			k.seen[u] = true // keeps u out of the candidate list
+			k.movedBuf = append(k.movedBuf, movedNode{u: u, old: k.pts[u]})
+		}
+		k.pts[u] = mv.To
+		for i := int32(0); i < k.levels[u]; i++ {
+			k.grids[i].Move(u, mv.To)
+		}
+		moved++
 	}
-	k.collectCandidates(u, l, old, p)
-	k.relink(u, k.dirty)
-	k.flushCandidates(k.dirty)
+
+	for _, u := range k.deadBuf {
+		k.collectCandidates(u, k.levels[u], k.pts[u])
+	}
+	for _, m := range k.movedBuf {
+		l := k.levels[m.u]
+		k.collectCandidates(m.u, l, m.old, k.pts[m.u])
+		mst = mst || l == k.top
+	}
+	for _, m := range k.movedBuf {
+		k.seen[m.u] = false
+		k.relink(m.u)
+	}
+	for _, y := range k.candBuf {
+		k.seen[y] = false
+		k.relink(y)
+	}
+	k.candBuf = k.candBuf[:0]
 	k.flushDirty()
-	if l == k.top {
+	if mst || k.top != oldTop {
 		k.rebuildMST()
 	}
+	return moved
 }
 
-// Remove deletes node u (a death): every edge it touches dissolves, orphaned
-// children re-attach to their next-nearest parents, within-links that
-// pointed at u re-query, and the MST follows the top set. Removing a dead
-// node is a no-op.
-func (k *Kinetic) Remove(u int32) {
-	if !k.alive[u] {
-		return
-	}
+// kill takes node u out of the indexes and the level census and drops its
+// own up-link and within-link; the links of others are left to the repair.
+func (k *Kinetic) kill(u int32) {
 	l := k.levels[u]
-	oldTop := k.top
 	for i := int32(0); i < l; i++ {
 		k.grids[i].Remove(u)
 	}
 	k.alive[u] = false
 	k.lvlCount[l]--
-	if l == k.top {
-		for k.top > 0 && k.lvlCount[k.top] == 0 {
-			k.top--
-		}
+	for k.top > 0 && k.lvlCount[k.top] == 0 {
+		k.top--
 	}
-
-	// u's own outgoing state.
 	if p := k.parent[u]; p >= 0 {
-		k.groupRemove(p, u, k.dirty)
+		k.groupRemove(p, u)
 		k.parent[u] = -1
 	}
 	if w := k.within[u]; w >= 0 {
 		k.retract(u, w)
 		k.within[u] = -1
 	}
+}
 
-	// Everyone whose links referenced u — including all of u's children,
-	// whose groups under u dissolve as they re-attach elsewhere.
-	k.collectCandidates(u, l, k.pts[u])
-	k.flushCandidates(k.dirty)
-	k.flushDirty()
-
-	if l == oldTop || k.top != oldTop {
-		k.rebuildMST()
+// Move is the one-move round: it updates node u's position and repairs the
+// structure around it. u must be alive.
+func (k *Kinetic) Move(u int32, p geom.Point) {
+	if !k.alive[u] {
+		panic("hng: Move on dead node")
 	}
+	k.Round(nil, []mobility.Move{{Node: u, To: p}})
+}
+
+// Remove is the one-death round: every edge u touches dissolves, orphaned
+// children re-attach to their next-nearest parents, within-links that
+// pointed at u re-query, and the MST follows the top set. Removing a dead
+// node is a no-op.
+func (k *Kinetic) Remove(u int32) {
+	k.Round([]int32{u}, nil)
 }

@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/graph"
+	"repro/internal/mobility"
+	"repro/internal/pointprocess"
 	"repro/internal/rng"
 )
 
@@ -166,4 +168,92 @@ func TestKineticStatsScaleWithRegion(t *testing.T) {
 	if perMove > float64(n)/10 {
 		t.Fatalf("small moves relink %.1f nodes on average (n=%d) — repair is not localized", perMove, n)
 	}
+}
+
+// FuzzHNGKinetic drives fuzz-decoded Move, Remove and Round sequences
+// through an HNG maintainer over a small multi-level deployment that
+// includes coincident points and points on the box boundary. After every
+// operation the materialized graph must equal Rebuild at the current
+// positions, levels and alive set, and after every Round it must equal a
+// twin maintainer that received the same events one at a time.
+//
+// Each operation takes five bytes: the kind, two bytes of node index and
+// two bytes of target. Kinds 0–2 are a Remove, a Move to a special point (a
+// box-boundary point or another node's current position) and a Move to a
+// quantized position anywhere in the box, boundary included. Kind 3 opens
+// a Round whose events are the next (target mod 8) operations, decoded as
+// kinds 0–2.
+func FuzzHNGKinetic(f *testing.F) {
+	box := geom.Box(6, 6)
+	spec := Spec{P: 0.35, MaxChildren: 2}
+	pts := pointprocess.Poisson(box, 3, rng.New(67))
+	bounds := []geom.Point{
+		{X: 0, Y: 0}, {X: 6, Y: 0}, {X: 0, Y: 6}, {X: 6, Y: 6},
+		{X: 3, Y: 0}, {X: 0, Y: 3}, {X: 6, Y: 3}, {X: 3, Y: 6}, {X: 1.5, Y: 6},
+	}
+	pts = append(pts, bounds...)
+	pts = append(pts, pts[0], pts[1], pts[2]) // coincident with live nodes
+	h, err := Build(pts, spec, rng.New(68))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{1, 0, 7, 0, 3, 2, 1, 200, 250, 9, 0, 3, 0, 0, 0})
+	f.Add([]byte{3, 0, 0, 0, 4, 0, 0, 5, 0, 0, 1, 0, 5, 0, 1, 2, 0, 9, 255, 0, 1, 0, 9, 1, 7})
+	f.Add([]byte{3, 0, 0, 0, 3, 1, 0, 2, 0, 8, 0, 0, 2, 0, 0, 2, 0, 2, 128, 128, 0, 0, 40, 0, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		k, twin := NewKinetic(h, box), NewKinetic(h, box)
+		decode := func(op []byte) (remove bool, u int32, p geom.Point) {
+			u = int32(int(op[1])<<8|int(op[2])) % int32(len(pts))
+			target := int(op[3])<<8 | int(op[4])
+			switch op[0] % 3 {
+			case 0:
+				remove = true
+			case 1:
+				if target%2 == 0 {
+					p = bounds[(target/2)%len(bounds)]
+				} else {
+					p = k.Positions()[(target/2)%len(pts)]
+				}
+			case 2:
+				p = geom.Point{X: float64(op[3]) / 255 * box.Width(), Y: float64(op[4]) / 255 * box.Height()}
+			}
+			return remove, u, p
+		}
+		for step := 0; len(ops) >= 5 && step < 48; step++ {
+			op := ops[:5]
+			ops = ops[5:]
+			if op[0]%4 != 3 {
+				remove, u, p := decode(op)
+				if !k.AliveMask()[u] {
+					continue
+				}
+				if remove {
+					k.Remove(u)
+					twin.Remove(u)
+				} else {
+					k.Move(u, p)
+					twin.Move(u, p)
+				}
+				checkEquivalence(t, k, spec, step)
+				continue
+			}
+			var dead []int32
+			var moves []mobility.Move
+			for m := int(op[4]) % 8; m > 0 && len(ops) >= 5; m-- {
+				remove, u, p := decode(ops[:5])
+				ops = ops[5:]
+				if remove {
+					dead = append(dead, u)
+				} else {
+					moves = append(moves, mobility.Move{Node: u, To: p})
+				}
+			}
+			k.Round(dead, moves)
+			applySequential(twin, dead, moves)
+			checkEquivalence(t, k, spec, step)
+			if diff := graph.FirstDiff(k.Materialize(), twin.Materialize()); diff != "" {
+				t.Fatalf("step %d: round != one at a time: %s", step, diff)
+			}
+		}
+	})
 }

@@ -239,7 +239,6 @@ func dedupInts(xs []int) []int {
 	return xs[:n]
 }
 
-
 // constStream evaluates a stream argument to a constant uint64 when
 // possible: via the type checker's constant folding first (covers named
 // constants), then a literal-int fallback for untyped fixture code.

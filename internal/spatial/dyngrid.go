@@ -2,6 +2,7 @@ package spatial
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -138,7 +139,7 @@ func (g *DynGrid) AppendAlive(dst []int32) []int32 {
 	}
 	// Cell-major collection; callers want index order.
 	tail := dst[at:]
-	sort.Slice(tail, func(i, j int) bool { return tail[i] < tail[j] })
+	slices.Sort(tail)
 	return dst
 }
 
