@@ -6,8 +6,9 @@ GO ?= go
 # full test suite. The gofmt check covers every Go file outside testdata/
 # directories (fixture sources keep deliberate layouts) and the
 # benchmark's build directory. cmd/sensbench is a module of its own that
-# root ./... skips; it is built and vetted explicitly so a core API change
-# that breaks the benchmark harness fails here.
+# root ./... skips; it is built, vetted and tested explicitly, so a core
+# API change that breaks the benchmark harness, or drift in its pinned
+# digests and goldens, fails here and not only in the benchmark pipeline.
 verify:
 	@out=$$(find . -path ./.bench_build -prune -o -name testdata -prune -o -name '*.go' -print | xargs gofmt -l); \
 	if [ -n "$$out" ]; then echo "gofmt -l: unformatted files:"; echo "$$out"; exit 1; fi
@@ -17,9 +18,12 @@ verify:
 	$(GO) vet ./...
 	$(GO) -C cmd/sensbench vet ./...
 	$(GO) test ./...
+	$(GO) -C cmd/sensbench test ./...
 
 # sensvet is the one static-analysis gate (see cmd/sensvet and DESIGN.md
-# "Static-analysis gates"): map-iteration order leaks, wall-clock and
+# "Static-analysis gates"): map iteration in the result packages (every map
+# range and maps.Keys/Values/All, the one exception being
+# slices.Sorted(maps.Keys(m))), wall-clock and
 # global-RNG use outside the serving layer, the RNG substream registry
 # cross-check, exported internal/ API that nothing but its own package's
 # tests reaches (deadcode), exported identifiers without a godoc comment

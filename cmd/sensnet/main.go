@@ -31,19 +31,6 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// udgSpecFor maps the -mode flag to its geometry spec.
-func udgSpecFor(mode string) (sensnet.UDGSpec, error) {
-	switch mode {
-	case "literal":
-		return sensnet.PaperUDGSpec(), nil
-	case "repaired":
-		return sensnet.DefaultUDGSpec(), nil
-	case "relaxed":
-		return sensnet.RelaxedUDGSpec(), nil
-	}
-	return sensnet.UDGSpec{}, fmt.Errorf("unknown -mode %q", mode)
-}
-
 // run executes the CLI against explicit streams and returns the process
 // exit code — the testable core of the command.
 func run(args []string, stdout, stderr io.Writer) int {
@@ -76,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *tilefig {
 		switch *kind {
 		case "udg":
-			spec, err := udgSpecFor(*mode)
+			spec, err := tiling.UDGSpecFor(*mode)
 			if err != nil {
 				return fail("%v", err)
 			}
@@ -98,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	)
 	switch *kind {
 	case "udg":
-		spec, serr := udgSpecFor(*mode)
+		spec, serr := tiling.UDGSpecFor(*mode)
 		if serr != nil {
 			return fail("%v", serr)
 		}

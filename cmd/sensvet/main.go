@@ -2,7 +2,8 @@
 // enforces the determinism, RNG-substream, dead-API, doc-comment and
 // waiver contracts of the repository. See internal/lint for the analyzers:
 //
-//   - detrange: map iteration in result-producing packages
+//   - detrange: map ranges and maps.Keys/Values/All in result-producing
+//     packages (slices.Sorted(maps.Keys(m)) is the one allowed form)
 //   - detclock: wall-clock / global math/rand outside the allowlist
 //   - substreams: constant RNG streams vs the docs/substreams.md registry
 //   - deadcode: exported internal/ API reached only by its own package's tests

@@ -89,8 +89,8 @@
 //     a fixed granularity (never by worker count) and merge per-shard
 //     buffers in shard index order, so every parallel producer is
 //     deterministic: same seed ⇒ byte-identical CSR at any GOMAXPROCS.
-//   - internal/spatial: grid and kd-tree indexes whose KNearestInto/Within
-//     query forms append into caller buffers and traverse iteratively —
+//   - internal/spatial: grid, kinetic-grid and kd-tree indexes whose
+//     KNearestInto/Within query forms append into caller buffers and traverse iteratively —
 //     zero allocations per query at steady state, one KNNScratch per
 //     worker shard.
 //

@@ -26,12 +26,14 @@ type KineticStats struct {
 }
 
 // kGroup is the live state of one pruning group (parent, child level):
-// its member set (unsorted) and the edges it currently emits. A group that
-// empties stays in the map with its storage, so children moving back and
-// forth between parents reuse it instead of reallocating.
+// its member set (unsorted), the edges it currently emits, and whether it
+// is queued for regeneration. A group that empties stays in the map with its
+// storage, so children moving back and forth between parents reuse it
+// instead of reallocating.
 type kGroup struct {
 	members []int32
 	edges   []uint64
+	dirty   bool
 }
 
 // Kinetic maintains a hierarchical neighbor graph incrementally under node
@@ -76,8 +78,9 @@ type Kinetic struct {
 	maxUpD2     []float64
 	maxWithinD2 []float64
 
-	groups map[uint64]*kGroup
-	mst    []uint64
+	groups    map[uint64]*kGroup
+	dirtyKeys []uint64 // keys of the groups with dirty set, in queue order
+	mst       []uint64
 
 	ref   map[uint64]int32 // emission refcounts per packed edge
 	delta *graph.Delta
@@ -91,9 +94,7 @@ type Kinetic struct {
 	candBuf    []int32
 	queryBuf   []int32
 	seen       []bool
-	dirty      map[uint64]struct{}
 	sortBuf    []int32
-	keyBuf     []uint64
 	deadBuf    []int32
 	movedBuf   []movedNode
 	mstPos     []geom.Point
@@ -132,7 +133,6 @@ func NewKinetic(h *Graph, box geom.Rect) *Kinetic {
 		ref:        make(map[uint64]int32),
 		delta:      graph.NewDelta(h.CSR),
 		seen:       make([]bool, n),
-		dirty:      make(map[uint64]struct{}),
 	}
 	for i := range k.alive {
 		k.alive[i] = true
@@ -170,14 +170,11 @@ func NewKinetic(h *Graph, box geom.Rect) *Kinetic {
 	}
 
 	// Initial link state, emitted without touching the overlay: the base CSR
-	// already holds exactly these edges.
+	// already holds exactly these edges. Every group relinking creates is
+	// queued by groupAdd, so one flush regenerates them all.
 	k.init = true
 	for u := int32(0); u < int32(n); u++ {
 		k.relink(u)
-	}
-	clear(k.dirty)
-	for key := range k.groups {
-		k.dirty[key] = struct{}{}
 	}
 	k.flushDirty()
 	k.rebuildMST()
@@ -291,7 +288,7 @@ func (k *Kinetic) groupAdd(p, u int32) {
 		k.groups[key] = g
 	}
 	g.members = append(g.members, u)
-	k.dirty[key] = struct{}{}
+	k.markDirty(key, g)
 }
 
 // groupRemove unregisters child u from parent p and marks the group dirty.
@@ -305,12 +302,21 @@ func (k *Kinetic) groupRemove(p, u int32) {
 			break
 		}
 	}
-	k.dirty[key] = struct{}{}
+	k.markDirty(key, g)
+}
+
+// markDirty queues group g (identity key) for regeneration at the next
+// flush; queueing an already-dirty group is a no-op.
+func (k *Kinetic) markDirty(key uint64, g *kGroup) {
+	if !g.dirty {
+		g.dirty = true
+		k.dirtyKeys = append(k.dirtyKeys, key)
+	}
 }
 
 // relink recomputes u's up-link and within-link from the current grids,
 // updating group membership, the emitted within edge, and the per-level
-// radius bounds. Group edge regeneration is deferred to the dirty set.
+// radius bounds. Group edge regeneration is deferred to the dirty queue.
 func (k *Kinetic) relink(u int32) {
 	k.stats.LinkRecomputes++
 	lvl := k.levels[u]
@@ -332,7 +338,8 @@ func (k *Kinetic) relink(u int32) {
 	} else if np >= 0 && nd2 != k.parentD2[u] {
 		k.parentD2[u] = nd2
 		k.parentDist[u] = k.pts[u].Dist(k.pts[np])
-		k.dirty[groupKey(np, lvl)] = struct{}{}
+		key := groupKey(np, lvl)
+		k.markDirty(key, k.groups[key])
 		if nd2 > k.maxUpD2[lvl] {
 			k.maxUpD2[lvl] = nd2
 		}
@@ -501,17 +508,13 @@ func (k *Kinetic) affected(y, u int32, q geom.Point, upRelevant, withinRelevant 
 // EdgeChanges tally depends on flush order — sorting keeps it (and the
 // golden tables built on it) identical across runs.
 func (k *Kinetic) flushDirty() {
-	k.keyBuf = k.keyBuf[:0]
-	for key := range k.dirty {
-		k.keyBuf = append(k.keyBuf, key)
+	slices.Sort(k.dirtyKeys)
+	for _, key := range k.dirtyKeys {
+		g := k.groups[key]
+		g.dirty = false
+		k.recomputeGroup(key, g)
 	}
-	slices.Sort(k.keyBuf)
-	for _, key := range k.keyBuf {
-		if g, ok := k.groups[key]; ok {
-			k.recomputeGroup(key, g)
-		}
-		delete(k.dirty, key)
-	}
+	k.dirtyKeys = k.dirtyKeys[:0]
 }
 
 // Round applies one batch of events and repairs the structure once. It

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // resultPkgs lists the result-producing packages whose non-test code must
@@ -25,102 +24,77 @@ var resultPkgs = map[string]bool{
 	"internal/rgg":      true,
 }
 
-// detrange flags `range` over a map in the result-producing packages. Map
-// iteration order is deliberately randomized by the runtime, so any
-// order-sensitive loop over one is a nondeterminism leak that no
-// GOMAXPROCS pinning can hide. Two loop shapes are exempt because their
-// effect provably does not depend on visit order:
-//
-//   - pure accumulation: counters (x++, x += e and the other commutative
-//     compound assignments), x = max/min(x, e), stores keyed by the range
-//     key (slot[k] = e: distinct keys hit distinct slots), delete,
-//     mutation of iteration-local variables, nested loops over non-map
-//     collections with order-insensitive bodies, and guards/locals around
-//     those;
-//   - collect-then-sort: the body only appends to outer slices, and every
-//     such slice is passed to a sort.* / slices.* call later in the same
-//     enclosing block.
-//
-// Everything else needs a sorted key slice — or a //sensvet:allow waiver
-// stating why order cannot reach result bytes.
+// detrange flags map iteration in the result-producing packages: every
+// `range` over a map-typed expression and every maps.Keys / maps.Values /
+// maps.All reference, anywhere in a non-test file (function literals
+// included). The runtime randomizes map iteration order, so such a loop is
+// a nondeterminism leak that no GOMAXPROCS pinning can hide. The one
+// sanctioned form is slices.Sorted(maps.Keys(m)): distinct keys in
+// ascending order. Anything else needs that sorted key slice, a slab, or a
+// //sensvet:allow waiver stating why order cannot reach result bytes.
 func detrange(mod *Module) []Diagnostic {
 	var out []Diagnostic
 	for _, pkg := range mod.Pkgs {
-		if resultPkgs[mod.Rel(pkg)] {
-			out = append(out, detrangePkg(mod.Fset, pkg)...)
+		if !resultPkgs[mod.Rel(pkg)] {
+			continue
 		}
-	}
-	return out
-}
-
-// detrangePkg runs the map-range rule over one package.
-func detrangePkg(fset *token.FileSet, pkg *Package) []Diagnostic {
-	var out []Diagnostic
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if ok && fn.Body != nil {
-				out = append(out, detrangeStmts(fset, pkg, fn.Body.List)...)
+		for _, f := range pkg.Files {
+			for _, pos := range detrangeFile(pkg, f) {
+				out = append(out, Diagnostic{
+					Pos:  mod.Fset.Position(pos),
+					Rule: "detrange",
+					Msg:  "map iteration order is nondeterministic: iterate slices.Sorted(maps.Keys(m)) or a slab instead, or waive with a reason",
+				})
 			}
 		}
 	}
 	return out
 }
 
-// detrangeStmts walks a statement list, checking each map-range against the
-// exemptions; the list context is what lets collect-then-sort see the
-// statements following a loop.
-func detrangeStmts(fset *token.FileSet, pkg *Package, list []ast.Stmt) []Diagnostic {
-	var out []Diagnostic
-	var walk func(list []ast.Stmt)
-	check := func(rs *ast.RangeStmt, list []ast.Stmt, i int) {
-		if !isMapType(pkg, rs.X) {
-			return
-		}
-		if orderInsensitiveStmts(pkg, rs.Body.List, rs.Key, bodyLocals(rs.Body)) {
-			return
-		}
-		if collectThenSorted(pkg, rs, list, i) {
-			return
-		}
-		out = append(out, Diagnostic{
-			Pos:  fset.Position(rs.Range),
-			Rule: "detrange",
-			Msg:  "range over map: iteration order is nondeterministic; sort the keys first, restrict the body to order-insensitive accumulation, or waive with a reason",
-		})
-	}
-	walk = func(list []ast.Stmt) {
-		for i, st := range list {
-			// Unwrap labels so a labeled map-range is still checked against
-			// its enclosing list.
-			if ls, ok := st.(*ast.LabeledStmt); ok {
-				st = ls.Stmt
+// detrangeFile returns the flagged positions in one file: the `range`
+// keyword of each map range and each unsorted maps iterator selector.
+func detrangeFile(pkg *Package, f *ast.File) []token.Pos {
+	mapsName := importLocalName(f, "maps")
+	slicesName := importLocalName(f, "slices")
+	sorted := make(map[ast.Expr]bool) // maps.Keys selectors under slices.Sorted
+	var out []token.Pos
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.RangeStmt:
+			if isMapType(pkg, n.X) {
+				out = append(out, n.Range)
 			}
-			if rs, ok := st.(*ast.RangeStmt); ok {
-				check(rs, list, i)
-			}
-			// Recurse into nested statement lists (blocks, and the bare
-			// []ast.Stmt bodies of switch/select clauses). A range
-			// statement's own body is walked too: inner map-ranges get
-			// their own check with the body as enclosing block.
-			ast.Inspect(st, func(n ast.Node) bool {
-				switch b := n.(type) {
-				case *ast.BlockStmt:
-					walk(b.List)
-					return false
-				case *ast.CaseClause:
-					walk(b.Body)
-					return false
-				case *ast.CommClause:
-					walk(b.Body)
-					return false
+		case *ast.CallExpr:
+			if pkgSel(pkg, n.Fun, slicesName) == "Sorted" && len(n.Args) == 1 {
+				if inner, ok := n.Args[0].(*ast.CallExpr); ok && pkgSel(pkg, inner.Fun, mapsName) == "Keys" {
+					sorted[inner.Fun] = true
 				}
-				return true
-			})
+			}
+		case *ast.SelectorExpr:
+			// The maps iterators yield in native order, like a range.
+			switch pkgSel(pkg, n, mapsName) {
+			case "Keys", "Values", "All":
+				if !sorted[n] {
+					out = append(out, n.Pos())
+				}
+			}
 		}
-	}
-	walk(list)
+		return true
+	})
 	return out
+}
+
+// pkgSel returns Sel when expr is a selector pkgName.Sel on the imported
+// package, "" otherwise (always "" when pkgName is "": not imported).
+func pkgSel(pkg *Package, expr ast.Expr, pkgName string) string {
+	s, ok := expr.(*ast.SelectorExpr)
+	if !ok || pkgName == "" {
+		return ""
+	}
+	if x, ok := s.X.(*ast.Ident); ok && x.Name == pkgName && isPackageIdent(pkg, x) {
+		return s.Sel.Name
+	}
+	return ""
 }
 
 // isMapType reports whether expr's type is known to be a map. Unknown or
@@ -136,489 +110,4 @@ func isMapType(pkg *Package, expr ast.Expr) bool {
 	}
 	_, ok := t.Underlying().(*types.Map)
 	return ok
-}
-
-// bodyLocals collects the names bound inside a loop body at any depth —
-// := definitions, var/const declarations, and the key/value variables of
-// nested := loops. These are re-created every iteration, so mutating them
-// cannot carry state across iterations; any escape of their values goes
-// through the other (separately judged) statement forms.
-func bodyLocals(body *ast.BlockStmt) map[string]bool {
-	locals := make(map[string]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.AssignStmt:
-			if s.Tok == token.DEFINE {
-				for _, lhs := range s.Lhs {
-					if name := identName(lhs); name != "" {
-						locals[name] = true
-					}
-				}
-			}
-		case *ast.ValueSpec:
-			for _, name := range s.Names {
-				locals[name.Name] = true
-			}
-		case *ast.RangeStmt:
-			if s.Tok == token.DEFINE {
-				for _, e := range []ast.Expr{s.Key, s.Value} {
-					if name := identName(e); name != "" {
-						locals[name] = true
-					}
-				}
-			}
-		case *ast.FuncLit:
-			return false // its bindings are not the loop body's
-		}
-		return true
-	})
-	return locals
-}
-
-// orderInsensitiveStmts reports whether every statement in the loop body is
-// one of the forms whose combined effect is independent of iteration order.
-func orderInsensitiveStmts(pkg *Package, stmts []ast.Stmt, key ast.Expr, locals map[string]bool) bool {
-	for _, st := range stmts {
-		if !orderInsensitiveStmt(pkg, st, key, locals) {
-			return false
-		}
-	}
-	return true
-}
-
-// orderInsensitiveStmt is the per-statement case analysis behind
-// orderInsensitiveStmts.
-func orderInsensitiveStmt(pkg *Package, st ast.Stmt, key ast.Expr, locals map[string]bool) bool {
-	switch s := st.(type) {
-	case *ast.IncDecStmt:
-		return true
-	case *ast.AssignStmt:
-		return orderInsensitiveAssign(pkg, s, key, locals)
-	case *ast.IfStmt:
-		if s.Init != nil && !orderInsensitiveStmt(pkg, s.Init, key, locals) {
-			return false
-		}
-		if hasNonBuiltinCall(pkg, s.Cond) {
-			return false
-		}
-		if !orderInsensitiveStmts(pkg, s.Body.List, key, locals) {
-			return false
-		}
-		return s.Else == nil || orderInsensitiveStmt(pkg, s.Else, key, locals)
-	case *ast.BlockStmt:
-		return orderInsensitiveStmts(pkg, s.List, key, locals)
-	case *ast.RangeStmt:
-		// A nested loop over a slice/array/channel visits in a deterministic
-		// order within this iteration, so it inherits the outer judgement as
-		// long as its own body qualifies. A nested map range is excluded here
-		// (it gets its own diagnostic from the walk, and exempting it would
-		// hide the inner nondeterminism behind the outer exemption).
-		if isMapType(pkg, s.X) || hasNonBuiltinCall(pkg, s.X) {
-			return false
-		}
-		return orderInsensitiveStmts(pkg, s.Body.List, key, locals)
-	case *ast.ForStmt:
-		if s.Init != nil && !orderInsensitiveStmt(pkg, s.Init, key, locals) {
-			return false
-		}
-		if s.Cond != nil && hasNonBuiltinCall(pkg, s.Cond) {
-			return false
-		}
-		if s.Post != nil && !orderInsensitiveStmt(pkg, s.Post, key, locals) {
-			return false
-		}
-		return orderInsensitiveStmts(pkg, s.Body.List, key, locals)
-	case *ast.BranchStmt:
-		// continue skips one iteration (harmless); break would stop after a
-		// nondeterministic subset of iterations, so it stays flagged.
-		return s.Tok == token.CONTINUE
-	case *ast.ExprStmt:
-		// delete(m, k): removals commute with each other.
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "delete" {
-				return true
-			}
-		}
-		return false
-	case *ast.DeclStmt:
-		// var/const declarations bind locals; only call-free initializers
-		// qualify (var x = f() would run f in visit order).
-		gd, ok := s.Decl.(*ast.GenDecl)
-		if !ok {
-			return false
-		}
-		for _, spec := range gd.Specs {
-			if vs, ok := spec.(*ast.ValueSpec); ok {
-				for _, v := range vs.Values {
-					if hasNonBuiltinCall(pkg, v) {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	case *ast.EmptyStmt:
-		return true
-	}
-	return false
-}
-
-// commutativeAssignOps are the compound assignments whose repeated
-// application commutes: sums, products, bit sets/clears/toggles and shift
-// totals. Division truncation and remainders do not commute, and string +=
-// is concatenation (order-sensitive) — handled separately.
-var commutativeAssignOps = map[token.Token]bool{
-	token.ADD_ASSIGN:     true,
-	token.SUB_ASSIGN:     true,
-	token.MUL_ASSIGN:     true,
-	token.AND_ASSIGN:     true,
-	token.OR_ASSIGN:      true,
-	token.XOR_ASSIGN:     true,
-	token.AND_NOT_ASSIGN: true,
-	token.SHL_ASSIGN:     true,
-	token.SHR_ASSIGN:     true,
-}
-
-// orderInsensitiveAssign classifies one assignment inside a map-range body.
-func orderInsensitiveAssign(pkg *Package, s *ast.AssignStmt, key ast.Expr, locals map[string]bool) bool {
-	if s.Tok == token.DEFINE {
-		// Iteration-local definition; its uses are judged where they occur.
-		// The RHS must still be call-free: x := f() runs f in visit order.
-		for _, rhs := range s.Rhs {
-			if hasNonBuiltinCall(pkg, rhs) && !isSelfAppend(pkg, s, rhs) {
-				return false
-			}
-		}
-		return true
-	}
-	// Mutation of iteration-local variables: the variable is re-created
-	// every iteration, so nothing carries across. Any op qualifies (even
-	// string +=) as long as the RHS is call-free or a self-append.
-	if allLocalTargets(s.Lhs, locals) {
-		for _, rhs := range s.Rhs {
-			if hasNonBuiltinCall(pkg, rhs) && !isSelfAppend(pkg, s, rhs) {
-				return false
-			}
-		}
-		return true
-	}
-	if commutativeAssignOps[s.Tok] {
-		if s.Tok == token.ADD_ASSIGN && len(s.Lhs) == 1 && isStringType(pkg, s.Lhs[0]) {
-			return false // string += is concatenation in visit order
-		}
-		for _, rhs := range s.Rhs {
-			if hasNonBuiltinCall(pkg, rhs) {
-				return false
-			}
-		}
-		return true
-	}
-	if s.Tok != token.ASSIGN {
-		return false
-	}
-	// x = max(x, e) / x = min(x, e).
-	if len(s.Lhs) == 1 && len(s.Rhs) == 1 {
-		if lhs, ok := s.Lhs[0].(*ast.Ident); ok {
-			if call, ok := s.Rhs[0].(*ast.CallExpr); ok {
-				if fn, ok := call.Fun.(*ast.Ident); ok && (fn.Name == "max" || fn.Name == "min") {
-					selfArg := false
-					for _, a := range call.Args {
-						if id, ok := a.(*ast.Ident); ok && id.Name == lhs.Name {
-							selfArg = true
-						} else if hasNonBuiltinCall(pkg, a) {
-							return false
-						}
-					}
-					return selfArg
-				}
-			}
-		}
-	}
-	// Stores keyed by the range key: slot[k] = e hits a distinct slot per
-	// iteration (map keys are distinct). The slot expression may be a
-	// selector chain (nt.snaps[id] = s) as long as it is call-free; the
-	// value must not read the stored container or call anything.
-	keyName := identName(key)
-	if keyName == "" || keyName == "_" {
-		return false
-	}
-	for _, lhs := range s.Lhs {
-		if identName(lhs) == "_" {
-			continue
-		}
-		ix, ok := lhs.(*ast.IndexExpr)
-		if !ok || identName(ix.Index) != keyName || hasNonBuiltinCall(pkg, ix.X) {
-			return false
-		}
-		container := rootIdent(ix.X)
-		for _, rhs := range s.Rhs {
-			if hasNonBuiltinCall(pkg, rhs) || (container != "" && mentionsIdent(rhs, container)) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// allLocalTargets reports whether every assignment target is a bare ident
-// bound inside the loop body.
-func allLocalTargets(lhs []ast.Expr, locals map[string]bool) bool {
-	for _, e := range lhs {
-		name := identName(e)
-		if name == "_" {
-			continue
-		}
-		if name == "" || !locals[name] {
-			return false
-		}
-	}
-	return len(lhs) > 0
-}
-
-// isSelfAppend reports whether rhs is append(x, ...) growing the single
-// assignment target x itself, with call-free appended values — the one
-// call shape the accumulation forms admit, because the backing array it
-// may write is reachable only through x (append never mutates a slice it
-// fully reallocates, and when it writes in place the written region is
-// x's own tail).
-func isSelfAppend(pkg *Package, s *ast.AssignStmt, rhs ast.Expr) bool {
-	if len(s.Lhs) != 1 || len(s.Rhs) != 1 {
-		return false
-	}
-	call, ok := rhs.(*ast.CallExpr)
-	if !ok || len(call.Args) == 0 {
-		return false
-	}
-	if fn, ok := call.Fun.(*ast.Ident); !ok || fn.Name != "append" {
-		return false
-	}
-	name := identName(s.Lhs[0])
-	if name == "" || name == "_" || identName(call.Args[0]) != name {
-		return false
-	}
-	for _, a := range call.Args[1:] {
-		if hasNonBuiltinCall(pkg, a) {
-			return false
-		}
-	}
-	return true
-}
-
-// collectThenSorted recognizes the collect-keys-and-sort idiom: the body
-// only appends to outer slices (possibly under guards), and every such
-// slice reaches a sort.* / slices.* call in a later statement of the same
-// enclosing block.
-func collectThenSorted(pkg *Package, rs *ast.RangeStmt, list []ast.Stmt, i int) bool {
-	targets := make(map[string]bool)
-	if !collectOnly(pkg, rs.Body.List, targets) || len(targets) == 0 {
-		return false
-	}
-	for _, after := range list[i+1:] {
-		call, ok := sortCall(after)
-		if !ok {
-			continue
-		}
-		callText := types.ExprString(call)
-		for name := range targets {
-			if strings.Contains(callText, name) {
-				delete(targets, name)
-			}
-		}
-		if len(targets) == 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// collectOnly reports whether every statement is an append into an outer
-// target (x = append(x, ...), where x may be a call-free selector chain
-// like t.order), a guard around such appends, or a continue — recording
-// the append targets by their printed form.
-func collectOnly(pkg *Package, stmts []ast.Stmt, targets map[string]bool) bool {
-	for _, st := range stmts {
-		switch s := st.(type) {
-		case *ast.AssignStmt:
-			if len(s.Lhs) != 1 || len(s.Rhs) != 1 || (s.Tok != token.ASSIGN && s.Tok != token.DEFINE) {
-				return false
-			}
-			name := appendTarget(s.Lhs[0])
-			call, ok := s.Rhs[0].(*ast.CallExpr)
-			if name == "" || !ok {
-				return false
-			}
-			if fn, ok := call.Fun.(*ast.Ident); !ok || fn.Name != "append" {
-				return false
-			}
-			if len(call.Args) == 0 || appendTarget(call.Args[0]) != name {
-				return false
-			}
-			targets[name] = true
-		case *ast.IfStmt:
-			if s.Else != nil || hasNonBuiltinCall(pkg, s.Cond) {
-				return false
-			}
-			if s.Init != nil {
-				// Only a call-free := (e.g. if nb, ok := m[k]; ok { ... }).
-				init, ok := s.Init.(*ast.AssignStmt)
-				if !ok || init.Tok != token.DEFINE {
-					return false
-				}
-				for _, rhs := range init.Rhs {
-					if hasNonBuiltinCall(pkg, rhs) {
-						return false
-					}
-				}
-			}
-			if !collectOnly(pkg, s.Body.List, targets) {
-				return false
-			}
-		case *ast.RangeStmt:
-			// Nested loops around the appends are fine — whatever order the
-			// appends happen in, the trailing sort canonicalizes it.
-			if hasNonBuiltinCall(pkg, s.X) || !collectOnly(pkg, s.Body.List, targets) {
-				return false
-			}
-		case *ast.ForStmt:
-			if (s.Cond != nil && hasNonBuiltinCall(pkg, s.Cond)) || !collectOnly(pkg, s.Body.List, targets) {
-				return false
-			}
-		case *ast.BranchStmt:
-			if s.Tok != token.CONTINUE {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// appendTarget renders an append target for textual matching: a bare ident
-// or a selector chain of idents (t.order); anything else (calls, indexes)
-// yields "".
-func appendTarget(expr ast.Expr) string {
-	switch e := expr.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		base := appendTarget(e.X)
-		if base == "" {
-			return ""
-		}
-		return base + "." + e.Sel.Name
-	}
-	return ""
-}
-
-// rootIdent returns the leftmost identifier of a selector/index chain, or
-// "" when the chain bottoms out in something else.
-func rootIdent(expr ast.Expr) string {
-	for {
-		switch e := expr.(type) {
-		case *ast.Ident:
-			return e.Name
-		case *ast.SelectorExpr:
-			expr = e.X
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.ParenExpr:
-			expr = e.X
-		default:
-			return ""
-		}
-	}
-}
-
-// sortCall extracts a sort.*/slices.* call expression from a statement, if
-// that is what it is (an ExprStmt like sort.Strings(keys), or an assignment
-// whose RHS is such a call, like keys = slices.Sorted(...)).
-func sortCall(st ast.Stmt) (ast.Expr, bool) {
-	var expr ast.Expr
-	switch s := st.(type) {
-	case *ast.ExprStmt:
-		expr = s.X
-	case *ast.AssignStmt:
-		if len(s.Rhs) == 1 {
-			expr = s.Rhs[0]
-		}
-	}
-	call, ok := expr.(*ast.CallExpr)
-	if !ok {
-		return nil, false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil, false
-	}
-	pkgName := identName(sel.X)
-	if pkgName != "sort" && pkgName != "slices" {
-		return nil, false
-	}
-	return call, true
-}
-
-// hasNonBuiltinCall reports whether expr contains a call that is neither a
-// builtin (len, cap, min, max, abs-free arithmetic) nor a type conversion —
-// the conservative bar for "no side effects, no order dependence".
-func hasNonBuiltinCall(pkg *Package, expr ast.Expr) bool {
-	if expr == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if id, ok := call.Fun.(*ast.Ident); ok {
-			switch id.Name {
-			case "len", "cap", "min", "max", "make", "new":
-				return true
-			}
-		}
-		// A type conversion (float64(x)) is pure; detectable when the
-		// checker resolved the operand as a type.
-		if pkg.Info != nil {
-			if tv, ok := pkg.Info.Types[call.Fun]; ok && tv.IsType() {
-				return true
-			}
-		}
-		found = true
-		return false
-	})
-	return found
-}
-
-// isStringType reports whether expr is known to be a string.
-func isStringType(pkg *Package, expr ast.Expr) bool {
-	if pkg.Info == nil {
-		return false
-	}
-	t := pkg.Info.TypeOf(expr)
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
-}
-
-// identName returns the name of an identifier expression, or "".
-func identName(expr ast.Expr) string {
-	if id, ok := expr.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
-}
-
-// mentionsIdent reports whether name occurs as an identifier in expr.
-func mentionsIdent(expr ast.Expr, name string) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == name {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

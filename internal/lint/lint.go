@@ -6,10 +6,10 @@
 //
 // Six analyzers ship (see their files for the precise rules):
 //
-//   - detrange: range over a map in a result-producing package is the
-//     canonical GOMAXPROCS-independent nondeterminism leak — flagged unless
-//     the loop body is provably order-insensitive or the keys are collected
-//     and sorted before use.
+//   - detrange: map iteration in a result-producing package is the
+//     canonical GOMAXPROCS-independent nondeterminism leak — every map
+//     range and maps.Keys/Values/All is flagged, except
+//     slices.Sorted(maps.Keys(m)).
 //   - detclock: wall-clock reads (time.Now, time.Since) and global
 //     math/rand state outside the measurement/reporting allowlist.
 //   - substreams: constant RNG substream numbers cross-checked against the

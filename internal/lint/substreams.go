@@ -375,3 +375,11 @@ func GenerateRegistry(mod *Module) string {
 	}
 	return b.String()
 }
+
+// identName returns the name of an identifier expression, or "".
+func identName(expr ast.Expr) string {
+	if id, ok := expr.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
+}

@@ -47,8 +47,9 @@ func UDG(pts []geom.Point, r float64) *Geometric { return UDGGrid(pts, r) }
 func NN(pts []geom.Point, k int) *Geometric {
 	b := graph.NewBuilder(len(pts))
 	if len(pts) > 1 && k > 0 {
-		// The kd-tree wins over the grid for kNN at the densities the
-		// experiments use (see the spatial package benchmarks).
+		// The kd-tree keeps its logarithmic query cost on clustered point
+		// sets, where a uniform grid's ring search must scan every point
+		// of a crowded cell.
 		tree := spatial.NewKDTree(pts)
 		edges := parallel.Collect(len(pts), func(lo, hi int, out []uint64) []uint64 {
 			var scratch spatial.KNNScratch

@@ -27,9 +27,10 @@ package scenario
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"path"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/rng"
@@ -162,12 +163,7 @@ func Tags() []string {
 			seen[t] = true
 		}
 	}
-	out := make([]string, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(seen))
 }
 
 // Match selects scenarios by a list of patterns, returning them in

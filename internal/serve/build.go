@@ -99,7 +99,7 @@ func (sp *BuildSpec) normalize() error {
 	if sp.Mode == "" {
 		sp.Mode = "repaired"
 	}
-	udgSpec, err := udgSpecFor(sp.Mode)
+	udgSpec, err := tiling.UDGSpecFor(sp.Mode)
 	if sp.Kind == "udg" && err != nil {
 		return err
 	}
@@ -138,19 +138,6 @@ func (sp *BuildSpec) normalize() error {
 	return nil
 }
 
-// udgSpecFor maps a geometry mode name to its tile spec.
-func udgSpecFor(mode string) (tiling.UDGSpec, error) {
-	switch mode {
-	case "literal":
-		return tiling.PaperUDGSpec(), nil
-	case "repaired":
-		return tiling.DefaultUDGSpec(), nil
-	case "relaxed":
-		return tiling.RelaxedUDGSpec(), nil
-	}
-	return tiling.UDGSpec{}, fmt.Errorf("unknown mode %q (want literal | repaired | relaxed)", mode)
-}
-
 // Key returns the snapshot's content-shaped identity: the scenario engine's
 // cache key for the same deployment and structure (scenario.PoissonKey or
 // PoissonSoAKey extended by UDGNetKey or HNGKey), a pure function of
@@ -167,7 +154,7 @@ func (sp *BuildSpec) Key() string {
 	}
 	switch sp.Kind {
 	case "udg":
-		spec, _ := udgSpecFor(sp.Mode)
+		spec, _ := tiling.UDGSpecFor(sp.Mode)
 		return scenario.UDGNetKey(dep, spec, scenario.NetOptions{})
 	default:
 		key := scenario.HNGKey(dep, hng.Spec{P: sp.P, MaxChildren: sp.MaxChildren}, sp.Stream+1)
@@ -206,7 +193,7 @@ func Build(sp BuildSpec) (*Snapshot, error) {
 
 	switch sp.Kind {
 	case "udg":
-		spec, _ := udgSpecFor(sp.Mode)
+		spec, _ := tiling.UDGSpecFor(sp.Mode)
 		net, err := core.BuildUDG(pts, box, spec, core.Options{})
 		if err != nil {
 			return nil, err

@@ -7,6 +7,7 @@ import (
 	"repro/internal/hng"
 	"repro/internal/rng"
 	"repro/internal/scenario"
+	"repro/internal/tiling"
 )
 
 // cached reports whether the scenario cache holds key, without building.
@@ -38,7 +39,7 @@ func TestBuildSpecKeyIsEngineKey(t *testing.T) {
 			dep = ctx.DeploySoA(sp.Stream, box, sp.Lambda, sp.GenSide)
 		}
 		if sp.Kind == "udg" {
-			spec, _ := udgSpecFor(sp.Mode)
+			spec, _ := tiling.UDGSpecFor(sp.Mode)
 			if _, err := ctx.UDGNet(dep, spec, scenario.NetOptions{}); err != nil {
 				t.Fatal(err)
 			}

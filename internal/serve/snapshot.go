@@ -28,7 +28,8 @@ package serve
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -188,23 +189,12 @@ func (st *Store) Acquire(id string) (s *Snapshot, release func(), ok bool) {
 
 // clone copies the table for copy-on-write mutation. Caller holds mu.
 func (t *storeTable) clone() *storeTable {
-	nt := &storeTable{
-		snaps:   make(map[string]*Snapshot, len(t.snaps)+1),
-		current: t.current,
-	}
-	for id, s := range t.snaps {
-		nt.snaps[id] = s
-	}
-	return nt
+	return &storeTable{snaps: maps.Clone(t.snaps), current: t.current}
 }
 
 // reindex rebuilds the sorted id listing. Caller holds mu.
 func (t *storeTable) reindex() {
-	t.order = t.order[:0]
-	for id := range t.snaps {
-		t.order = append(t.order, id)
-	}
-	sort.Strings(t.order)
+	t.order = slices.Sorted(maps.Keys(t.snaps))
 }
 
 // Add inserts s (idempotently: an existing snapshot with the same id wins

@@ -16,9 +16,10 @@ import (
 // deterministic regardless of the mutation history — the same positions
 // always produce the same answers as a freshly built index.
 //
-// Move and Remove are O(cell occupancy); Within / KNearestInto match Grid's
-// query contracts (including the (distance, index) tie-break) so callers can
-// switch between the static and kinetic index without behavioural change.
+// Move and Remove are O(cell occupancy); Within matches Grid.Within's query
+// contract and KNearestInto breaks distance ties by index exactly as
+// KDTree.KNearestInto does, so the kinetic maintainers reproduce the static
+// builders' answers.
 type DynGrid struct {
 	pts    []geom.Point // slot positions (owned copy; stale for dead slots)
 	bounds geom.Rect
@@ -171,8 +172,9 @@ func (g *DynGrid) Within(q geom.Point, r float64, dst []int32) []int32 {
 
 // KNearestInto appends to dst the indices of the k live points nearest to q —
 // excluding index exclude (−1 for none), sorted by increasing distance with
-// ties broken by index — and returns the extended slice. Identical contract
-// to Grid.KNearestInto.
+// ties broken by index — and returns the extended slice. scratch carries the
+// candidate heap across calls (nil allocates one); after warm-up the query
+// performs no heap allocations beyond growth of dst.
 func (g *DynGrid) KNearestInto(q geom.Point, k int, exclude int, scratch *KNNScratch, dst []int32) []int32 {
 	if k <= 0 || g.live == 0 {
 		return dst

@@ -42,13 +42,22 @@ func checkAgainstBrute(t *testing.T, g *DynGrid, queries []geom.Point) {
 			}
 		}
 		for _, k := range []int{1, 3, 8} {
-			got := g.KNearestInto(q, k, -1, &scratch, nil)
-			want := BruteKNearest(pts, q, k, -1)
-			for i := range want {
-				want[i] = idx[want[i]]
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("query %d k=%d: KNearest=%v want %v", qi, k, got, want)
+			// Unexcluded, then excluding one live slot as the kinetic
+			// maintainers exclude the querying node itself. ex indexes the
+			// live subset, exclude the grid's slots.
+			for _, ex := range []int{-1, qi % max(len(idx), 1)} {
+				exclude := ex
+				if ex >= 0 && len(idx) > 0 {
+					exclude = int(idx[ex])
+				}
+				got := g.KNearestInto(q, k, exclude, &scratch, nil)
+				want := BruteKNearest(pts, q, k, ex)
+				for i := range want {
+					want[i] = idx[want[i]]
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("query %d k=%d exclude=%d: KNearest=%v want %v", qi, k, exclude, got, want)
+				}
 			}
 		}
 	}

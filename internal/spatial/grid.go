@@ -1,12 +1,16 @@
-// Package spatial provides spatial indexes over 2D point sets: a uniform
-// grid (cell list) and a kd-tree, both supporting range queries (all points
-// within radius r) and k-nearest-neighbor queries.
+// Package spatial provides spatial indexes over 2D point sets: a static
+// uniform grid (cell list) for fixed-radius work, a kinetic grid (DynGrid)
+// for point sets that move and die, and a static kd-tree for k-nearest-
+// neighbor queries.
 //
 // The unit-disk-graph builder wants radius queries at a fixed radius, for
 // which the grid with cell size = radius is optimal (O(1) expected work per
-// reported neighbor under a Poisson process). The k-NN graph builder wants
-// kNN queries, for which both indexes are provided and benchmarked against
-// each other; results are property-tested against brute force.
+// reported neighbor under a Poisson process). The static k-NN builders
+// (rgg.NN, hng.Build) use the kd-tree: a median-split tree adapts to the
+// data, so its query cost stays logarithmic on clustered point sets, where
+// a uniform grid's ring search degrades towards a scan of the crowded
+// cells. The kinetic maintainers query DynGrid, whose cells absorb moves
+// without a rebuild. Every query is property-tested against brute force.
 package spatial
 
 import (
@@ -172,50 +176,6 @@ func (g *Grid) Within(q geom.Point, r float64, dst []int32) []int32 {
 		}
 	}
 	return dst
-}
-
-// KNearestInto appends to dst the indices of the k points nearest to q —
-// excluding index exclude (−1 for none), sorted by increasing distance with
-// ties broken by index — and returns the extended slice. scratch carries the
-// candidate heap across calls; after warm-up the query performs no heap
-// allocations beyond growth of dst.
-func (g *Grid) KNearestInto(q geom.Point, k int, exclude int, scratch *KNNScratch, dst []int32) []int32 {
-	if k <= 0 || len(g.pts) == 0 {
-		return dst
-	}
-	if scratch == nil {
-		scratch = &KNNScratch{}
-	}
-	h := &scratch.h
-	h.reset(k)
-	// Expanding ring search: examine cells in growing L∞ rings around q's
-	// cell; once k candidates are found, expand until the ring's minimum
-	// possible distance exceeds the current k-th distance.
-	cx, cy := g.cellCoords(q)
-	maxRing := g.nx
-	if g.ny > maxRing {
-		maxRing = g.ny
-	}
-	for ring := 0; ring <= maxRing; ring++ {
-		if h.full() {
-			// Minimum distance from q to any cell in this ring.
-			minDist := (float64(ring - 1)) * g.cell
-			if ring > 0 && minDist > 0 && minDist*minDist > h.top() {
-				break
-			}
-		}
-		cells := appendRingCells(scratch.cells[:0], cx, cy, ring, g.nx, g.ny)
-		scratch.cells = cells
-		for _, c := range cells {
-			for _, i := range g.order[g.start[c]:g.start[c+1]] {
-				if int(i) == exclude {
-					continue
-				}
-				h.push(g.pts[i].Dist2(q), i)
-			}
-		}
-	}
-	return h.appendSorted(dst)
 }
 
 func clampInt(v, lo, hi int) int {

@@ -139,44 +139,6 @@ func (t *KDTree) build(idx []int32, depth int) int32 {
 // Len returns the number of indexed points.
 func (t *KDTree) Len() int { return len(t.pts) }
 
-// Within appends to dst the indices of all points within distance r of q and
-// returns the extended slice. Allocation-free apart from growth of dst.
-func (t *KDTree) Within(q geom.Point, r float64, dst []int32) []int32 {
-	if t.root < 0 {
-		return dst
-	}
-	r2 := r * r
-	var stackArr [kdStackDepth]int32
-	stack := stackArr[:0]
-	stack = append(stack, t.root)
-	for len(stack) > 0 {
-		ni := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n := &t.nodes[ni]
-		p := t.pts[n.point]
-		if p.Dist2(q) <= r2 {
-			dst = append(dst, n.point)
-		}
-		var delta float64
-		if n.axis == 0 {
-			delta = q.X - p.X
-		} else {
-			delta = q.Y - p.Y
-		}
-		near, far := n.left, n.right
-		if delta > 0 {
-			near, far = far, near
-		}
-		if far >= 0 && delta*delta <= r2 {
-			stack = append(stack, far)
-		}
-		if near >= 0 {
-			stack = append(stack, near)
-		}
-	}
-	return dst
-}
-
 // kdVisit is a deferred far-subtree visit: the subtree is pruned at pop
 // time if the k-th best distance has shrunk below the splitting distance.
 type kdVisit struct {

@@ -33,6 +33,11 @@ func randomPoints(n int, seed rng.Seed) []geom.Point {
 	return pointprocess.Binomial(geom.Box(10, 10), n, g)
 }
 
+// newDynGrid indexes pts in a kinetic grid over their own bounding box.
+func newDynGrid(pts []geom.Point, cell float64) *DynGrid {
+	return NewDynGrid(pts, finiteBounds(pts), cell)
+}
+
 func TestGridWithinMatchesBruteForce(t *testing.T) {
 	pts := randomPoints(500, 1)
 	grid := NewGrid(pts, 1.0)
@@ -44,46 +49,6 @@ func TestGridWithinMatchesBruteForce(t *testing.T) {
 		want := BruteWithin(pts, q, r)
 		if !equalInt32(got, want) {
 			t.Fatalf("grid Within(%v, %v) = %v want %v", q, r, got, want)
-		}
-	}
-}
-
-func TestKDTreeWithinMatchesBruteForce(t *testing.T) {
-	pts := randomPoints(500, 3)
-	tree := NewKDTree(pts)
-	g := rng.New(4)
-	for trial := 0; trial < 200; trial++ {
-		q := geom.Pt(g.Float64()*12-1, g.Float64()*12-1)
-		r := g.Float64() * 3
-		got := sortedCopy(tree.Within(q, r, nil))
-		want := BruteWithin(pts, q, r)
-		if !equalInt32(got, want) {
-			t.Fatalf("kdtree Within(%v, %v) = %v want %v", q, r, got, want)
-		}
-	}
-}
-
-func TestGridKNearestMatchesBruteForce(t *testing.T) {
-	pts := randomPoints(400, 5)
-	grid := NewGrid(pts, 0.7)
-	g := rng.New(6)
-	for trial := 0; trial < 150; trial++ {
-		q := pts[g.IntN(len(pts))]
-		k := 1 + g.IntN(20)
-		exclude := -1
-		if trial%2 == 0 {
-			// Exclude the query point itself, as the NN-graph builder does.
-			for i, p := range pts {
-				if p == q {
-					exclude = i
-					break
-				}
-			}
-		}
-		got := grid.KNearestInto(q, k, exclude, new(KNNScratch), nil)
-		want := BruteKNearest(pts, q, k, exclude)
-		if !sameDistances(pts, q, got, want) {
-			t.Fatalf("grid KNearest(%v, %d, excl %d) = %v want %v", q, k, exclude, got, want)
 		}
 	}
 }
@@ -127,7 +92,7 @@ func sameDistances(pts []geom.Point, q geom.Point, a, b []int32) bool {
 
 func TestKNearestSortedByDistance(t *testing.T) {
 	pts := randomPoints(300, 9)
-	grid := NewGrid(pts, 1.0)
+	grid := newDynGrid(pts, 1.0)
 	tree := NewKDTree(pts)
 	q := geom.Pt(5, 5)
 	for _, res := range [][]int32{grid.KNearestInto(q, 15, -1, new(KNNScratch), nil), tree.KNearestInto(q, 15, -1, new(KNNScratch), nil)} {
@@ -150,20 +115,17 @@ func TestEmptyAndDegenerateInputs(t *testing.T) {
 	if got := grid.Within(geom.Pt(0, 0), 5, nil); len(got) != 0 {
 		t.Error("empty grid Within should be empty")
 	}
-	if got := grid.KNearestInto(geom.Pt(0, 0), 3, -1, new(KNNScratch), nil); len(got) != 0 {
+	if got := newDynGrid(nil, 1).KNearestInto(geom.Pt(0, 0), 3, -1, new(KNNScratch), nil); len(got) != 0 {
 		t.Error("empty grid KNearest should be empty")
 	}
 	tree := NewKDTree(nil)
-	if got := tree.Within(geom.Pt(0, 0), 5, nil); len(got) != 0 {
-		t.Error("empty kdtree Within should be empty")
-	}
 	if got := tree.KNearestInto(geom.Pt(0, 0), 3, -1, new(KNNScratch), nil); len(got) != 0 {
 		t.Error("empty kdtree KNearest should be empty")
 	}
 
 	// Single point.
 	one := []geom.Point{geom.Pt(1, 1)}
-	g1 := NewGrid(one, 1)
+	g1 := newDynGrid(one, 1)
 	if got := g1.KNearestInto(geom.Pt(0, 0), 3, -1, new(KNNScratch), nil); len(got) != 1 || got[0] != 0 {
 		t.Errorf("single-point grid KNearest = %v", got)
 	}
@@ -185,7 +147,7 @@ func TestEmptyAndDegenerateInputs(t *testing.T) {
 
 func TestKNearestFewerThanK(t *testing.T) {
 	pts := randomPoints(5, 10)
-	grid := NewGrid(pts, 1)
+	grid := newDynGrid(pts, 1)
 	if got := grid.KNearestInto(geom.Pt(5, 5), 10, -1, new(KNNScratch), nil); len(got) != 5 {
 		t.Errorf("k > n should return all points, got %d", len(got))
 	}
@@ -214,7 +176,7 @@ func TestGridCellSizeVariations(t *testing.T) {
 		if !equalInt32(got, want) {
 			t.Errorf("cell=%v: Within mismatch", cell)
 		}
-		gotK := grid.KNearestInto(q, 7, -1, new(KNNScratch), nil)
+		gotK := newDynGrid(pts, cell).KNearestInto(q, 7, -1, new(KNNScratch), nil)
 		wantK := BruteKNearest(pts, q, 7, -1)
 		if !sameDistances(pts, q, gotK, wantK) {
 			t.Errorf("cell=%v: KNearest mismatch", cell)
@@ -243,31 +205,6 @@ func BenchmarkGridWithin(b *testing.B) {
 	}
 }
 
-func BenchmarkKDTreeWithin(b *testing.B) {
-	pts := randomPoints(100000, 20)
-	tree := NewKDTree(pts)
-	g := rng.New(21)
-	var buf []int32
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := geom.Pt(g.Float64()*10, g.Float64()*10)
-		buf = tree.Within(q, 1.0, buf[:0])
-	}
-}
-
-func BenchmarkGridKNearest(b *testing.B) {
-	pts := randomPoints(100000, 22)
-	grid := NewGrid(pts, 0.2)
-	g := rng.New(23)
-	var scratch KNNScratch
-	var buf []int32
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := geom.Pt(g.Float64()*10, g.Float64()*10)
-		buf = grid.KNearestInto(q, 10, -1, &scratch, buf[:0])
-	}
-}
-
 func BenchmarkKDTreeKNearest(b *testing.B) {
 	pts := randomPoints(100000, 22)
 	tree := NewKDTree(pts)
@@ -282,7 +219,8 @@ func BenchmarkKDTreeKNearest(b *testing.B) {
 }
 
 // TestKNearestExactAgreementDegenerate checks index-exact agreement (not
-// just distance multisets) between both indexes and BruteKNearest on
+// just distance multisets) between the kinetic grid, the kd-tree and
+// BruteKNearest on
 // clustered and degenerate inputs: duplicate points force distance ties that
 // only resolve identically because all three break ties by index.
 func TestKNearestExactAgreementDegenerate(t *testing.T) {
@@ -305,7 +243,7 @@ func TestKNearestExactAgreementDegenerate(t *testing.T) {
 		},
 	}
 	for name, pts := range cases {
-		grid := NewGrid(pts, 0.8)
+		grid := newDynGrid(pts, 0.8)
 		tree := NewKDTree(pts)
 		queries := append([]geom.Point{geom.Pt(0, 0), geom.Pt(1, 1), geom.Pt(2.5, 0.5)}, pts...)
 		for _, q := range queries {
@@ -330,7 +268,7 @@ func TestKNearestExactAgreementDegenerate(t *testing.T) {
 // is reused across queries.
 func TestKNearestIntoMatchesAllocating(t *testing.T) {
 	pts := randomPoints(600, 31)
-	grid := NewGrid(pts, 0.6)
+	grid := newDynGrid(pts, 0.6)
 	tree := NewKDTree(pts)
 	g := rng.New(32)
 	var scratch KNNScratch
@@ -358,14 +296,14 @@ func TestKNearestIntoMatchesAllocating(t *testing.T) {
 func TestQueryAllocationFree(t *testing.T) {
 	pts := randomPoints(20000, 33)
 	grid := NewGrid(pts, 0.3)
+	dyn := newDynGrid(pts, 0.3)
 	tree := NewKDTree(pts)
 	var scratch KNNScratch
 	var buf []int32
 	q := geom.Pt(5, 5)
 	// Warm up buffers.
 	buf = tree.KNearestInto(q, 16, -1, &scratch, buf[:0])
-	buf = grid.KNearestInto(q, 16, -1, &scratch, buf[:0])
-	buf = tree.Within(q, 0.5, buf[:0])
+	buf = dyn.KNearestInto(q, 16, -1, &scratch, buf[:0])
 	buf = grid.Within(q, 0.5, buf[:0])
 
 	if a := testing.AllocsPerRun(100, func() {
@@ -374,14 +312,9 @@ func TestQueryAllocationFree(t *testing.T) {
 		t.Errorf("kdtree KNearestInto allocates %v/op", a)
 	}
 	if a := testing.AllocsPerRun(100, func() {
-		buf = grid.KNearestInto(q, 16, -1, &scratch, buf[:0])
+		buf = dyn.KNearestInto(q, 16, -1, &scratch, buf[:0])
 	}); a > 0 {
-		t.Errorf("grid KNearestInto allocates %v/op", a)
-	}
-	if a := testing.AllocsPerRun(100, func() {
-		buf = tree.Within(q, 0.5, buf[:0])
-	}); a > 0 {
-		t.Errorf("kdtree Within allocates %v/op", a)
+		t.Errorf("kinetic grid KNearestInto allocates %v/op", a)
 	}
 	if a := testing.AllocsPerRun(100, func() {
 		buf = grid.Within(q, 0.5, buf[:0])

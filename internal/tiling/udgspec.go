@@ -98,6 +98,21 @@ func RelaxedUDGSpec() UDGSpec {
 	}
 }
 
+// UDGSpecFor returns the preset geometry named by mode — the parser behind
+// every -mode flag and request field: "literal" (PaperUDGSpec), "repaired"
+// (DefaultUDGSpec) or "relaxed" (RelaxedUDGSpec).
+func UDGSpecFor(mode string) (UDGSpec, error) {
+	switch mode {
+	case "literal":
+		return PaperUDGSpec(), nil
+	case "repaired":
+		return DefaultUDGSpec(), nil
+	case "relaxed":
+		return RelaxedUDGSpec(), nil
+	}
+	return UDGSpec{}, fmt.Errorf("unknown mode %q (want literal | repaired | relaxed)", mode)
+}
+
 // Validate checks the geometric soundness of the spec. For GeometryRepaired
 // it verifies the three reachability constraints of DESIGN.md §2 plus
 // region disjointness; for the other modes it checks basic positivity.
