@@ -81,7 +81,9 @@ e2e:
 # and the closure-weighted oracle on every target, for arbitrary edge
 # multisets and target sets (5 s); the grid UDG builder must never panic
 # and must equal the O(n²) brute force on point sets with duplicates,
-# pairs at distance exactly r, far outliers and NaN/±Inf coordinates (5 s);
+# pairs at distance exactly r, far outliers and NaN/±Inf coordinates, and
+# the grid NN builder must equal the brute-force symmetrized kNN relation
+# on the finite ones and stay deterministic on the rest (5 s);
 # the kinetic HNG maintainer must equal a from-scratch Rebuild after every
 # move, removal or batched round, coincident and box-boundary points
 # included, and a round must equal its events applied one at a time (5 s;

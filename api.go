@@ -359,18 +359,20 @@ type ExperimentConfig = experiments.Config
 // against fresh caches; to share structures across several experiments use
 // NewScenarioEngine.
 func RunExperiment(id string, cfg ExperimentConfig) *ExperimentTable {
-	r := experiments.ByID(id)
-	if r == nil {
-		return nil
+	for _, s := range scenario.All() {
+		if s.ID == id {
+			return s.Run(scenario.NewCtx(cfg))
+		}
 	}
-	return r.Run(cfg)
+	return nil
 }
 
 // ExperimentIDs lists the available experiment IDs in order.
 func ExperimentIDs() []string {
-	out := make([]string, len(experiments.All))
-	for i, r := range experiments.All {
-		out[i] = r.ID
+	all := scenario.All()
+	out := make([]string, len(all))
+	for i, s := range all {
+		out[i] = s.ID
 	}
 	return out
 }

@@ -33,7 +33,7 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/experiments"
+	_ "repro/internal/experiments" // registers the scenarios at init
 	"repro/internal/rng"
 	"repro/internal/scenario"
 )
@@ -51,10 +51,6 @@ func main() {
 		timings = flag.Bool("timings", true, "report per-scenario wall time (table and jsonl formats)")
 	)
 	flag.Parse()
-	// The experiments package registers the scenarios at init; referencing it
-	// keeps that dependency explicit.
-	_ = experiments.All
-
 	if *list {
 		listScenarios()
 		return

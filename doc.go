@@ -89,10 +89,12 @@
 //     a fixed granularity (never by worker count) and merge per-shard
 //     buffers in shard index order, so every parallel producer is
 //     deterministic: same seed ⇒ byte-identical CSR at any GOMAXPROCS.
-//   - internal/spatial: grid, kinetic-grid and kd-tree indexes whose
-//     KNearestInto/Within query forms append into caller buffers and traverse iteratively —
-//     zero allocations per query at steady state, one KNNScratch per
-//     worker shard.
+//   - internal/spatial: two uniform grids. Grid enumerates cells for the
+//     UDG builder; DynGrid answers every radius and k-nearest query, for
+//     the static NN and HNG builds and the kinetic maintainers alike. Its
+//     KNearestInto/Within query forms append into caller buffers and scan
+//     cells in place — zero allocations per query at steady state, one
+//     KNNScratch per worker shard.
 //
 // rgg.UDG, rgg.NN and the topo baselines (Gabriel, RNG, Yao, the
 // filter-Kruskal/radix-sorted EMST) generate packed edges through

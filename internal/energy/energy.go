@@ -105,23 +105,13 @@ type Bank struct {
 }
 
 // NewBank returns a bank over the positioned nodes, every battery holding
-// capacity. All nodes are powered; restrict with SetPowered.
+// capacity. All nodes are powered; restrict by setting Powered.
 func NewBank(model Model, pos []geom.Point, capacity float64) *Bank {
 	bk := &Bank{Model: model, Pos: pos, Batteries: make([]Battery, len(pos))}
 	for i := range bk.Batteries {
 		bk.Batteries[i] = NewBattery(capacity)
 	}
 	return bk
-}
-
-// SetPowered restricts battery accounting to the given nodes (e.g. the SENS
-// members); everything else — sleeping deployment points, mains-powered
-// sinks — draws energy for free.
-func (bk *Bank) SetPowered(nodes []int32) {
-	bk.Powered = make([]bool, len(bk.Pos))
-	for _, v := range nodes {
-		bk.Powered[v] = true
-	}
 }
 
 func (bk *Bank) powered(u int32) bool {

@@ -43,7 +43,7 @@ func TestBatteryDrainClampsAtEmpty(t *testing.T) {
 func TestBankPoweredExemption(t *testing.T) {
 	pos := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0)}
 	bk := NewBank(DefaultModel(), pos, 100)
-	bk.SetPowered([]int32{1})
+	bk.Powered = []bool{false, true, false}
 	bk.ChargeTx(0, 1, 1) // node 0 unpowered: free
 	bk.ChargeRx(2, 1)    // node 2 unpowered: free
 	bk.ChargeTx(1, 2, 1) // node 1 pays 1·(1 + 1·1²) = 2

@@ -269,7 +269,6 @@ type sim struct {
 	// local to preserve).
 	mobile      MobileNetwork
 	grid        *spatial.DynGrid
-	knn         spatial.KNNScratch
 	gridStale   bool
 	motionDirty bool
 
@@ -481,7 +480,7 @@ func (s *sim) repairRoutes() {
 		if !s.alive[v] || s.isSink[v] || s.next[v] >= 0 {
 			continue
 		}
-		w := s.grid.NearestWhere(s.pos[v], &s.knn, intact)
+		w := s.grid.NearestWhere(s.pos[v], intact)
 		if w < 0 {
 			continue
 		}
@@ -503,12 +502,8 @@ func (s *sim) buildGrid() {
 		hi.X = math.Max(hi.X, s.pos[v].X)
 		hi.Y = math.Max(hi.Y, s.pos[v].Y)
 	}
-	side := math.Max(hi.X-lo.X, hi.Y-lo.Y)
-	cell := side / math.Sqrt(float64(len(s.nodes)))
-	if cell <= 0 {
-		cell = 1
-	}
-	s.grid = spatial.NewDynGrid(s.pos, geom.Rect{Min: lo, Max: hi}, cell)
+	box := geom.Rect{Min: lo, Max: hi}
+	s.grid = spatial.NewDynGrid(s.pos, box, spatial.CellSize(box, len(s.nodes)))
 	for i := 0; i < s.g.N; i++ {
 		if !s.alive[int32(i)] {
 			s.grid.Remove(int32(i))

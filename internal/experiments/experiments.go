@@ -5,8 +5,9 @@
 // grid and the shared structures they need — and execute through a
 // scenario.Ctx, whose keyed cache shares deployments, base graphs, SENS
 // structures, topology baselines and power.Measurer weight slabs across
-// every driver in a suite run. They remain callable one-off from
-// cmd/experiments, the root benchmark suite and tests via the Runner shim.
+// every driver in a suite run. The scenario registry is the one list of
+// experiments: importing this package registers them, and callers look
+// them up through scenario.All or scenario.Match.
 package experiments
 
 import (
@@ -46,20 +47,6 @@ func f2(v float64) string {
 // d formats an int.
 func d(v int) string { return fmt.Sprintf("%d", v) }
 
-// Runner is the historical per-experiment handle, kept for the library
-// surface (sensnet.RunExperiment), the benchmark suite and tests. Run
-// executes the registered scenario against fresh caches; suite runs that
-// want structure sharing go through scenario.Engine instead.
-type Runner struct {
-	ID    string
-	Title string
-	Run   func(Config) *Table
-}
-
-// All lists every experiment in DESIGN.md order (the scenario registration
-// order).
-var All []Runner
-
 func init() {
 	registerE01E03()
 	registerE04E07()
@@ -71,22 +58,6 @@ func init() {
 	registerEnergy()
 	registerRobustness()
 	registerMobility()
-	for _, s := range scenario.All() {
-		run := s.Run
-		All = append(All, Runner{ID: s.ID, Title: s.Title, Run: func(cfg Config) *Table {
-			return run(scenario.NewCtx(cfg))
-		}})
-	}
-}
-
-// ByID returns the runner with the given ID, or nil.
-func ByID(id string) *Runner {
-	for i := range All {
-		if All[i].ID == id {
-			return &All[i]
-		}
-	}
-	return nil
 }
 
 // parallelFor runs fn(i) for i in [0, n) on all cores and waits; it is the

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/stats"
 )
 
@@ -15,16 +16,15 @@ func TestAllExperimentsSmoke(t *testing.T) {
 		t.Skip("short mode")
 	}
 	cfg := Config{Seed: 42, Scale: 0.15}
-	for _, r := range All {
-		r := r
+	for _, r := range scenario.All() {
 		t.Run(r.ID, func(t *testing.T) {
 			t.Parallel()
-			table := r.Run(cfg)
+			table := r.Run(scenario.NewCtx(cfg))
 			if table == nil {
 				t.Fatal("nil table")
 			}
 			if table.ID != r.ID {
-				t.Errorf("table ID %q != runner ID %q", table.ID, r.ID)
+				t.Errorf("table ID %q != scenario ID %q", table.ID, r.ID)
 			}
 			if len(table.Rows) == 0 {
 				t.Error("no rows")
@@ -44,12 +44,19 @@ func TestAllExperimentsSmoke(t *testing.T) {
 	}
 }
 
+// runByID runs the registered scenario id one-off against fresh caches.
+func runByID(id string, cfg Config) *Table {
+	return scenario.Find(id).Run(scenario.NewCtx(cfg))
+}
+
+// TestByID checks that importing the package registers every experiment
+// under its ID in the scenario registry.
 func TestByID(t *testing.T) {
-	if ByID("E05") == nil || ByID("E05").ID != "E05" {
-		t.Error("ByID lookup failed")
+	if s := scenario.Find("E05"); s == nil || s.ID != "E05" {
+		t.Error("scenario lookup of E05 failed")
 	}
-	if ByID("nope") != nil {
-		t.Error("ByID should return nil for unknown")
+	if scenario.Find("nope") != nil {
+		t.Error("lookup should return nil for unknown")
 	}
 }
 
@@ -171,9 +178,9 @@ func TestPowerTablesDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		// 8 workers for the parallel leg even on a 1-CPU box (workers =
 		// min(GOMAXPROCS, shards); the default there would also be serial).
 		prev := runtime.GOMAXPROCS(8)
-		parallelOut := ByID(id).Run(cfg).String()
+		parallelOut := runByID(id, cfg).String()
 		runtime.GOMAXPROCS(1)
-		serialOut := ByID(id).Run(cfg).String()
+		serialOut := runByID(id, cfg).String()
 		runtime.GOMAXPROCS(prev)
 		if parallelOut != serialOut {
 			t.Errorf("%s differs between GOMAXPROCS 1 and default:\n%s\n---\n%s",

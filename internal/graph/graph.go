@@ -65,10 +65,6 @@ func NewBuilder(n int) *Builder {
 // N returns the number of vertices.
 func (b *Builder) N() int { return b.n }
 
-// Pending returns the number of edge insertions buffered so far, counting
-// duplicates. The deduplicated count is CSR.EdgeCount, computed by Build.
-func (b *Builder) Pending() int { return len(b.edges) }
-
 func (b *Builder) checkRange(u, v int32) {
 	if u < 0 || v < 0 || int(u) >= b.n || int(v) >= b.n {
 		panic(fmt.Sprintf("graph: edge (%d, %d) out of range [0, %d)", u, v, b.n))

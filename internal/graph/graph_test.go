@@ -550,3 +550,7 @@ func TestLargestComponentWhere(t *testing.T) {
 		t.Errorf("member subset: %d, want 2", got)
 	}
 }
+
+// Pending returns the number of edge insertions buffered so far, counting
+// duplicates. The deduplicated count is CSR.EdgeCount, computed by Build.
+func (b *Builder) Pending() int { return len(b.edges) }

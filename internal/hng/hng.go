@@ -219,10 +219,11 @@ func construct(pts []geom.Point, levels []int32, alive []bool, spec Spec) *Graph
 		h.Stats.LevelSizes[i] = len(byLevel[i])
 	}
 
-	// One kd-tree per level set, built over the subset's positions. Shared
-	// by the up-links of the level below and the within-level links of the
+	// One grid per level set, over the subset's positions, cells sized for
+	// the subset's population as Kinetic sizes its level grids. Shared by
+	// the up-links of the level below and the within-level links of the
 	// level itself.
-	trees := make([]*spatial.KDTree, top)
+	grids := make([]*spatial.DynGrid, top)
 	subPts := make([][]geom.Point, top)
 	parallel.ForGrain(int(top), 1, func(i int) {
 		sp := make([]geom.Point, len(byLevel[i]))
@@ -230,7 +231,8 @@ func construct(pts []geom.Point, levels []int32, alive []bool, spec Spec) *Graph
 			sp[j] = pts[u]
 		}
 		subPts[i] = sp
-		trees[i] = spatial.NewKDTree(sp)
+		box := spatial.FiniteBounds(sp)
+		grids[i] = spatial.NewDynGrid(sp, box, spatial.CellSize(box, len(sp)))
 	})
 
 	var edges []uint64
@@ -249,13 +251,13 @@ func construct(pts []geom.Point, levels []int32, alive []bool, spec Spec) *Graph
 		// has no next set; its connectivity comes from the MST below.
 		if i+1 < top && len(byLevel[i+1]) > 0 {
 			targets := byLevel[i+1]
-			tree := trees[i+1]
+			grid := grids[i+1]
 			parallel.ForShard(len(src), func(lo, hi int) {
 				var scratch spatial.KNNScratch
 				var nb []int32
 				for s := lo; s < hi; s++ {
 					u := src[s]
-					nb = tree.KNearestInto(pts[u], 1, -1, &scratch, nb[:0])
+					nb = grid.KNearestInto(pts[u], 1, -1, &scratch, nb[:0])
 					if len(nb) == 0 {
 						continue
 					}
@@ -268,10 +270,10 @@ func construct(pts []geom.Point, levels []int32, alive []bool, spec Spec) *Graph
 		// Within-level links: nearest neighbor in the node's own level set,
 		// excluding itself. src is a subsequence of byLevel[i] (both are in
 		// ascending index order), so one merge walk yields each source's
-		// position in the subset — the kd-tree's exclude index.
+		// position in the subset — the grid's exclude index.
 		if len(byLevel[i]) > 1 {
 			members := byLevel[i]
-			tree := trees[i]
+			grid := grids[i]
 			srcPos := make([]int32, len(src))
 			for s, j := 0, 0; s < len(src); s++ {
 				for members[j] != src[s] {
@@ -284,7 +286,7 @@ func construct(pts []geom.Point, levels []int32, alive []bool, spec Spec) *Graph
 				var nb []int32
 				for s := lo; s < hi; s++ {
 					u := src[s]
-					nb = tree.KNearestInto(pts[u], 1, int(srcPos[s]), &scratch, nb[:0])
+					nb = grid.KNearestInto(pts[u], 1, int(srcPos[s]), &scratch, nb[:0])
 					if len(nb) == 0 {
 						continue
 					}
@@ -299,15 +301,13 @@ func construct(pts []geom.Point, levels []int32, alive []bool, spec Spec) *Graph
 
 	// Bounded-degree pruning: per (parent, child level) — a node in several
 	// level sets parents each level's children independently — order the
-	// attachments by (parent, level, distance, child) and chain the
-	// overflow: child k of an overloaded group attaches to child
-	// k − MaxChildren, so each child gains at most one chained dependant
-	// per slot and the parent's down-degree per level is capped.
+	// attachments by (parent, level, distance, child) and chain each group.
+	// Every alive node below the top level has a parent.
 	type attach struct {
 		parent, child, level int32
 		dist                 float64
 	}
-	var attaches []attach
+	attaches := make([]attach, 0, len(byLevel[0])-len(byLevel[top-1]))
 	for u, p := range parent {
 		if p >= 0 {
 			attaches = append(attaches, attach{
@@ -332,29 +332,32 @@ func construct(pts []geom.Point, levels []int32, alive []bool, spec Spec) *Graph
 	})
 	maxKids := spec.MaxChildren
 	lastPruned := int32(-1)
+	var kids []int32
 	for lo := 0; lo < len(attaches); {
 		hi := lo
 		for hi < len(attaches) && attaches[hi].parent == attaches[lo].parent &&
 			attaches[hi].level == attaches[lo].level {
 			hi++
 		}
-		group := attaches[lo:hi]
-		// Count distinct pruned parents, not pruned groups: a parent in
-		// several level sets can overflow at more than one level, and the
-		// sort keeps its groups adjacent.
-		if maxKids > 0 && len(group) > maxKids && group[0].parent != lastPruned {
-			h.Stats.PrunedParents++
-			lastPruned = group[0].parent
+		kids = kids[:0]
+		for _, a := range attaches[lo:hi] {
+			kids = append(kids, a.child)
 		}
-		for k, a := range group {
-			if maxKids == 0 || k < maxKids {
-				edges = append(edges, graph.Pack(a.parent, a.child))
-				h.Stats.UpEdges++
-			} else {
-				edges = append(edges, graph.Pack(group[k-maxKids].child, a.child))
-				h.Stats.ChainEdges++
+		p := attaches[lo].parent
+		edges = chain(edges, p, kids, maxKids)
+		direct := len(kids)
+		if maxKids > 0 && direct > maxKids {
+			direct = maxKids
+			// Count distinct pruned parents, not pruned groups: a parent
+			// in several level sets can overflow at more than one level,
+			// and the sort keeps its groups adjacent.
+			if p != lastPruned {
+				h.Stats.PrunedParents++
+				lastPruned = p
 			}
 		}
+		h.Stats.UpEdges += direct
+		h.Stats.ChainEdges += len(kids) - direct
 		lo = hi
 	}
 
@@ -369,6 +372,22 @@ func construct(pts []geom.Point, levels []int32, alive []bool, spec Spec) *Graph
 	b.AddPacked(edges, false)
 	h.Geometric = &rgg.Geometric{CSR: b.Build(), Pos: pts}
 	return h
+}
+
+// chain appends the packed links of one pruning group to out: kids are the
+// group's children sorted by (distance to parent, index); the first
+// maxKids attach to parent directly and kid i ≥ maxKids to kid
+// i − maxKids, so each child gains at most one chained dependant. maxKids
+// 0 links every kid to parent.
+func chain(out []uint64, parent int32, kids []int32, maxKids int) []uint64 {
+	for i, c := range kids {
+		if maxKids == 0 || i < maxKids {
+			out = append(out, graph.Pack(parent, c))
+		} else {
+			out = append(out, graph.Pack(kids[i-maxKids], c))
+		}
+	}
+	return out
 }
 
 // mstScratch is reusable working storage for mstAppend.

@@ -138,7 +138,7 @@ func TestPruningBoundsDegree(t *testing.T) {
 
 // referenceEdges is an independent serial reimplementation of the
 // construction: brute-force nearest neighbors (same (dist, index)
-// tie-break as the kd-tree), the chaining scheme, and a Kruskal MST for
+// tie-break as the grid), the chaining scheme, and a Kruskal MST for
 // the top level. Build must produce exactly this edge set.
 func referenceEdges(pts []geom.Point, spec Spec, levels []int32) map[uint64]bool {
 	n := len(pts)

@@ -160,7 +160,7 @@ func NewKinetic(h *Graph, box geom.Rect) *Kinetic {
 	levelPop := 0
 	for i := int32(k.topAll); i >= 1; i-- {
 		levelPop += k.lvlCount[i]
-		g := spatial.NewDynGrid(k.pts, box, cellSizeFor(box, levelPop))
+		g := spatial.NewDynGrid(k.pts, box, spatial.CellSize(box, levelPop))
 		for u := int32(0); u < int32(n); u++ {
 			if k.levels[u] < i {
 				g.Remove(u)
@@ -181,23 +181,6 @@ func NewKinetic(h *Graph, box geom.Rect) *Kinetic {
 	k.init = false
 	k.stats = KineticStats{}
 	return k
-}
-
-// cellSizeFor picks a grid cell size giving O(1) expected occupancy for pop
-// points in box.
-func cellSizeFor(box geom.Rect, pop int) float64 {
-	side := math.Max(box.Width(), box.Height())
-	if side <= 0 {
-		side = 1
-	}
-	if pop < 1 {
-		pop = 1
-	}
-	cells := math.Sqrt(float64(pop))
-	if cells < 1 {
-		cells = 1
-	}
-	return side / cells
 }
 
 // Positions returns the current position slice (live view, not a copy).
@@ -392,15 +375,8 @@ func (k *Kinetic) recomputeGroup(key uint64, g *kGroup) {
 		}
 		return int(a - b)
 	})
-	maxKids := k.spec.MaxChildren
-	for i, child := range members {
-		var e uint64
-		if maxKids == 0 || i < maxKids {
-			e = graph.Pack(parent, child)
-		} else {
-			e = graph.Pack(members[i-maxKids], child)
-		}
-		g.edges = append(g.edges, e)
+	g.edges = chain(g.edges, parent, members, k.spec.MaxChildren)
+	for _, e := range g.edges {
 		u, v := graph.Unpack(e)
 		k.emit(u, v)
 	}

@@ -96,9 +96,6 @@ type Trajectory struct {
 	Steps [][]Move
 }
 
-// NumSteps returns the number of sampled steps.
-func (t *Trajectory) NumSteps() int { return len(t.Steps) }
-
 // TotalMoves returns the total number of position updates across all steps.
 func (t *Trajectory) TotalMoves() int {
 	n := 0

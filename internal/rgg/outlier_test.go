@@ -1,7 +1,10 @@
 package rgg
 
 import (
+	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -25,10 +28,39 @@ func bruteUDG(pts []geom.Point, r float64) *graph.CSR {
 	return b.Build()
 }
 
+// finite reports whether every coordinate of pts is finite.
+func finite(pts []geom.Point) bool {
+	for _, p := range pts {
+		if math.IsNaN(p.X+p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkNN holds NN to its contract on an adversarial point set. On finite
+// sets it must equal the brute-force symmetrized kNN relation edge for
+// edge; with a NaN or infinite coordinate "nearest" is ill-defined, so it
+// must only not panic and give the same CSR at GOMAXPROCS 1 and 8.
+func checkNN(t *testing.T, label string, pts []geom.Point, k int) {
+	t.Helper()
+	if finite(pts) {
+		sameCSR(t, label, NN(pts, k).CSR, serialNN(pts, k))
+		return
+	}
+	prev := runtime.GOMAXPROCS(1)
+	one := NN(pts, k).CSR
+	runtime.GOMAXPROCS(8)
+	eight := NN(pts, k).CSR
+	runtime.GOMAXPROCS(prev)
+	sameCSR(t, label+" GOMAXPROCS 1 vs 8", one, eight)
+}
+
 // TestUDGGridOutliers pins the cell-count bound: a far outlier or a
 // non-finite coordinate used to size the grid from the raw bounding box
 // (makeslice panic); the grid now stays O(n) cells and the graph still
-// equals brute force edge for edge.
+// equals brute force edge for edge. NN runs on the same rows with every
+// point duplicated, for k ∈ {1, 2, 3, 6}.
 func TestUDGGridOutliers(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
@@ -45,6 +77,7 @@ func TestUDGGridOutliers(t *testing.T) {
 		{"NaN and Inf", []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(nan, 0), geom.Pt(0, nan), geom.Pt(inf, 0), geom.Pt(-inf, inf), geom.Pt(inf, inf)}, 1, 1},
 		{"only non-finite", []geom.Point{geom.Pt(nan, nan), geom.Pt(inf, -inf), geom.Pt(inf, -inf)}, 1, 0},
 		{"tiny radius, wide spread", []geom.Point{geom.Pt(0, 0), geom.Pt(1e-3, 0), geom.Pt(1e6, 1e6)}, 1e-3, 1},
+		{"subnormal spread", []geom.Point{geom.Pt(0, 0), geom.Pt(5e-324, 0), geom.Pt(0, 5e-324), geom.Pt(5e-324, 5e-324)}, 1, 6},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -52,6 +85,10 @@ func TestUDGGridOutliers(t *testing.T) {
 			sameCSR(t, tc.name, got.CSR, bruteUDG(tc.pts, tc.r))
 			if got.EdgeCount != tc.edges {
 				t.Fatalf("%d edges, want %d", got.EdgeCount, tc.edges)
+			}
+			dup := append(slices.Clone(tc.pts), tc.pts...)
+			for _, k := range []int{1, 2, 3, 6} {
+				checkNN(t, fmt.Sprintf("%s NN k=%d", tc.name, k), dup, k)
 			}
 		})
 	}
@@ -72,7 +109,8 @@ func fuzzCoord(b byte, r float64) float64 {
 
 // FuzzUDGGrid checks that UDGGrid never panics and equals the O(n²) brute
 // force edge for edge on arbitrary point sets: duplicates, pairs at
-// distance exactly r, far outliers and non-finite coordinates.
+// distance exactly r, far outliers and non-finite coordinates. NN, with k
+// drawn from {1, 2, 3, 6}, is held to checkNN on the same decode.
 func FuzzUDGGrid(f *testing.F) {
 	f.Add([]byte{2, 2, 4, 4, 249, 10}, uint8(1))
 	f.Add([]byte{0, 0, 2, 0, 0, 2, 2, 2, 248, 248, 251, 0, 252, 252}, uint8(0))
@@ -87,5 +125,6 @@ func FuzzUDGGrid(f *testing.F) {
 			pts[i] = geom.Pt(fuzzCoord(data[2*i], r), fuzzCoord(data[2*i+1], r))
 		}
 		sameCSR(t, "FuzzUDGGrid", UDGGrid(pts, r).CSR, bruteUDG(pts, r))
+		checkNN(t, "FuzzUDGGrid NN", pts, [...]int{1, 2, 3, 6}[rsel/4%4])
 	})
 }

@@ -40,22 +40,21 @@ func UDG(pts []geom.Point, r float64) *Geometric { return UDGGrid(pts, r) }
 
 // NN builds the undirected k-nearest-neighbor graph over pts. Each vertex
 // contributes edges to its k nearest distinct points (all points if fewer
-// than k others exist). The query loop runs sharded across all cores, one
-// reusable kNN scratch per shard; mutual-pair duplicates are removed during
-// the CSR build. The result is deterministic: identical CSR at any
-// GOMAXPROCS.
+// than k others exist). The points are indexed in a spatial.DynGrid over
+// their finite bounding box, cells sized for k points each; the query loop
+// runs sharded across all cores, one reusable kNN scratch per shard, and
+// mutual-pair duplicates are removed during the CSR build. The result is
+// deterministic: identical CSR at any GOMAXPROCS.
 func NN(pts []geom.Point, k int) *Geometric {
 	b := graph.NewBuilder(len(pts))
 	if len(pts) > 1 && k > 0 {
-		// The kd-tree keeps its logarithmic query cost on clustered point
-		// sets, where a uniform grid's ring search must scan every point
-		// of a crowded cell.
-		tree := spatial.NewKDTree(pts)
+		box := spatial.FiniteBounds(pts)
+		grid := spatial.NewDynGrid(pts, box, spatial.CellSize(box, len(pts)/k))
 		edges := parallel.Collect(len(pts), func(lo, hi int, out []uint64) []uint64 {
 			var scratch spatial.KNNScratch
 			var nbrs []int32
 			for i := lo; i < hi; i++ {
-				nbrs = tree.KNearestInto(pts[i], k, i, &scratch, nbrs[:0])
+				nbrs = grid.KNearestInto(pts[i], k, i, &scratch, nbrs[:0])
 				for _, j := range nbrs {
 					out = append(out, graph.Pack(int32(i), j))
 				}

@@ -209,14 +209,14 @@ func BenchmarkNNBuild(b *testing.B) {
 }
 
 // udgWithin is the per-point-query UDG builder UDG used before it became
-// the UDGGrid enumeration, kept as an oracle: every point queries the
-// size-r grid for its neighbors within r and emits the pairs j > i,
-// sharded across cores, into the unique FromPacked path.
+// the UDGGrid enumeration, kept as an oracle: every point queries a size-r
+// DynGrid for its neighbors within r and emits the pairs j > i, sharded
+// across cores, into the unique FromPacked path.
 func udgWithin(pts []geom.Point, r float64) *graph.CSR {
 	if len(pts) == 0 || r <= 0 {
 		return graph.NewBuilder(len(pts)).Build()
 	}
-	grid := spatial.NewGrid(pts, r)
+	grid := spatial.NewDynGrid(pts, spatial.FiniteBounds(pts), r)
 	edges := parallel.Collect(len(pts), func(lo, hi int, out []uint64) []uint64 {
 		var buf []int32
 		for i := lo; i < hi; i++ {

@@ -304,7 +304,7 @@ func TestRouteOnSensChargedDebits(t *testing.T) {
 		t.Skip("too few good reps in realization")
 	}
 	bank := energy.NewBank(energy.DefaultModel(), pts, 1e9)
-	bank.SetPowered(n.Members)
+	bank.Powered = poweredMask(len(pts), n.Members)
 	delivered := false
 	for trial := 0; trial < 20 && !delivered; trial++ {
 		a := coords[g.IntN(len(coords))]
@@ -338,7 +338,7 @@ func TestRouteOnSensChargedDebits(t *testing.T) {
 	}
 	// Zero bits = free routing, bank untouched.
 	free := energy.NewBank(energy.DefaultModel(), pts, 1e9)
-	free.SetPowered(n.Members)
+	free.Powered = poweredMask(len(pts), n.Members)
 	if _, err := RouteOnSensWith(n, coords[0], coords[len(coords)-1],
 		SensOptions{Bank: free}); err != nil {
 		t.Fatal(err)
@@ -462,4 +462,13 @@ func TestRouteXYMemoizeChargesOncePerSite(t *testing.T) {
 		t.Errorf("comb should show memoization savings: plain %d vs memo %d",
 			plain.Probes, res.Probes)
 	}
+}
+
+// poweredMask flags nodes among n as the battery-powered ones.
+func poweredMask(n int, nodes []int32) []bool {
+	mask := make([]bool, n)
+	for _, v := range nodes {
+		mask[v] = true
+	}
+	return mask
 }

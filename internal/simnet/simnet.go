@@ -82,7 +82,7 @@ type Network struct {
 	// delivery time, when the loss model and the destination's handler are
 	// consulted. A message to a node that is never registered is thus Sent
 	// immediately but only Dropped once its delivery event is processed by
-	// Run; before that it sits in Pending.
+	// Run; before that it sits in the event queue.
 	MessagesSent      int
 	MessagesDelivered int
 	Dropped           int // messages to unregistered nodes, counted at delivery time
@@ -106,13 +106,6 @@ func (n *Network) Now() float64 { return n.now }
 
 // Register installs the handler for a node, replacing any previous one.
 func (n *Network) Register(id NodeID, h Handler) { n.handlers[id] = h }
-
-// Kill unregisters a node, modeling a crash-stop failure: messages already
-// in flight to it (and any sent later) are Dropped at delivery time with
-// the sender's tx debit spent and no rx debit — the exact accounting
-// contract documented on Send for never-registered destinations. Killing
-// an unknown node is a no-op.
-func (n *Network) Kill(id NodeID) { delete(n.handlers, id) }
 
 // Send schedules delivery of a message after the network delay. It counts
 // toward MessagesSent (and charges the Energy sink's tx debit) immediately,
@@ -178,9 +171,6 @@ func (n *Network) Run(maxEvents int) int {
 	}
 	return processed
 }
-
-// Pending returns the number of undelivered events.
-func (n *Network) Pending() int { return n.queue.len() }
 
 // eventHeap is a concrete binary min-heap of events keyed on (time, seq).
 // It replaces the container/heap implementation, whose interface methods

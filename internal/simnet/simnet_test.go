@@ -4,6 +4,14 @@ import (
 	"testing"
 )
 
+// kill unregisters node id, modeling a crash-stop failure: messages in
+// flight to it, and any sent later, are Dropped at delivery time like
+// messages to a never-registered node. Killing an unknown node is a no-op.
+func kill(n *Network, id NodeID) { delete(n.handlers, id) }
+
+// pending returns the number of undelivered events.
+func pending(n *Network) int { return n.queue.len() }
+
 func TestPingPong(t *testing.T) {
 	net := New()
 	var log []string
@@ -78,20 +86,20 @@ func TestUnregisteredDrops(t *testing.T) {
 // TestDropAccountingTiming pins the documented accounting contract the
 // energy debits hang off: a Send to an unregistered node counts MessagesSent
 // immediately, but is only counted Dropped at delivery time — before Run
-// processes the event it is Pending, not Dropped.
+// processes the event it is pending, not Dropped.
 func TestDropAccountingTiming(t *testing.T) {
 	net := New()
 	net.Send(0, 99, "void")
 	if net.MessagesSent != 1 {
 		t.Errorf("MessagesSent = %d at send time, want 1", net.MessagesSent)
 	}
-	if net.Dropped != 0 || net.Pending() != 1 {
-		t.Errorf("before Run: dropped=%d pending=%d, want 0/1", net.Dropped, net.Pending())
+	if net.Dropped != 0 || pending(net) != 1 {
+		t.Errorf("before Run: dropped=%d pending=%d, want 0/1", net.Dropped, pending(net))
 	}
 	net.Run(0)
-	if net.Dropped != 1 || net.MessagesDelivered != 0 || net.Pending() != 0 {
+	if net.Dropped != 1 || net.MessagesDelivered != 0 || pending(net) != 0 {
 		t.Errorf("after Run: dropped=%d delivered=%d pending=%d, want 1/0/0",
-			net.Dropped, net.MessagesDelivered, net.Pending())
+			net.Dropped, net.MessagesDelivered, pending(net))
 	}
 	// Registering the destination after the drop does not resurrect it.
 	net.Register(99, HandlerFunc(func(*Network, Message) {}))
@@ -151,8 +159,8 @@ func TestMaxEventsLimit(t *testing.T) {
 	if processed != 10 || count != 10 {
 		t.Errorf("processed=%d count=%d", processed, count)
 	}
-	if net.Pending() != 1 {
-		t.Errorf("pending = %d", net.Pending())
+	if pending(net) != 1 {
+		t.Errorf("pending = %d", pending(net))
 	}
 }
 
@@ -281,7 +289,7 @@ func TestKillThenSendDropAccounting(t *testing.T) {
 	net.Register(1, HandlerFunc(func(*Network, Message) {
 		t.Fatal("dead node's handler ran")
 	}))
-	net.Kill(1)
+	kill(net, 1)
 	net.Send(0, 1, "to the dead")
 	if net.MessagesSent != 1 || len(rec.events) != 1 || rec.events[0] != "tx" {
 		t.Fatalf("send accounting: sent=%d events=%v, want 1/[tx]", net.MessagesSent, rec.events)
@@ -310,7 +318,7 @@ func TestSendThenKillDropAccounting(t *testing.T) {
 		t.Fatal("dead node's handler ran")
 	}))
 	net.Send(0, 1, "in flight")
-	net.Kill(1)
+	kill(net, 1)
 	net.Run(0)
 	if net.MessagesSent != 1 || net.Dropped != 1 || net.MessagesDelivered != 0 {
 		t.Fatalf("sent=%d dropped=%d delivered=%d, want 1/1/0",
@@ -321,8 +329,8 @@ func TestSendThenKillDropAccounting(t *testing.T) {
 		t.Fatalf("events = %v, want %v", rec.events, want)
 	}
 	// Killing twice, or killing an unknown node, stays a no-op.
-	net.Kill(1)
-	net.Kill(42)
+	kill(net, 1)
+	kill(net, 42)
 }
 
 // TestLossModelAccounting pins the loss hook's place in the contract: loss

@@ -8,7 +8,7 @@ import (
 	"repro/internal/geom"
 )
 
-// DynGrid is the kinetic counterpart of Grid: a uniform bucket grid whose
+// DynGrid is the query side of the package: a uniform bucket grid whose
 // point set can move, die and come back without a rebuild. The world bounds
 // and cell size are fixed at construction (mobility models keep points inside
 // a fixed deployment box, so the static extents cost nothing); each cell
@@ -16,49 +16,53 @@ import (
 // deterministic regardless of the mutation history — the same positions
 // always produce the same answers as a freshly built index.
 //
-// Move and Remove are O(cell occupancy); Within matches Grid.Within's query
-// contract and KNearestInto breaks distance ties by index exactly as
-// KDTree.KNearestInto does, so the kinetic maintainers reproduce the static
-// builders' answers.
+// Move and Remove are O(cell occupancy). KNearestInto and NearestWhere
+// break distance ties by index exactly as BruteKNearest does, so the static
+// builders and the kinetic maintainers reproduce each other's answers.
 type DynGrid struct {
+	cellGeom
 	pts    []geom.Point // slot positions (owned copy; stale for dead slots)
-	bounds geom.Rect
-	cell   float64
-	nx, ny int
-	cellOf []int32   // cell per slot, −1 while removed
-	cells  [][]int32 // live slot indices per cell, each ascending
+	cellOf []int32      // cell per slot, −1 while removed
+	cells  [][]int32    // live slot indices per cell, each ascending
 	live   int
 }
 
-// NewDynGrid indexes pts over the fixed world bounds with the given cell
-// size. Positions outside bounds are clamped into the border cells, exactly
-// as Grid clamps query coordinates. cell must be positive and bounds
-// non-degenerate enough to hold at least one cell.
+// NewDynGrid indexes pts over the fixed world bounds with cells of the
+// given size (see CellSize), enlarged like NewGrid's when the bounds would
+// need more than maxCellsPerPoint·n + minCellBudget cells. Positions
+// outside bounds, and NaN or infinite coordinates, are clamped into the
+// border cells; the answers stay exact for finite positions.
+// cell must be positive.
 func NewDynGrid(pts []geom.Point, bounds geom.Rect, cell float64) *DynGrid {
-	if cell <= 0 {
-		panic("spatial: non-positive cell size")
-	}
+	n := len(pts)
 	g := &DynGrid{
-		pts:    append([]geom.Point(nil), pts...),
-		bounds: bounds,
-		cell:   cell,
-	}
-	g.nx = int(bounds.Width()/cell) + 1
-	g.ny = int(bounds.Height()/cell) + 1
-	if g.nx < 1 {
-		g.nx = 1
-	}
-	if g.ny < 1 {
-		g.ny = 1
+		cellGeom: newCellGeom(bounds, cell, n),
+		pts:      slices.Clone(pts),
+		live:     n,
 	}
 	g.cells = make([][]int32, g.nx*g.ny)
-	g.cellOf = make([]int32, len(pts))
+	// cellOf and the cell slab share one allocation. A counting sort
+	// carves the slab into one capped sub-slice per cell — the first pass
+	// counts each cell's population in its slice length — so a cell that
+	// grows under motion moves out on append instead of overwriting its
+	// neighbor.
+	buf := make([]int32, 2*n)
+	g.cellOf = buf[:n:n]
+	slab := buf[n:]
 	for i, p := range pts {
-		c := int32(g.cellIndex(p))
-		g.cellOf[i] = c
+		c := g.cellIndex(p)
+		g.cellOf[i] = int32(c)
+		g.cells[c] = slab[:len(g.cells[c])+1]
+	}
+	at := 0
+	for c, list := range g.cells {
+		m := len(list)
+		g.cells[c] = slab[at : at : at+m]
+		at += m
+	}
+	for i, c := range g.cellOf {
 		g.cells[c] = append(g.cells[c], int32(i))
 	}
-	g.live = len(pts)
 	return g
 }
 
@@ -70,20 +74,6 @@ func (g *DynGrid) Cap() int { return len(g.pts) }
 
 // Alive reports whether slot i is currently indexed.
 func (g *DynGrid) Alive(i int32) bool { return g.cellOf[i] >= 0 }
-
-// Bounds returns the fixed world bounds.
-func (g *DynGrid) Bounds() geom.Rect { return g.bounds }
-
-func (g *DynGrid) cellCoords(p geom.Point) (int, int) {
-	cx := int((p.X - g.bounds.Min.X) / g.cell)
-	cy := int((p.Y - g.bounds.Min.Y) / g.cell)
-	return clampInt(cx, 0, g.nx-1), clampInt(cy, 0, g.ny-1)
-}
-
-func (g *DynGrid) cellIndex(p geom.Point) int {
-	cx, cy := g.cellCoords(p)
-	return cy*g.nx + cx
-}
 
 // cellInsert adds slot i to cell c keeping the list ascending.
 func (g *DynGrid) cellInsert(c int32, i int32) {
@@ -153,10 +143,8 @@ func (g *DynGrid) Within(q geom.Point, r float64, dst []int32) []int32 {
 		return dst
 	}
 	r2 := r * r
-	cx0 := clampInt(int(math.Floor((q.X-r-g.bounds.Min.X)/g.cell)), 0, g.nx-1)
-	cx1 := clampInt(int(math.Floor((q.X+r-g.bounds.Min.X)/g.cell)), 0, g.nx-1)
-	cy0 := clampInt(int(math.Floor((q.Y-r-g.bounds.Min.Y)/g.cell)), 0, g.ny-1)
-	cy1 := clampInt(int(math.Floor((q.Y+r-g.bounds.Min.Y)/g.cell)), 0, g.ny-1)
+	cx0, cy0 := g.cellCoords(geom.Point{X: q.X - r, Y: q.Y - r})
+	cx1, cy1 := g.cellCoords(geom.Point{X: q.X + r, Y: q.Y + r})
 	for cy := cy0; cy <= cy1; cy++ {
 		rowBase := cy * g.nx
 		for cx := cx0; cx <= cx1; cx++ {
@@ -184,29 +172,13 @@ func (g *DynGrid) KNearestInto(q geom.Point, k int, exclude int, scratch *KNNScr
 	}
 	h := &scratch.h
 	h.reset(k)
-	cx, cy := g.cellCoords(q)
-	maxRing := g.nx
-	if g.ny > maxRing {
-		maxRing = g.ny
-	}
-	for ring := 0; ring <= maxRing; ring++ {
-		if h.full() {
-			minDist := float64(ring-1) * g.cell
-			if ring > 0 && minDist > 0 && minDist*minDist > h.top() {
-				break
-			}
-		}
-		cells := appendRingCells(scratch.cells[:0], cx, cy, ring, g.nx, g.ny)
-		scratch.cells = cells
-		for _, c := range cells {
-			for _, i := range g.cells[c] {
-				if int(i) == exclude {
-					continue
-				}
+	g.search(q, func(gap2 float64) bool { return h.full() && gap2 > h.top() }, func(cell []int32) {
+		for _, i := range cell {
+			if int(i) != exclude {
 				h.push(g.pts[i].Dist2(q), i)
 			}
 		}
-	}
+	})
 	return h.appendSorted(dst)
 }
 
@@ -214,78 +186,49 @@ func (g *DynGrid) KNearestInto(q geom.Point, k int, exclude int, scratch *KNNScr
 // breaking distance ties by index, or −1 when no live point qualifies. The
 // expanding-ring search stops as soon as no unexamined cell can beat the
 // best match, so the cost is proportional to the local density around q, not
-// to the index size. scratch carries the ring buffer; nil allocates one.
-func (g *DynGrid) NearestWhere(q geom.Point, scratch *KNNScratch, pred func(int32) bool) int32 {
-	if g.live == 0 {
-		return -1
-	}
-	if scratch == nil {
-		scratch = &KNNScratch{}
-	}
+// to the index size.
+func (g *DynGrid) NearestWhere(q geom.Point, pred func(int32) bool) int32 {
 	best := int32(-1)
 	bestD := math.Inf(1)
-	cx, cy := g.cellCoords(q)
-	maxRing := g.nx
-	if g.ny > maxRing {
-		maxRing = g.ny
-	}
-	for ring := 0; ring <= maxRing; ring++ {
-		if best >= 0 {
-			minDist := float64(ring-1) * g.cell
-			if ring > 0 && minDist > 0 && minDist*minDist > bestD {
-				break
+	g.search(q, func(gap2 float64) bool { return best >= 0 && gap2 > bestD }, func(cell []int32) {
+		for _, i := range cell {
+			if !pred(i) {
+				continue
+			}
+			if d := g.pts[i].Dist2(q); d < bestD || (d == bestD && i < best) {
+				best, bestD = i, d
 			}
 		}
-		cells := appendRingCells(scratch.cells[:0], cx, cy, ring, g.nx, g.ny)
-		scratch.cells = cells
-		for _, c := range cells {
-			for _, i := range g.cells[c] {
-				if !pred(i) {
-					continue
-				}
-				d := g.pts[i].Dist2(q)
-				if d < bestD || (d == bestD && i < best) {
-					best, bestD = i, d
-				}
-			}
-		}
-	}
+	})
 	return best
 }
 
-// appendRingCells appends each valid cell index at L∞ ring distance `ring`
-// from (cx, cy) on an nx×ny grid to dst and returns the extended slice —
-// the shared ring enumeration behind Grid and DynGrid searches.
-func appendRingCells(dst []int32, cx, cy, ring, nx, ny int) []int32 {
-	if ring == 0 {
-		if cx >= 0 && cx < nx && cy >= 0 && cy < ny {
-			dst = append(dst, int32(cy*nx+cx))
-		}
-		return dst
+// search is the expanding-ring scan behind KNearestInto and NearestWhere: it
+// calls visit with the live slots of each cell at L∞ cell distance 0, 1,
+// 2, … from q's cell, in place, and stops before a ring once done(gap²) holds,
+// where gap is a lower bound on the distance from q to any point in that
+// ring or beyond. Clamping is a contraction, so the bound also holds for
+// points and queries outside the bounds; the bound gives up 1/1024 of a
+// cell against rounding in the cell assignment.
+func (g *DynGrid) search(q geom.Point, done func(gap2 float64) bool, visit func(cell []int32)) {
+	if g.live == 0 {
+		return
 	}
-	x0, x1 := cx-ring, cx+ring
-	y0, y1 := cy-ring, cy+ring
-	for x := x0; x <= x1; x++ {
-		if x < 0 || x >= nx {
-			continue
+	cx, cy := g.cellCoords(q)
+	for ring := 0; ring <= max(g.nx, g.ny); ring++ {
+		if gap := (float64(ring) - 1 - 1.0/1024) * g.cell; gap > 0 && done(gap*gap) {
+			return
 		}
-		if y0 >= 0 && y0 < ny {
-			dst = append(dst, int32(y0*nx+x))
-		}
-		if y1 >= 0 && y1 < ny {
-			dst = append(dst, int32(y1*nx+x))
-		}
-	}
-	for y := y0 + 1; y <= y1-1; y++ {
-		if y < 0 || y >= ny {
-			continue
-		}
-		if x0 >= 0 && x0 < nx {
-			dst = append(dst, int32(y*nx+x0))
-		}
-		if x1 >= 0 && x1 < nx {
-			dst = append(dst, int32(y*nx+x1))
+		for y := max(cy-ring, 0); y <= min(cy+ring, g.ny-1); y++ {
+			lo, hi, step := max(cx-ring, 0), min(cx+ring, g.nx-1), 1
+			if y != cy-ring && y != cy+ring {
+				lo, hi, step = cx-ring, cx+ring, 2*ring // side cells only
+			}
+			for x := lo; x <= hi; x += step {
+				if x >= 0 && x < g.nx {
+					visit(g.cells[y*g.nx+x])
+				}
+			}
 		}
 	}
-	return dst
 }

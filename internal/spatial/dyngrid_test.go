@@ -136,9 +136,8 @@ func TestDynGridNearestWhere(t *testing.T) {
 		ok[i] = r.Float64() < 0.3
 	}
 	pred := func(i int32) bool { return ok[i] }
-	var scratch KNNScratch
 	for qi, q := range dgRandomPoints(12, box, 13, 2) {
-		got := g.NearestWhere(q, &scratch, pred)
+		got := g.NearestWhere(q, pred)
 		// Brute force over live qualifying points.
 		want, bestD := int32(-1), 0.0
 		for i, p := range pts {
@@ -160,7 +159,7 @@ func TestDynGridNearestWhere(t *testing.T) {
 			g.Remove(int32(i))
 		}
 	}
-	if got := g.NearestWhere(geom.Pt(0.5, 0.5), &scratch, pred); got != -1 {
+	if got := g.NearestWhere(geom.Pt(0.5, 0.5), pred); got != -1 {
 		t.Fatalf("NearestWhere over dead qualifiers = %d, want -1", got)
 	}
 }

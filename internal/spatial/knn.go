@@ -1,13 +1,13 @@
 package spatial
 
-// KNNScratch holds the reusable buffers of a KNearestInto query — the
-// bounded candidate heap and, for the grid, the ring cell list. A zero
-// KNNScratch is ready to use; reusing one across queries (one scratch per
-// goroutine) makes the queries allocation-free once the buffers have grown
+import "repro/internal/geom"
+
+// KNNScratch holds the reusable candidate heap of a KNearestInto query. A
+// zero KNNScratch is ready to use; reusing one across queries (one scratch
+// per goroutine) makes the queries allocation-free once the heap has grown
 // to steady state. A scratch must not be shared between concurrent queries.
 type KNNScratch struct {
-	h     maxHeap
-	cells []int32
+	h maxHeap
 }
 
 // maxHeap is a bounded max-heap on (dist2, index) pairs keeping the k
@@ -101,4 +101,34 @@ func (h *maxHeap) appendSorted(dst []int32) []int32 {
 	h.d = h.d[:0]
 	h.idx = h.idx[:0]
 	return dst
+}
+
+// BruteWithin returns (for testing and small inputs) the indices of points
+// within r of q by exhaustive scan, in index order.
+func BruteWithin(pts []geom.Point, q geom.Point, r float64) []int32 {
+	r2 := r * r
+	var out []int32
+	for i, p := range pts {
+		if p.Dist2(q) <= r2 {
+			out = append(out, int32(i))
+		}
+	}
+	return out
+}
+
+// BruteKNearest returns the k nearest points to q by exhaustive scan,
+// excluding index exclude, sorted by increasing distance (ties by index).
+func BruteKNearest(pts []geom.Point, q geom.Point, k int, exclude int) []int32 {
+	if k <= 0 {
+		return nil
+	}
+	var h maxHeap
+	h.reset(k)
+	for i, p := range pts {
+		if i == exclude {
+			continue
+		}
+		h.push(p.Dist2(q), int32(i))
+	}
+	return h.appendSorted(nil)
 }

@@ -35,37 +35,7 @@ func randomPoints(n int, seed rng.Seed) []geom.Point {
 
 // newDynGrid indexes pts in a kinetic grid over their own bounding box.
 func newDynGrid(pts []geom.Point, cell float64) *DynGrid {
-	return NewDynGrid(pts, finiteBounds(pts), cell)
-}
-
-func TestGridWithinMatchesBruteForce(t *testing.T) {
-	pts := randomPoints(500, 1)
-	grid := NewGrid(pts, 1.0)
-	g := rng.New(2)
-	for trial := 0; trial < 200; trial++ {
-		q := geom.Pt(g.Float64()*12-1, g.Float64()*12-1)
-		r := g.Float64() * 3
-		got := sortedCopy(grid.Within(q, r, nil))
-		want := BruteWithin(pts, q, r)
-		if !equalInt32(got, want) {
-			t.Fatalf("grid Within(%v, %v) = %v want %v", q, r, got, want)
-		}
-	}
-}
-
-func TestKDTreeKNearestMatchesBruteForce(t *testing.T) {
-	pts := randomPoints(400, 7)
-	tree := NewKDTree(pts)
-	g := rng.New(8)
-	for trial := 0; trial < 150; trial++ {
-		q := geom.Pt(g.Float64()*10, g.Float64()*10)
-		k := 1 + g.IntN(25)
-		got := tree.KNearestInto(q, k, -1, new(KNNScratch), nil)
-		want := BruteKNearest(pts, q, k, -1)
-		if !sameDistances(pts, q, got, want) {
-			t.Fatalf("kdtree KNearest(%v, %d) = %v want %v", q, k, got, want)
-		}
-	}
+	return NewDynGrid(pts, FiniteBounds(pts), cell)
 }
 
 // sameDistances checks that two kNN results agree as multisets of distances
@@ -93,34 +63,34 @@ func sameDistances(pts []geom.Point, q geom.Point, a, b []int32) bool {
 func TestKNearestSortedByDistance(t *testing.T) {
 	pts := randomPoints(300, 9)
 	grid := newDynGrid(pts, 1.0)
-	tree := NewKDTree(pts)
 	q := geom.Pt(5, 5)
-	for _, res := range [][]int32{grid.KNearestInto(q, 15, -1, new(KNNScratch), nil), tree.KNearestInto(q, 15, -1, new(KNNScratch), nil)} {
-		prev := -1.0
-		for _, i := range res {
-			d := pts[i].Dist2(q)
-			if d < prev {
-				t.Fatalf("results not sorted by distance: %v", res)
-			}
-			prev = d
+	res := grid.KNearestInto(q, 15, -1, new(KNNScratch), nil)
+	prev := -1.0
+	for _, i := range res {
+		d := pts[i].Dist2(q)
+		if d < prev {
+			t.Fatalf("results not sorted by distance: %v", res)
 		}
+		prev = d
 	}
 }
 
 func TestEmptyAndDegenerateInputs(t *testing.T) {
-	grid := NewGrid(nil, 1)
-	if grid.Len() != 0 {
+	if nx, ny := NewGrid(nil, 1).Dims(); nx != 1 || ny != 1 {
+		t.Errorf("empty grid Dims = %d×%d, want 1×1", nx, ny)
+	}
+	empty := newDynGrid(nil, 1)
+	if empty.Len() != 0 {
 		t.Error("empty grid Len")
 	}
-	if got := grid.Within(geom.Pt(0, 0), 5, nil); len(got) != 0 {
+	if got := empty.Within(geom.Pt(0, 0), 5, nil); len(got) != 0 {
 		t.Error("empty grid Within should be empty")
 	}
-	if got := newDynGrid(nil, 1).KNearestInto(geom.Pt(0, 0), 3, -1, new(KNNScratch), nil); len(got) != 0 {
+	if got := empty.KNearestInto(geom.Pt(0, 0), 3, -1, new(KNNScratch), nil); len(got) != 0 {
 		t.Error("empty grid KNearest should be empty")
 	}
-	tree := NewKDTree(nil)
-	if got := tree.KNearestInto(geom.Pt(0, 0), 3, -1, new(KNNScratch), nil); len(got) != 0 {
-		t.Error("empty kdtree KNearest should be empty")
+	if got := empty.NearestWhere(geom.Pt(0, 0), func(int32) bool { return true }); got != -1 {
+		t.Errorf("empty grid NearestWhere = %d, want -1", got)
 	}
 
 	// Single point.
@@ -135,13 +105,12 @@ func TestEmptyAndDegenerateInputs(t *testing.T) {
 
 	// All points identical.
 	same := []geom.Point{geom.Pt(2, 2), geom.Pt(2, 2), geom.Pt(2, 2)}
-	gs := NewGrid(same, 0.5)
+	gs := newDynGrid(same, 0.5)
 	if got := gs.Within(geom.Pt(2, 2), 0.1, nil); len(got) != 3 {
 		t.Errorf("identical points Within = %v", got)
 	}
-	ts := NewKDTree(same)
-	if got := ts.KNearestInto(geom.Pt(2, 2), 2, -1, new(KNNScratch), nil); len(got) != 2 {
-		t.Errorf("identical points KNearest = %v", got)
+	if got := gs.KNearestInto(geom.Pt(2, 2), 2, -1, new(KNNScratch), nil); !equalInt32(got, []int32{0, 1}) {
+		t.Errorf("identical points KNearest = %v, want [0 1]", got)
 	}
 }
 
@@ -151,15 +120,11 @@ func TestKNearestFewerThanK(t *testing.T) {
 	if got := grid.KNearestInto(geom.Pt(5, 5), 10, -1, new(KNNScratch), nil); len(got) != 5 {
 		t.Errorf("k > n should return all points, got %d", len(got))
 	}
-	tree := NewKDTree(pts)
-	if got := tree.KNearestInto(geom.Pt(5, 5), 10, -1, new(KNNScratch), nil); len(got) != 5 {
-		t.Errorf("kdtree k > n should return all points, got %d", len(got))
-	}
 }
 
 func TestWithinRadiusZero(t *testing.T) {
 	pts := []geom.Point{geom.Pt(1, 1), geom.Pt(2, 2)}
-	grid := NewGrid(pts, 1)
+	grid := newDynGrid(pts, 1)
 	got := grid.Within(geom.Pt(1, 1), 0, nil)
 	if len(got) != 1 || got[0] != 0 {
 		t.Errorf("radius-0 Within should return the exact point: %v", got)
@@ -171,12 +136,28 @@ func TestGridCellSizeVariations(t *testing.T) {
 	q := geom.Pt(4, 6)
 	want := BruteWithin(pts, q, 1.5)
 	for _, cell := range []float64{0.1, 0.5, 1.0, 3.0, 20.0} {
+		// The static grid's cells partition the points, ascending in each.
 		grid := NewGrid(pts, cell)
-		got := sortedCopy(grid.Within(q, 1.5, nil))
+		nx, ny := grid.Dims()
+		var all []int32
+		for cy := 0; cy < ny; cy++ {
+			for cx := 0; cx < nx; cx++ {
+				c := grid.CellPoints(cx, cy)
+				if !equalInt32(c, sortedCopy(c)) {
+					t.Errorf("cell=%v: cell (%d, %d) not ascending: %v", cell, cx, cy, c)
+				}
+				all = append(all, c...)
+			}
+		}
+		if all = sortedCopy(all); len(all) != len(pts) || all[0] != 0 || all[len(all)-1] != int32(len(pts)-1) {
+			t.Errorf("cell=%v: cells hold %d points, want each of %d once", cell, len(all), len(pts))
+		}
+		dyn := newDynGrid(pts, cell)
+		got := sortedCopy(dyn.Within(q, 1.5, nil))
 		if !equalInt32(got, want) {
 			t.Errorf("cell=%v: Within mismatch", cell)
 		}
-		gotK := newDynGrid(pts, cell).KNearestInto(q, 7, -1, new(KNNScratch), nil)
+		gotK := dyn.KNearestInto(q, 7, -1, new(KNNScratch), nil)
 		wantK := BruteKNearest(pts, q, 7, -1)
 		if !sameDistances(pts, q, gotK, wantK) {
 			t.Errorf("cell=%v: KNearest mismatch", cell)
@@ -193,36 +174,10 @@ func TestGridPanicsOnBadCell(t *testing.T) {
 	NewGrid(nil, 0)
 }
 
-func BenchmarkGridWithin(b *testing.B) {
-	pts := randomPoints(100000, 20)
-	grid := NewGrid(pts, 1.0)
-	g := rng.New(21)
-	var buf []int32
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := geom.Pt(g.Float64()*10, g.Float64()*10)
-		buf = grid.Within(q, 1.0, buf[:0])
-	}
-}
-
-func BenchmarkKDTreeKNearest(b *testing.B) {
-	pts := randomPoints(100000, 22)
-	tree := NewKDTree(pts)
-	g := rng.New(23)
-	var scratch KNNScratch
-	var buf []int32
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := geom.Pt(g.Float64()*10, g.Float64()*10)
-		buf = tree.KNearestInto(q, 10, -1, &scratch, buf[:0])
-	}
-}
-
 // TestKNearestExactAgreementDegenerate checks index-exact agreement (not
-// just distance multisets) between the kinetic grid, the kd-tree and
-// BruteKNearest on
-// clustered and degenerate inputs: duplicate points force distance ties that
-// only resolve identically because all three break ties by index.
+// just distance multisets) between the grid and BruteKNearest on clustered
+// and degenerate inputs: duplicate points force distance ties that only
+// resolve identically because both break ties by index.
 func TestKNearestExactAgreementDegenerate(t *testing.T) {
 	cases := map[string][]geom.Point{
 		"duplicates": {
@@ -244,7 +199,6 @@ func TestKNearestExactAgreementDegenerate(t *testing.T) {
 	}
 	for name, pts := range cases {
 		grid := newDynGrid(pts, 0.8)
-		tree := NewKDTree(pts)
 		queries := append([]geom.Point{geom.Pt(0, 0), geom.Pt(1, 1), geom.Pt(2.5, 0.5)}, pts...)
 		for _, q := range queries {
 			// k sweeps through and beyond n to cover the k > n case.
@@ -253,9 +207,6 @@ func TestKNearestExactAgreementDegenerate(t *testing.T) {
 					want := BruteKNearest(pts, q, k, exclude)
 					if got := grid.KNearestInto(q, k, exclude, new(KNNScratch), nil); !equalInt32(got, want) {
 						t.Fatalf("%s: grid KNearest(%v, %d, %d) = %v want %v", name, q, k, exclude, got, want)
-					}
-					if got := tree.KNearestInto(q, k, exclude, new(KNNScratch), nil); !equalInt32(got, want) {
-						t.Fatalf("%s: kdtree KNearest(%v, %d, %d) = %v want %v", name, q, k, exclude, got, want)
 					}
 				}
 			}
@@ -269,7 +220,6 @@ func TestKNearestExactAgreementDegenerate(t *testing.T) {
 func TestKNearestIntoMatchesAllocating(t *testing.T) {
 	pts := randomPoints(600, 31)
 	grid := newDynGrid(pts, 0.6)
-	tree := NewKDTree(pts)
 	g := rng.New(32)
 	var scratch KNNScratch
 	var buf []int32
@@ -284,57 +234,39 @@ func TestKNearestIntoMatchesAllocating(t *testing.T) {
 		if want := grid.KNearestInto(q, k, exclude, new(KNNScratch), nil); !equalInt32(buf, want) {
 			t.Fatalf("grid Into mismatch at trial %d: %v want %v", trial, buf, want)
 		}
-		buf = tree.KNearestInto(q, k, exclude, &scratch, buf[:0])
-		if want := tree.KNearestInto(q, k, exclude, new(KNNScratch), nil); !equalInt32(buf, want) {
-			t.Fatalf("kdtree Into mismatch at trial %d: %v want %v", trial, buf, want)
-		}
 	}
 }
 
-// TestQueryAllocationFree asserts the zero-alloc contract of the buffered
-// queries once scratch and dst have reached steady state.
+// TestQueryAllocationFree asserts the zero-alloc contract of the warm
+// queries: the ring search visits cells in place and the heap and dst have
+// reached steady state.
 func TestQueryAllocationFree(t *testing.T) {
 	pts := randomPoints(20000, 33)
-	grid := NewGrid(pts, 0.3)
 	dyn := newDynGrid(pts, 0.3)
-	tree := NewKDTree(pts)
 	var scratch KNNScratch
 	var buf []int32
 	q := geom.Pt(5, 5)
+	odd := func(i int32) bool { return i%2 == 1 }
 	// Warm up buffers.
-	buf = tree.KNearestInto(q, 16, -1, &scratch, buf[:0])
 	buf = dyn.KNearestInto(q, 16, -1, &scratch, buf[:0])
-	buf = grid.Within(q, 0.5, buf[:0])
+	buf = dyn.Within(q, 0.5, buf[:0])
 
-	if a := testing.AllocsPerRun(100, func() {
-		buf = tree.KNearestInto(q, 16, -1, &scratch, buf[:0])
-	}); a > 0 {
-		t.Errorf("kdtree KNearestInto allocates %v/op", a)
-	}
 	if a := testing.AllocsPerRun(100, func() {
 		buf = dyn.KNearestInto(q, 16, -1, &scratch, buf[:0])
 	}); a > 0 {
-		t.Errorf("kinetic grid KNearestInto allocates %v/op", a)
+		t.Errorf("KNearestInto allocates %v/op", a)
 	}
 	if a := testing.AllocsPerRun(100, func() {
-		buf = grid.Within(q, 0.5, buf[:0])
-	}); a > 0 {
-		t.Errorf("grid Within allocates %v/op", a)
-	}
-}
-
-// TestKDTreeDeterministicBuild checks that two builds over the same points
-// produce identical trees (quickselect pivots are deterministic).
-func TestKDTreeDeterministicBuild(t *testing.T) {
-	pts := randomPoints(1000, 34)
-	a, b := NewKDTree(pts), NewKDTree(pts)
-	if len(a.nodes) != len(b.nodes) || a.root != b.root {
-		t.Fatal("tree shapes differ")
-	}
-	for i := range a.nodes {
-		if a.nodes[i] != b.nodes[i] {
-			t.Fatalf("node %d differs: %+v vs %+v", i, a.nodes[i], b.nodes[i])
+		if dyn.NearestWhere(q, odd) < 0 {
+			t.Fatal("NearestWhere found nothing")
 		}
+	}); a > 0 {
+		t.Errorf("NearestWhere allocates %v/op", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		buf = dyn.Within(q, 0.5, buf[:0])
+	}); a > 0 {
+		t.Errorf("Within allocates %v/op", a)
 	}
 }
 

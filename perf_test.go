@@ -40,7 +40,7 @@ func TestGraphBuildAllocationsBounded(t *testing.T) {
 // TestHNGBuildAllocationsBounded gates the hierarchical-neighbor-graph
 // construction the same way: allocations per build are bounded by the
 // hierarchy height and shard count, not the node count. The dominant terms
-// are the per-level subset slices and kd-trees (O(levels)), the per-shard
+// are the per-level subset slices and grids (O(levels)), the per-shard
 // query scratch and the one attachment sort — far under one allocation per
 // node.
 func TestHNGBuildAllocationsBounded(t *testing.T) {
