@@ -237,9 +237,8 @@ func BuildHNG(pts []Point, spec HNGSpec, seed Seed) (*HNGGraph, error) {
 }
 
 // Energy and network lifetime (internal/energy): per-node batteries under a
-// first-order radio model, debited by the lifetime simulation, the simnet
-// energy sink and the routing charge hooks; measured by the Q01–Q03
-// scenarios (tag "energy").
+// first-order radio model, debited by the lifetime simulation; measured by
+// the Q01–Q03 scenarios (tag "energy").
 type (
 	// EnergyModel is the radio energy model: tx = bits·(c + d^β), rx per
 	// bit, idle drain per round.

@@ -29,10 +29,10 @@ type leaderAnnounceMsg struct {
 	leader int32
 }
 type tileGoodMsg struct{ rep int32 }
-type crossConnectMsg struct {
-	from     int32
-	tileGood bool
-}
+
+// crossConnectMsg is the cross-tile handshake request. Its receiver keeps no
+// state; the edge is installed when the sender handles the crossAckMsg.
+type crossConnectMsg struct{}
 type crossAckMsg struct{ from int32 }
 
 // BuildUDGDistributed executes the §4.1 algorithm (Figure 7) as an actual
@@ -93,7 +93,6 @@ func BuildUDGDistributed(pts []geom.Point, box geom.Rect, spec tiling.UDGSpec) (
 		}
 		st.tile = c
 		st.region = gm.Classify(n.Map.Tiling.Local(c, p))
-		st.mapped = true
 		if st.region != tiling.UNone {
 			regionPeers[t][st.region] = append(regionPeers[t][st.region], int32(i))
 		}
@@ -131,13 +130,6 @@ func BuildUDGDistributed(pts []geom.Point, box geom.Rect, spec tiling.UDGSpec) (
 				if requireRange && !inRange(int32(i), payload.rep) {
 					n.Stats.HandshakeFailures++
 				}
-			case crossConnectMsg:
-				// Facing relay leader answers iff its own tile is good
-				// (it learned that via tileGoodMsg) — tracked below via the
-				// goodRelay set captured at send time.
-				// The actual accept/refuse is decided by the sender side in
-				// phase 5 using the ACK.
-				_ = payload
 			case crossAckMsg:
 				n.Stats.HandshakeAttempts++
 				if !requireRange || inRange(int32(i), payload.from) {
@@ -224,7 +216,7 @@ func BuildUDGDistributed(pts []geom.Point, box geom.Rect, spec tiling.UDGSpec) (
 				if u < 0 || v < 0 {
 					continue
 				}
-				s.Send(simnet.NodeID(u), simnet.NodeID(v), crossConnectMsg{from: u, tileGood: true})
+				s.Send(simnet.NodeID(u), simnet.NodeID(v), crossConnectMsg{})
 				s.Send(simnet.NodeID(v), simnet.NodeID(u), crossAckMsg{from: v})
 			}
 		}
@@ -263,7 +255,6 @@ func BuildUDGDistributed(pts []geom.Point, box geom.Rect, spec tiling.UDGSpec) (
 type nodeState struct {
 	tile    tiling.Coord
 	region  tiling.URegion
-	mapped  bool
 	maxSeen int32 // election state: largest ID heard in the region
 	// relayLeader records, at the representative-elect, which relay leaders
 	// announced themselves (phase 3), indexed by direction.

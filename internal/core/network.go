@@ -116,12 +116,14 @@ type Options struct {
 	// 0. (The UDG repaired-mode construction is guaranteed valid anyway;
 	// use this to speed up large Monte-Carlo sweeps.)
 	SkipBase bool
-	// Alive optionally masks the deployment: a point with Alive[i] == false
-	// takes no part in classification or elections and stays an isolated
-	// vertex, while indices keep their meaning. Nil means every point is
-	// alive. This is how the kinetic maintainer's from-scratch comparator
-	// and the live-network scenarios express node deaths without renumbering
-	// the deployment. The base graph, when built, still spans all points.
+	// Alive optionally masks the deployment (UDG-SENS only; BuildNN
+	// rejects any non-nil mask, since an NN(2, k) base over a masked
+	// deployment is not defined): a point with Alive[i] == false takes no
+	// part in classification or elections and stays an isolated vertex,
+	// while indices keep their meaning. Nil means every point is alive. This
+	// is how the kinetic maintainer's from-scratch comparator and the
+	// live-network scenarios express node deaths without renumbering the
+	// deployment. The base graph, when built, still spans all points.
 	Alive []bool
 }
 

@@ -26,7 +26,6 @@ type nnCrossAckMsg struct{ from int32 }
 type nnNodeState struct {
 	tile    tiling.Coord
 	region  tiling.NRegion
-	mapped  bool
 	maxSeen int32
 	// Representative-elect bookkeeping.
 	census int
@@ -87,7 +86,6 @@ func BuildNNDistributed(pts []geom.Point, box geom.Rect, spec tiling.NNSpec) (*D
 			continue
 		}
 		st.tile = c
-		st.mapped = true
 		st.region = gm.Classify(n.Map.Tiling.Local(c, p))
 		tileNodes[t] = append(tileNodes[t], int32(i))
 		if st.region != tiling.NNone {

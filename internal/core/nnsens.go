@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/election"
@@ -30,6 +31,9 @@ import (
 func BuildNN(pts []geom.Point, box geom.Rect, spec tiling.NNSpec, opt Options) (*Network, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
+	}
+	if opt.Alive != nil {
+		return nil, errors.New("sens: NN-SENS takes no alive mask (Options.Alive is UDG-SENS only)")
 	}
 	gm := spec.Compile()
 	n := &Network{

@@ -131,6 +131,26 @@ func TestBuildNNRejectsInvalidSpec(t *testing.T) {
 	}
 }
 
+// TestBuildNNRejectsAliveMask: an NN(2, k) base over a masked deployment is
+// not defined, so any non-nil mask errors instead of being ignored, whatever
+// its length; nil builds as before.
+func TestBuildNNRejectsAliveMask(t *testing.T) {
+	spec := tiling.PaperNNSpec()
+	box := geom.Box(2*spec.TileSide(), 2*spec.TileSide())
+	pts := pointprocess.Poisson(box, 1.0, rng.New(8))
+	if len(pts) < 2 {
+		t.Fatalf("deployment of %d points cannot tell a wrong-length mask", len(pts))
+	}
+	for _, alive := range [][]bool{make([]bool, len(pts)), {true}} {
+		if _, err := BuildNN(pts, box, spec, Options{SkipBase: true, Alive: alive}); err == nil {
+			t.Errorf("alive mask of length %d (deployment %d) accepted", len(alive), len(pts))
+		}
+	}
+	if _, err := BuildNN(pts, box, spec, Options{SkipBase: true}); err != nil {
+		t.Errorf("nil mask: %v", err)
+	}
+}
+
 func TestNNSENSEmptyDeployment(t *testing.T) {
 	spec := tiling.PaperNNSpec()
 	n, err := BuildNN(nil, geom.Box(2*spec.TileSide(), 2*spec.TileSide()), spec, Options{})

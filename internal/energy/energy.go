@@ -10,17 +10,11 @@
 //
 // The package is deliberately topology-agnostic: everything operates on a
 // CSR graph plus vertex positions, so UDG-SENS, NN-SENS, HNG and the dense
-// base graphs all flow through the same simulation. Hook types in simnet
-// (EnergySink) and routing (charge hooks in Options) let the discrete-event
-// and routing layers debit the same batteries.
+// base graphs all flow through the same simulation. The simulation's
+// per-node batteries are the repository's one energy ledger.
 package energy
 
-import (
-	"math"
-
-	"repro/internal/geom"
-	"repro/internal/simnet"
-)
+import "math"
 
 // Model is the first-order radio energy model. All quantities are in
 // normalized energy units: one unit is the electronics cost of moving one
@@ -86,89 +80,3 @@ func (b *Battery) Drain(e float64) bool {
 
 // Dead reports whether the battery is empty.
 func (b *Battery) Dead() bool { return b.Charge <= 0 }
-
-// Bank is per-node battery state for a positioned node set: the shared
-// debit surface behind the simnet energy sink, the routing charge hooks and
-// the lifetime simulation. Nodes outside the powered set (Powered nil ==
-// everyone powered) are ignored by the charge methods, which is how mains-
-// powered sinks and non-member deployment points are modeled.
-type Bank struct {
-	// Model prices every debit.
-	Model Model
-	// Pos supplies hop distances for tx debits.
-	Pos []geom.Point
-	// Batteries holds one battery per node (indexed like Pos).
-	Batteries []Battery
-	// Powered flags the battery-powered nodes; nil means all nodes are.
-	// Unpowered nodes accept any debit for free (infinite energy).
-	Powered []bool
-}
-
-// NewBank returns a bank over the positioned nodes, every battery holding
-// capacity. All nodes are powered; restrict by setting Powered.
-func NewBank(model Model, pos []geom.Point, capacity float64) *Bank {
-	bk := &Bank{Model: model, Pos: pos, Batteries: make([]Battery, len(pos))}
-	for i := range bk.Batteries {
-		bk.Batteries[i] = NewBattery(capacity)
-	}
-	return bk
-}
-
-func (bk *Bank) powered(u int32) bool {
-	return bk.Powered == nil || (int(u) < len(bk.Powered) && bk.Powered[u])
-}
-
-// Alive reports whether node u can still spend energy: unpowered nodes are
-// always alive; powered nodes die with their battery.
-func (bk *Bank) Alive(u int32) bool {
-	return !bk.powered(u) || !bk.Batteries[u].Dead()
-}
-
-// ChargeTx debits the cost of transmitting bits from u to v (distance from
-// positions) against u's battery.
-func (bk *Bank) ChargeTx(u, v int32, bits float64) {
-	if bk.powered(u) {
-		bk.Batteries[u].Drain(bk.Model.TxCost(bits, bk.Pos[u].Dist(bk.Pos[v])))
-	}
-}
-
-// ChargeRx debits the cost of receiving bits against v's battery.
-func (bk *Bank) ChargeRx(v int32, bits float64) {
-	if bk.powered(v) {
-		bk.Batteries[v].Drain(bk.Model.RxCost(bits))
-	}
-}
-
-// TotalSpent sums the energy demanded of all batteries so far.
-func (bk *Bank) TotalSpent() float64 {
-	var s float64
-	for i := range bk.Batteries {
-		s += bk.Batteries[i].Spent
-	}
-	return s
-}
-
-// SimnetCharger adapts a Bank to the simnet.EnergySink hook: every Send
-// debits the tx cost of Bits at the sender, every delivery debits the rx
-// cost at the receiver. Messages to unregistered nodes therefore cost the
-// sender tx energy but charge no one rx energy — matching simnet's
-// documented drop accounting (MessagesSent at Send, Dropped at delivery
-// time).
-type SimnetCharger struct {
-	// Bank receives the debits.
-	Bank *Bank
-	// Bits is the modeled payload size of one simulator message.
-	Bits float64
-}
-
-// MessageSent implements simnet.EnergySink.
-func (c *SimnetCharger) MessageSent(from, to simnet.NodeID) {
-	c.Bank.ChargeTx(int32(from), int32(to), c.Bits)
-}
-
-// MessageDelivered implements simnet.EnergySink.
-func (c *SimnetCharger) MessageDelivered(from, to simnet.NodeID) {
-	c.Bank.ChargeRx(int32(to), c.Bits)
-}
-
-var _ simnet.EnergySink = (*SimnetCharger)(nil)

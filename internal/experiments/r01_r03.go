@@ -274,7 +274,7 @@ func r02LifetimeUnderAttack(ctx *scenario.Ctx) *Table {
 	return t
 }
 
-// r03EnergyUnits prices a routing attempt like the simnet contract: every
+// r03EnergyUnits prices a routing attempt from its counters: every
 // transmission attempt costs tx+rx (2 units; the rx is spent even on a lost
 // packet's last hop in expectation, keeping the comparison simple) and
 // every probe costs one message.

@@ -5,10 +5,9 @@
 // scale-free WSN literature (arXiv:1405.3368) uses to discriminate
 // topologies by their random-failure vs targeted-attack decay curves.
 //
-// A schedule is data, not behavior: the layers that *apply* one (the
-// lifetime simulation in internal/energy, the simnet loss model, the
-// routing retransmission loop) draw their own per-run randomness; the
-// schedule itself is fully determined by its inputs. Builders that need
+// A schedule is data, not behavior: the layer that *applies* one (the
+// lifetime simulation in internal/energy) draws its own per-run
+// randomness; the schedule itself is fully determined by its inputs. Builders that need
 // randomness (random victim orders) consume their RNG substream entirely,
 // so schedules satisfy the scenario cache's correctness rule and are
 // cache-eligible — simulations applying them never are.
@@ -21,7 +20,6 @@ import (
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/simnet"
 )
 
 // Event is one crash-stop failure: Node permanently stops at the boundary
@@ -269,23 +267,3 @@ func CrashSchedule(victims []int32, frac float64, start, perRound int) *Schedule
 	sortEvents(s.Crashes)
 	return s
 }
-
-// Bernoulli adapts a constant per-message loss probability to the
-// simnet.LossModel hook: every in-flight message is lost independently
-// with probability P, drawn from Rng at delivery time. The sender's tx
-// debit has already been charged at Send time; the receiver pays nothing —
-// the same drop-accounting contract simnet pins for unregistered
-// destinations.
-type Bernoulli struct {
-	// P is the per-message loss probability.
-	P float64
-	// Rng draws the loss decisions; the caller owns its determinism.
-	Rng *rand.Rand
-}
-
-// Lose implements simnet.LossModel.
-func (b *Bernoulli) Lose(from, to simnet.NodeID, now float64) bool {
-	return b.P > 0 && b.Rng.Float64() < b.P
-}
-
-var _ simnet.LossModel = (*Bernoulli)(nil)

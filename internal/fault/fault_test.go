@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/rng"
-	"repro/internal/simnet"
 )
 
 func buildCSR(n int, edges [][2]int32) *graph.CSR {
@@ -153,32 +152,5 @@ func TestSelectorString(t *testing.T) {
 		if got := sel.String(); got != want {
 			t.Errorf("Selector(%d).String() = %q, want %q", int(sel), got, want)
 		}
-	}
-}
-
-func TestBernoulliLossModel(t *testing.T) {
-	// P=0 never loses and draws nothing; P=1 always loses.
-	never := &Bernoulli{P: 0, Rng: nil} // nil rng proves no draw happens
-	if never.Lose(0, 1, 0) {
-		t.Fatal("P=0 lost a message")
-	}
-	always := &Bernoulli{P: 1, Rng: rng.Sub(1, 0)}
-	for i := 0; i < 10; i++ {
-		if !always.Lose(0, 1, float64(i)) {
-			t.Fatal("P=1 delivered a message")
-		}
-	}
-	// Wired into a network: Lost counts, handlers starve, Dropped unaffected.
-	net := simnet.New()
-	net.Loss = &Bernoulli{P: 1, Rng: rng.Sub(1, 1)}
-	delivered := 0
-	net.Register(1, simnet.HandlerFunc(func(n *simnet.Network, m simnet.Message) { delivered++ }))
-	for i := 0; i < 5; i++ {
-		net.Send(0, 1, nil)
-	}
-	net.Run(0)
-	if delivered != 0 || net.Lost != 5 || net.MessagesDelivered != 0 || net.Dropped != 0 {
-		t.Fatalf("delivered=%d Lost=%d Delivered=%d Dropped=%d; want 0/5/0/0",
-			delivered, net.Lost, net.MessagesDelivered, net.Dropped)
 	}
 }

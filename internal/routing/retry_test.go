@@ -79,20 +79,20 @@ func TestRetryOffLossyLinkDrops(t *testing.T) {
 
 // TestCappedRetryRestoresDelivery: the same lossy path with a capped
 // jittered backoff policy recovers nearly all deliveries, and the recovery
-// is paid for — Charge.Hop fires once per attempt, not per hop.
+// is paid for — every delivered packet made exactly Hops + Lost attempts,
+// the transmission count R03's energy column prices.
 func TestCappedRetryRestoresDelivery(t *testing.T) {
 	l := openLattice(10, 1)
 	delivered, attempts, hops := 0, 0, 0
 	trials := 200
 	for i := 0; i < trials; i++ {
-		hooks := &countingHooks{}
 		res := RouteXYWith(l, 0, 0, 9, 0, Options{
-			Loss: 0.3, Rng: rng.Sub(7, uint64(i)), Charge: hooks,
+			Loss: 0.3, Rng: rng.Sub(7, uint64(i)),
 			Retry: Retry{Attempts: 6, Backoff: 1, MaxBackoff: 8, Jitter: 0.5},
 		})
-		if hooks.hops != res.Attempts {
-			t.Fatalf("Charge.Hop fired %d times, Attempts = %d: retries must cost battery",
-				hooks.hops, res.Attempts)
+		if res.Delivered && res.Attempts != res.Hops+res.Lost {
+			t.Fatalf("substream %d: Attempts = %d, want Hops + Lost = %d + %d",
+				i, res.Attempts, res.Hops, res.Lost)
 		}
 		if res.Delivered {
 			delivered++

@@ -41,22 +41,6 @@ type Result struct {
 	Trajectory []int32
 }
 
-// ChargeHooks receives the energy-bearing events of a routing attempt.
-// Implementations translate them into battery debits (energy.Bank behind
-// RouteOnSensWith) or plain accounting; a nil hook set costs nothing.
-type ChargeHooks interface {
-	// Probe fires once per charged site query: the node at site from asked
-	// whether site to is open. Memoized re-probes (Options.Memoize) fire no
-	// Probe, matching the free re-probe accounting of Result.Probes.
-	Probe(from, to int32)
-	// Hop fires once per transmission attempt on the edge from → to,
-	// including retransmissions after link loss: retries spend real battery.
-	// Without loss every traversed edge is a single attempt, so Hop fires
-	// exactly once per lattice edge the packet crosses — the historical
-	// contract.
-	Hop(from, to int32)
-}
-
 // Retry is the retransmission policy applied per hop when link loss is
 // enabled (Options.Loss > 0).
 type Retry struct {
@@ -84,13 +68,11 @@ type Options struct {
 	// fails once exhausted.
 	ProbeBudget int
 	// Memoize lets nodes cache probe answers: re-probing a site already
-	// probed earlier in the same routing attempt is free. This models relays
+	// probed earlier in the same routing attempt is free and does not count
+	// in Result.Probes. This models relays
 	// remembering "is the tile over there good" answers — an ablation of
 	// the stateless Angel et al. algorithm whose savings E12 quantifies.
 	Memoize bool
-	// Charge, when non-nil, observes every charged probe and every hop —
-	// the per-hop/per-probe debit surface the energy layer hangs off.
-	Charge ChargeHooks
 	// Loss is the per-transmission link-loss probability. Zero keeps the
 	// historical deterministic behavior bit-identical: no RNG is consulted
 	// and every hop succeeds on its first attempt.
@@ -156,30 +138,25 @@ func RouteXYInto(l *lattice.Lattice, sx, sy, tx, ty int, opt Options, sc *Scratc
 	cx, cy := sx, sy
 	res.Trajectory = append(res.Trajectory, l.Idx(cx, cy))
 	visited, parent := sc.visited, sc.parent
-	charge := func(from, to int32) {
+	probe := func(site int32) {
 		if opt.Memoize {
-			if sc.probedAt[to] == sc.attempt {
+			if sc.probedAt[site] == sc.attempt {
 				return
 			}
-			sc.probedAt[to] = sc.attempt
+			sc.probedAt[site] = sc.attempt
 		}
 		res.Probes++
-		if opt.Charge != nil {
-			opt.Charge.Probe(from, to)
-		}
 	}
-	// transmit attempts the edge from → to under the loss model and retry
-	// policy. Every attempt fires Charge.Hop (retries spend battery); a
-	// successful attempt advances the trajectory. Returns false when the
-	// policy's attempts are exhausted (or immediately on a Loss ≥ 1 link,
-	// which an unbounded policy must not spin on). With Loss == 0 this is
-	// the historical single-attempt hop and consults no RNG.
-	transmit := func(from, to int32) bool {
+	// transmit attempts the hop to site `to` under the loss model and retry
+	// policy. Every attempt counts in Attempts (retries cost a
+	// transmission); a successful attempt advances the trajectory. Returns
+	// false when the policy's attempts are exhausted (or immediately on a
+	// Loss ≥ 1 link, which an unbounded policy must not spin on). With
+	// Loss == 0 this is the historical single-attempt hop and consults no
+	// RNG.
+	transmit := func(to int32) bool {
 		for attempt := 1; ; attempt++ {
 			res.Attempts++
-			if opt.Charge != nil {
-				opt.Charge.Hop(from, to)
-			}
 			if opt.Loss <= 0 || opt.Rng.Float64() >= opt.Loss {
 				res.Hops++
 				res.Trajectory = append(res.Trajectory, to)
@@ -220,12 +197,11 @@ func RouteXYInto(l *lattice.Lattice, sx, sy, tx, ty int, opt Options, sc *Scratc
 			return res
 		}
 		nx, ny := computeNext(cx, cy, tx, ty)
-		cur := l.Idx(cx, cy)
-		charge(cur, l.Idx(nx, ny)) // isOpen(next)
+		probe(l.Idx(nx, ny)) // isOpen(next)
 		avoid := int32(-1)
 		if l.IsOpen(nx, ny) {
 			next := l.Idx(nx, ny)
-			if transmit(cur, next) {
+			if transmit(next) {
 				cx, cy = nx, ny
 				continue
 			}
@@ -264,7 +240,7 @@ func RouteXYInto(l *lattice.Lattice, sx, sy, tx, ty int, opt Options, sc *Scratc
 					// for this recovery round: not probed, not entered.
 					continue
 				}
-				charge(i, ni) // probing this site costs a message
+				probe(ni) // probing this site costs a message
 				if !budgetLeft() {
 					sc.queue = queue
 					return res
@@ -296,7 +272,7 @@ func RouteXYInto(l *lattice.Lattice, sx, sy, tx, ty int, opt Options, sc *Scratc
 		prev := src
 		shipped := true
 		for j := len(rev) - 1; j >= 0; j-- {
-			if !transmit(prev, rev[j]) {
+			if !transmit(rev[j]) {
 				if !opt.Retry.AltPath {
 					return res
 				}

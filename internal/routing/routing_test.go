@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/energy"
 	"repro/internal/geom"
 	"repro/internal/lattice"
 	"repro/internal/pointprocess"
@@ -208,146 +207,6 @@ func TestRouteOnSens(t *testing.T) {
 	}
 }
 
-// countingHooks tallies ChargeHooks callbacks and records the hop walk.
-type countingHooks struct {
-	probes, hops int
-	walk         []int32
-}
-
-func (c *countingHooks) Probe(from, to int32) { c.probes++ }
-func (c *countingHooks) Hop(from, to int32) {
-	if len(c.walk) == 0 {
-		c.walk = append(c.walk, from)
-	}
-	c.hops++
-	c.walk = append(c.walk, to)
-}
-
-// TestChargeHooksMatchResult pins the hook contract on a percolated
-// lattice: Probe fires exactly Result.Probes times, Hop exactly
-// Result.Hops times, and the hop walk reproduces the trajectory.
-func TestChargeHooksMatchResult(t *testing.T) {
-	g := rng.New(4)
-	l := lattice.Sample(40, 40, 0.72, g)
-	giant := l.LargestCluster()
-	if len(giant) < 50 {
-		t.Skip("subcritical realization")
-	}
-	checked := 0
-	for trial := 0; trial < 30; trial++ {
-		a, b := giant[g.IntN(len(giant))], giant[g.IntN(len(giant))]
-		ax, ay := l.XY(a)
-		bx, by := l.XY(b)
-		hooks := &countingHooks{}
-		res := RouteXYWith(l, ax, ay, bx, by, Options{Charge: hooks})
-		if hooks.probes != res.Probes {
-			t.Fatalf("Probe fired %d times, Result.Probes = %d", hooks.probes, res.Probes)
-		}
-		if hooks.hops != res.Hops {
-			t.Fatalf("Hop fired %d times, Result.Hops = %d", hooks.hops, res.Hops)
-		}
-		if res.Hops > 0 {
-			if len(hooks.walk) != len(res.Trajectory) {
-				t.Fatalf("hop walk length %d vs trajectory %d", len(hooks.walk), len(res.Trajectory))
-			}
-			for i := range hooks.walk {
-				if hooks.walk[i] != res.Trajectory[i] {
-					t.Fatalf("hop walk diverges from trajectory at %d", i)
-				}
-			}
-		}
-		checked++
-	}
-	if checked == 0 {
-		t.Error("no routes checked")
-	}
-}
-
-// TestChargeHooksMemoized: with memoization on, the Probe hook fires only
-// for charged (first-time) probes — identical to the Probes counter.
-func TestChargeHooksMemoized(t *testing.T) {
-	g := rng.New(5)
-	l := lattice.Sample(40, 40, 0.68, g)
-	giant := l.LargestCluster()
-	if len(giant) < 50 {
-		t.Skip("subcritical realization")
-	}
-	a, b := giant[0], giant[len(giant)-1]
-	ax, ay := l.XY(a)
-	bx, by := l.XY(b)
-	plain := &countingHooks{}
-	RouteXYWith(l, ax, ay, bx, by, Options{Charge: plain})
-	memo := &countingHooks{}
-	res := RouteXYWith(l, ax, ay, bx, by, Options{Memoize: true, Charge: memo})
-	if memo.probes != res.Probes {
-		t.Fatalf("memoized Probe fired %d times, Result.Probes = %d", memo.probes, res.Probes)
-	}
-	if memo.probes > plain.probes {
-		t.Errorf("memoization increased probes: %d > %d", memo.probes, plain.probes)
-	}
-}
-
-// TestRouteOnSensChargedDebits runs the charged SENS routing variant and
-// checks the bank arithmetic: members spend energy, non-members and
-// unpowered nodes do not, and disabling the debits (zero bits) spends
-// nothing.
-func TestRouteOnSensChargedDebits(t *testing.T) {
-	g := rng.New(2)
-	box := geom.Box(30, 30)
-	pts := pointprocess.Poisson(box, 16, g)
-	n, err := core.BuildUDG(pts, box, tiling.DefaultUDGSpec(), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, coords := n.GoodReps()
-	if len(coords) < 4 {
-		t.Skip("too few good reps in realization")
-	}
-	bank := energy.NewBank(energy.DefaultModel(), pts, 1e9)
-	bank.Powered = poweredMask(len(pts), n.Members)
-	delivered := false
-	for trial := 0; trial < 20 && !delivered; trial++ {
-		a := coords[g.IntN(len(coords))]
-		b := coords[g.IntN(len(coords))]
-		if a == b {
-			continue
-		}
-		res, err := RouteOnSensWith(n, a, b, SensOptions{
-			Bank: bank, PacketBits: 4, ProbeBits: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		delivered = res.Delivered && res.NodeHops > 0
-	}
-	if !delivered {
-		t.Skip("no multi-hop route found")
-	}
-	spent := bank.TotalSpent()
-	if spent <= 0 {
-		t.Fatal("charged routing spent nothing")
-	}
-	inNet := make(map[int32]bool)
-	for _, v := range n.Members {
-		inNet[v] = true
-	}
-	for i := range bank.Batteries {
-		if bank.Batteries[i].Spent > 0 && !inNet[int32(i)] {
-			t.Fatalf("non-member %d was charged", i)
-		}
-	}
-	// Zero bits = free routing, bank untouched.
-	free := energy.NewBank(energy.DefaultModel(), pts, 1e9)
-	free.Powered = poweredMask(len(pts), n.Members)
-	if _, err := RouteOnSensWith(n, coords[0], coords[len(coords)-1],
-		SensOptions{Bank: free}); err != nil {
-		t.Fatal(err)
-	}
-	if free.TotalSpent() != 0 {
-		t.Errorf("zero-bit routing spent %v", free.TotalSpent())
-	}
-}
-
 func TestRouteOnSensErrors(t *testing.T) {
 	g := rng.New(3)
 	box := geom.Box(12, 12)
@@ -462,13 +321,4 @@ func TestRouteXYMemoizeChargesOncePerSite(t *testing.T) {
 		t.Errorf("comb should show memoization savings: plain %d vs memo %d",
 			plain.Probes, res.Probes)
 	}
-}
-
-// poweredMask flags nodes among n as the battery-powered ones.
-func poweredMask(n int, nodes []int32) []bool {
-	mask := make([]bool, n)
-	for _, v := range nodes {
-		mask[v] = true
-	}
-	return mask
 }

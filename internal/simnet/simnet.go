@@ -32,31 +32,6 @@ type HandlerFunc func(net *Network, msg Message)
 // HandleMessage calls f.
 func (f HandlerFunc) HandleMessage(net *Network, msg Message) { f(net, msg) }
 
-// EnergySink observes message traffic for energy accounting. MessageSent
-// fires when Send schedules a message (the sender spends transmit energy
-// whether or not anyone is listening); MessageDelivered fires only when a
-// registered handler actually receives it (the receiver spends receive
-// energy). A message to an unregistered node therefore costs tx but no rx —
-// mirroring the counter semantics documented on Send.
-type EnergySink interface {
-	// MessageSent is called once per Send, at send time.
-	MessageSent(from, to NodeID)
-	// MessageDelivered is called at delivery time, before the handler runs.
-	MessageDelivered(from, to NodeID)
-}
-
-// LossModel decides, per in-flight message, whether the channel loses it.
-// Consulted by Run at delivery time, before the destination handler lookup:
-// a lost message follows the same accounting contract as a drop to an
-// unregistered node — the sender's tx debit was already charged at Send
-// time, the receiver pays nothing, and no handler runs. Implementations own
-// their randomness (see fault.Bernoulli), keeping the network itself
-// deterministic.
-type LossModel interface {
-	// Lose reports whether the message from→to in flight at time now is lost.
-	Lose(from, to NodeID, now float64) bool
-}
-
 // Network is the event queue and node registry.
 type Network struct {
 	now      float64
@@ -67,26 +42,15 @@ type Network struct {
 	// Delay is the message latency applied by Send (default 1).
 	Delay float64
 
-	// Energy, when non-nil, receives a MessageSent call per Send and a
-	// MessageDelivered call per actual delivery (dropped messages get none).
-	Energy EnergySink
-
-	// Loss, when non-nil, is consulted per message at delivery time; lost
-	// messages count in Lost, charge no receive energy, and never reach a
-	// handler. Send-side accounting is unaffected.
-	Loss LossModel
-
-	// Counters. The accounting contract — relied on by the energy debits
-	// hanging off Send/delivery — is: MessagesSent increments at Send time,
-	// unconditionally; MessagesDelivered, Dropped and Lost increment at
-	// delivery time, when the loss model and the destination's handler are
-	// consulted. A message to a node that is never registered is thus Sent
-	// immediately but only Dropped once its delivery event is processed by
-	// Run; before that it sits in the event queue.
+	// Counters. The accounting contract is: MessagesSent increments at Send
+	// time, unconditionally; MessagesDelivered and Dropped increment at
+	// delivery time, when the destination's handler is consulted. A message
+	// to a node that is never registered is thus Sent immediately but only
+	// Dropped once its delivery event is processed by Run; before that it
+	// sits in the event queue.
 	MessagesSent      int
 	MessagesDelivered int
 	Dropped           int // messages to unregistered nodes, counted at delivery time
-	Lost              int // messages eaten by the Loss model, counted at delivery time
 }
 
 type event struct {
@@ -108,16 +72,12 @@ func (n *Network) Now() float64 { return n.now }
 func (n *Network) Register(id NodeID, h Handler) { n.handlers[id] = h }
 
 // Send schedules delivery of a message after the network delay. It counts
-// toward MessagesSent (and charges the Energy sink's tx debit) immediately,
-// even when the destination is never registered: the sender has spent the
-// transmission either way. The message is only counted Dropped — and the
-// receive-side energy debit only skipped — at delivery time, when Run finds
-// no handler for the destination.
+// toward MessagesSent immediately, even when the destination is never
+// registered: the sender has spent the transmission either way. The message
+// is only counted Dropped at delivery time, when Run finds no handler for
+// the destination.
 func (n *Network) Send(from, to NodeID, payload any) {
 	n.MessagesSent++
-	if n.Energy != nil {
-		n.Energy.MessageSent(from, to)
-	}
 	n.push(event{at: n.now + n.Delay, msg: Message{From: from, To: to, Payload: payload}})
 }
 
@@ -154,19 +114,12 @@ func (n *Network) Run(maxEvents int) int {
 			e.timer(n)
 			continue
 		}
-		if n.Loss != nil && n.Loss.Lose(e.msg.From, e.msg.To, n.now) {
-			n.Lost++
-			continue
-		}
 		h, ok := n.handlers[e.msg.To]
 		if !ok {
 			n.Dropped++
 			continue
 		}
 		n.MessagesDelivered++
-		if n.Energy != nil {
-			n.Energy.MessageDelivered(e.msg.From, e.msg.To)
-		}
 		h.HandleMessage(n, e.msg)
 	}
 	return processed
