@@ -87,6 +87,9 @@ type Kinetic struct {
 	init  bool // during initial indexing, emissions skip the overlay
 
 	stats KineticStats
+	// regroup, when set, replaces recomputeGroup: the tests plug in the
+	// retract-everything, emit-everything reference the diff is held to.
+	regroup func(key uint64, g *kGroup)
 
 	// Reusable scratch.
 	scratch    spatial.KNNScratch
@@ -95,6 +98,7 @@ type Kinetic struct {
 	queryBuf   []int32
 	seen       []bool
 	sortBuf    []int32
+	edgeBuf    []uint64
 	deadBuf    []int32
 	movedBuf   []movedNode
 	mstPos     []geom.Point
@@ -350,17 +354,46 @@ func (k *Kinetic) relink(u int32) {
 }
 
 // recomputeGroup re-sorts one pruning group by (distance-to-parent, child)
-// and re-emits its direct and chain edges, exactly mirroring the static
-// builder's per-group chaining.
+// and re-derives its direct and chain edges, exactly mirroring the static
+// builder's per-group chaining. Only the difference reaches the overlay:
+// edges that are new are emitted, edges that are gone retracted. A group's
+// edges are distinct (each child is the second endpoint of exactly one), so
+// the result is what retracting every old edge and emitting every new one
+// would leave, and so is the EdgeChanges tally: there a kept edge held by
+// this group alone dropped out and came back, two changes.
 func (k *Kinetic) recomputeGroup(key uint64, g *kGroup) {
 	k.stats.GroupRecomputes++
-	for _, e := range g.edges {
-		u, v := graph.Unpack(e)
-		k.retract(u, v)
+	cur := k.groupEdges(key, g)
+	slices.Sort(cur)
+	old := g.edges // sorted by the previous recompute
+	i, j := 0, 0
+	for i < len(old) || j < len(cur) {
+		switch {
+		case j == len(cur) || (i < len(old) && old[i] < cur[j]):
+			u, v := graph.Unpack(old[i])
+			k.retract(u, v)
+			i++
+		case i == len(old) || cur[j] < old[i]:
+			u, v := graph.Unpack(cur[j])
+			k.emit(u, v)
+			j++
+		default:
+			if !k.init && k.ref[cur[j]] == 1 {
+				k.stats.EdgeChanges += 2
+			}
+			i++
+			j++
+		}
 	}
-	g.edges = g.edges[:0]
+	g.edges = append(g.edges[:0], cur...)
+}
+
+// groupEdges returns the direct and chain edges group g (identity key)
+// emits at the current positions, in chain order, in the reusable edgeBuf.
+func (k *Kinetic) groupEdges(key uint64, g *kGroup) []uint64 {
+	k.edgeBuf = k.edgeBuf[:0]
 	if len(g.members) == 0 {
-		return // kept, storage and all, for the next child to attach
+		return k.edgeBuf // the group is kept, storage and all, for the next child
 	}
 	parent := int32(key >> 8)
 	k.sortBuf = append(k.sortBuf[:0], g.members...)
@@ -375,11 +408,8 @@ func (k *Kinetic) recomputeGroup(key uint64, g *kGroup) {
 		}
 		return int(a - b)
 	})
-	g.edges = chain(g.edges, parent, members, k.spec.MaxChildren)
-	for _, e := range g.edges {
-		u, v := graph.Unpack(e)
-		k.emit(u, v)
-	}
+	k.edgeBuf = chain(k.edgeBuf, parent, members, k.spec.MaxChildren)
+	return k.edgeBuf
 }
 
 // rebuildMST re-derives the top-level spanning tree from the current alive
@@ -488,7 +518,11 @@ func (k *Kinetic) flushDirty() {
 	for _, key := range k.dirtyKeys {
 		g := k.groups[key]
 		g.dirty = false
-		k.recomputeGroup(key, g)
+		if k.regroup != nil {
+			k.regroup(key, g)
+		} else {
+			k.recomputeGroup(key, g)
+		}
 	}
 	k.dirtyKeys = k.dirtyKeys[:0]
 }

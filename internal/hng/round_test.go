@@ -198,3 +198,77 @@ func TestRoundWarmAllocs(t *testing.T) {
 		t.Fatalf("warm round allocates %.1f per pair, want 0", a)
 	}
 }
+
+// recomputeGroupRetractAll is the reference form of recomputeGroup: retract
+// every edge the group held, then emit every edge it derives now, letting
+// the refcounts sort out what stayed.
+func (k *Kinetic) recomputeGroupRetractAll(key uint64, g *kGroup) {
+	k.stats.GroupRecomputes++
+	for _, e := range g.edges {
+		u, v := graph.Unpack(e)
+		k.retract(u, v)
+	}
+	g.edges = append(g.edges[:0], k.groupEdges(key, g)...)
+	for _, e := range g.edges {
+		u, v := graph.Unpack(e)
+		k.emit(u, v)
+	}
+}
+
+// TestGroupDiffMatchesRetractAll holds recomputeGroup's edge diff to the
+// retract-all/emit-all reference over long mixed Move/Remove/Round
+// sequences on the multi-level fixture (MaxChildren 2, so overflow chains
+// share edges across groups): after every operation the KineticStats and
+// the materialized graph are identical.
+func TestGroupDiffMatchesRetractAll(t *testing.T) {
+	_, box, fresh := roundFixture(t)
+	for _, seed := range []rng.Seed{43, 44} {
+		k, ref := fresh(), fresh()
+		ref.regroup = ref.recomputeGroupRetractAll
+		n := len(k.Positions())
+		gen := rng.Sub(seed, 3)
+		same := func(step int, op string) {
+			t.Helper()
+			if k.Stats() != ref.Stats() {
+				t.Fatalf("seed %d step %d (%s): stats %+v, reference %+v", seed, step, op, k.Stats(), ref.Stats())
+			}
+			if diff := graph.FirstDiff(k.Materialize(), ref.Materialize()); diff != "" {
+				t.Fatalf("seed %d step %d (%s): graph differs from the reference: %s", seed, step, op, diff)
+			}
+		}
+		for step := 0; step < 400; step++ {
+			u := int32(gen.IntN(n))
+			p := k.Positions()[u]
+			p.X += (gen.Float64() - 0.5) * 1.5
+			p.Y += (gen.Float64() - 0.5) * 1.5
+			p = box.Clamp(p)
+			switch r := gen.Float64(); {
+			case r < 0.05:
+				k.Remove(u)
+				ref.Remove(u)
+				same(step, "remove")
+			case r < 0.25:
+				var moves []mobility.Move
+				for i := 0; i < 6; i++ {
+					v := int32(gen.IntN(n))
+					q := box.Clamp(geom.Pt(k.Positions()[v].X+gen.Float64()-0.5, k.Positions()[v].Y+gen.Float64()-0.5))
+					moves = append(moves, mobility.Move{Node: v, To: q})
+				}
+				dead := []int32{int32(gen.IntN(n))}
+				k.Round(dead, moves)
+				ref.Round(dead, moves)
+				same(step, "round")
+			default:
+				if !k.AliveMask()[u] {
+					continue
+				}
+				k.Move(u, p)
+				ref.Move(u, p)
+				same(step, "move")
+			}
+		}
+		if k.Stats().EdgeChanges == 0 || k.Stats().GroupRecomputes == 0 {
+			t.Fatalf("seed %d: no group work exercised: %+v", seed, k.Stats())
+		}
+	}
+}

@@ -39,6 +39,9 @@ type Measurer struct {
 	// Per-Adj edge weights: [graph][kind] with kind 0 = Euclidean,
 	// kind 1 = power (nil when Beta <= 0). base slots nil when base is nil.
 	wSubD, wSubP, wBaseD, wBaseP []float64
+	// Cache entries of the base slabs, for their gateway rows (nil
+	// uncached).
+	eBaseD, eBaseP *slabEntry
 }
 
 // NewMeasurer builds the engine for a subgraph, an optional base graph
@@ -54,7 +57,8 @@ func NewMeasurer(sub, base *graph.CSR, pos []geom.Point, spec BatchSpec) *Measur
 // (nil = no caching) serves each (graph, β) slab from cache, so measurers
 // sharing a base graph — the topology baselines of E14, the β sweep of E11
 // — fill the shared slabs once instead of once per measurer. The slabs are
-// read-only to the Measurer, so sharing is safe.
+// read-only to the Measurer, so sharing is safe. When slabs has a gateway
+// set, the base slabs come with their gateway rows (see SlabCache).
 func NewMeasurerCached(sub, base *graph.CSR, pos []geom.Point, spec BatchSpec, slabs *SlabCache) *Measurer {
 	m := &Measurer{sub: sub, base: base, pos: pos, spec: spec}
 	m.wSubD = slabs.weights(sub, pos, 0)
@@ -62,12 +66,44 @@ func NewMeasurerCached(sub, base *graph.CSR, pos []geom.Point, spec BatchSpec, s
 		m.wSubP = slabs.weights(sub, pos, spec.Beta)
 	}
 	if base != nil {
-		m.wBaseD = slabs.weights(base, pos, 0)
+		m.wBaseD, m.eBaseD = slabs.lookup(base, pos, 0, true)
 		if spec.Beta > 0 {
-			m.wBaseP = slabs.weights(base, pos, spec.Beta)
+			m.wBaseP, m.eBaseP = slabs.lookup(base, pos, spec.Beta, true)
 		}
 	}
 	return m
+}
+
+// baseSweep returns the base-graph distances from src under weights w for
+// the current group's targets: the gateway row for src when the slab's
+// cache entry e has one (filled by a full sweep on first use), else a
+// bounded sweep into *buf. The row and the bounded sweep hold the same
+// bytes at every target (see graph.DijkstraEdgesInto). Rows are shared and
+// must be read only.
+func (m *Measurer) baseSweep(e *slabEntry, src int32, w []float64, buf *[]float64, ps *pairsScratch) []float64 {
+	var rows []gatewayRow
+	if e != nil {
+		rows = e.rows
+	}
+	for i := range rows {
+		r := &rows[i]
+		if r.src != src {
+			continue
+		}
+		filled := false
+		r.once.Do(func() {
+			r.d = graph.DijkstraEdgesInto(m.base, src, nil, w, nil, &ps.dijkstra)
+			filled = true
+		})
+		if filled {
+			e.cache.rowFills.Add(1)
+		} else {
+			e.cache.rowHits.Add(1)
+		}
+		return r.d
+	}
+	*buf = graph.DijkstraEdgesInto(m.base, src, ps.targets, w, *buf, &ps.dijkstra)
+	return *buf
 }
 
 // edgeWeights fills the per-Adj weight slab for one graph: Euclidean edge
@@ -110,7 +146,10 @@ type pairsScratch struct {
 // reads a few distances settles only the vertices nearer than its farthest
 // target. Pops and relaxations up to that exit are those of a full sweep,
 // so every answer is the full sweep's bytes; a group with an unreachable
-// target runs its sweeps to completion.
+// target runs its sweeps to completion. A group whose source is one of the
+// slab cache's gateways reads its base distances from the gateway rows
+// instead (SlabCache.SetGateways): one full sweep per (gateway, weight),
+// shared by every later group from that gateway.
 //
 // Source groups fan out across cores via parallel.ForScratch with
 // per-worker scratch, and each group writes its samples in place, so the
@@ -153,14 +192,15 @@ func (m *Measurer) Pairs(pairs []Pair) []StretchSample {
 			for _, key := range keys[g0:g1] {
 				ps.targets = append(ps.targets, pairs[uint32(key)].V)
 			}
+			var dBase, pBase []float64
 			ps.dSub = graph.DijkstraEdgesInto(m.sub, src, ps.targets, m.wSubD, ps.dSub, &ps.dijkstra)
 			if m.base != nil {
-				ps.dBase = graph.DijkstraEdgesInto(m.base, src, ps.targets, m.wBaseD, ps.dBase, &ps.dijkstra)
+				dBase = m.baseSweep(m.eBaseD, src, m.wBaseD, &ps.dBase, ps)
 			}
 			if m.wSubP != nil {
 				ps.pSub = graph.DijkstraEdgesInto(m.sub, src, ps.targets, m.wSubP, ps.pSub, &ps.dijkstra)
 				if m.base != nil {
-					ps.pBase = graph.DijkstraEdgesInto(m.base, src, ps.targets, m.wBaseP, ps.pBase, &ps.dijkstra)
+					pBase = m.baseSweep(m.eBaseP, src, m.wBaseP, &ps.pBase, ps)
 				}
 			}
 			if m.spec.Hops {
@@ -182,7 +222,7 @@ func (m *Measurer) Pairs(pairs []Pair) []StretchSample {
 					s.PowerSub = ps.pSub[dst]
 				}
 				if m.base != nil {
-					s.BaseLen = ps.dBase[dst]
+					s.BaseLen = dBase[dst]
 					switch {
 					case math.IsInf(s.SubLen, 1) || math.IsInf(s.BaseLen, 1):
 						s.DistStretch = math.Inf(1)
@@ -192,7 +232,7 @@ func (m *Measurer) Pairs(pairs []Pair) []StretchSample {
 						s.DistStretch = 1
 					}
 					if m.wSubP != nil {
-						s.PowerBase = ps.pBase[dst]
+						s.PowerBase = pBase[dst]
 						if s.PowerBase > 0 && !math.IsInf(s.PowerBase, 1) &&
 							!math.IsInf(s.PowerSub, 1) {
 							s.PowerStretch = s.PowerSub / s.PowerBase

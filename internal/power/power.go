@@ -11,6 +11,7 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -86,8 +87,21 @@ func MeasureStretchCached(sub, base *graph.CSR, pos []geom.Point, candidates []i
 	if pairs < fanout {
 		fanout = pairs
 	}
-	var out []StretchSample
-	var batch []Pair
+	// A pair disconnected in sub is rejected below whatever its sweeps
+	// return, so it is dropped before measurement: one union-find pass over
+	// the sparse subgraph's edges saves the base sweeps of every such pair.
+	comps := graph.NewUnionFind(sub.N)
+	for u := int32(0); int(u) < sub.N; u++ {
+		for _, v := range sub.Neighbors(u) {
+			if v > u {
+				comps.Union(u, v)
+			}
+		}
+	}
+	// At most min(pairs, maxAttempts) pairs are ever held at once.
+	room := max(0, min(pairs, maxAttempts))
+	out := make([]StretchSample, 0, room)
+	batch := make([]Pair, 0, room)
 	var m *Measurer
 	for attempts := 0; attempts < maxAttempts && len(out) < pairs; {
 		batch = batch[:0]
@@ -101,6 +115,10 @@ func MeasureStretchCached(sub, base *graph.CSR, pos []geom.Point, candidates []i
 				}
 				batch = append(batch, Pair{U: u, V: v})
 			}
+		}
+		batch = slices.DeleteFunc(batch, func(p Pair) bool { return !comps.Connected(p.U, p.V) })
+		if len(batch) == 0 {
+			continue
 		}
 		if m == nil {
 			m = NewMeasurerCached(sub, base, pos, BatchSpec{Beta: beta}, slabs)

@@ -1,7 +1,10 @@
 package power
 
 import (
+	"errors"
 	"math"
+	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
@@ -136,6 +139,83 @@ func TestIdenticalGraphsHaveUnitStretch(t *testing.T) {
 	for _, s := range samples {
 		if math.Abs(s.PowerStretch-1) > 1e-9 || math.Abs(s.DistStretch-1) > 1e-9 {
 			t.Fatalf("self-comparison stretch != 1: %+v", s)
+		}
+	}
+}
+
+// measureStretchUnfiltered is MeasureStretchCached without the subgraph
+// component filter: every drawn pair is measured and the rejection test
+// alone drops disconnected ones. It is the oracle the filter is checked
+// against.
+func measureStretchUnfiltered(sub, base *graph.CSR, pos []geom.Point, candidates []int32,
+	beta float64, pairs, maxAttempts int, rng *rand.Rand) ([]StretchSample, error) {
+	fanout := min(8, pairs)
+	var out []StretchSample
+	var batch []Pair
+	m := NewMeasurer(sub, base, pos, BatchSpec{Beta: beta})
+	for attempts := 0; attempts < maxAttempts && len(out) < pairs; {
+		batch = batch[:0]
+		for len(batch) < pairs-len(out) && attempts < maxAttempts {
+			u := candidates[rng.IntN(len(candidates))]
+			for f := 0; f < fanout && len(batch) < pairs-len(out) && attempts < maxAttempts; f++ {
+				attempts++
+				v := candidates[rng.IntN(len(candidates))]
+				if u == v {
+					continue
+				}
+				batch = append(batch, Pair{U: u, V: v})
+			}
+		}
+		for _, s := range m.Pairs(batch) {
+			if len(out) >= pairs {
+				break
+			}
+			if beta > 0 {
+				if math.IsInf(s.PowerSub, 1) || math.IsInf(s.PowerBase, 1) || s.PowerBase == 0 {
+					continue
+				}
+			} else if math.IsInf(s.SubLen, 1) || math.IsInf(s.BaseLen, 1) || s.BaseLen == 0 {
+				continue
+			}
+			out = append(out, s)
+		}
+	}
+	if len(out) == 0 {
+		return nil, errors.New("power: no connected pairs sampled")
+	}
+	return out, nil
+}
+
+// TestMeasureStretchFilterMatchesUnfiltered: dropping subgraph-disconnected
+// pairs before measurement changes nothing observable — the same samples in
+// the same order, the same error, and the same rng draws — on candidate sets
+// where most pairs are disconnected in the subgraph (the M02 UDG-SENS shape)
+// and where all are connected, with attempts to spare and exhausted.
+func TestMeasureStretchFilterMatchesUnfiltered(t *testing.T) {
+	g := rng.New(31)
+	pts := pointprocess.Poisson(geom.Box(10, 10), 6, g)
+	base := rgg.UDG(pts, 1.0).CSR
+	baseLCC, _ := graph.LargestComponent(base)
+	for _, r := range []float64{0.35, 0.5, 0.8} {
+		sub := rgg.UDG(pts, r).CSR
+		subLCC, _ := graph.LargestComponent(sub)
+		for _, cand := range [][]int32{baseLCC, subLCC} {
+			for _, beta := range []float64{0, 2} {
+				for _, tc := range []struct{ pairs, attempts int }{{40, 1600}, {40, 30}, {5, 400}, {200, 900}} {
+					for seed := rng.Seed(1); seed <= 2; seed++ {
+						r1, r2 := rng.New(seed), rng.New(seed)
+						got, gotErr := MeasureStretchCached(sub, base, pts, cand, beta, tc.pairs, tc.attempts, r1, nil)
+						want, wantErr := measureStretchUnfiltered(sub, base, pts, cand, beta, tc.pairs, tc.attempts, r2)
+						if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+							t.Fatalf("r=%v beta=%v %+v seed %d: filtered (%d samples, %v) != unfiltered (%d samples, %v)",
+								r, beta, tc, seed, len(got), gotErr, len(want), wantErr)
+						}
+						if r1.Uint64() != r2.Uint64() {
+							t.Fatalf("r=%v beta=%v %+v seed %d: the filter changed the rng draws", r, beta, tc, seed)
+						}
+					}
+				}
+			}
 		}
 	}
 }

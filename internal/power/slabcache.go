@@ -3,6 +3,7 @@ package power
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -30,17 +31,30 @@ import (
 // already holding an evicted slab keeps using it safely (slabs are
 // read-only by contract), and a later lookup simply rebuilds.
 //
+// A cache given a gateway set (SetGateways) also keeps, on each base-graph
+// entry a Measurer creates, one full-sweep row per gateway: the Dijkstra
+// distances from that gateway under the entry's weights. Measurer.Pairs
+// reads a gateway-sourced group's base distances from the row instead of
+// sweeping the dense base again. Rows ride on their entry, so the LRU bound
+// on entries bounds them too (|gateways| rows of n floats per base entry),
+// and a Measurer holding an evicted entry keeps its rows like its slabs.
+//
 // A nil *SlabCache is valid and simply builds every slab fresh.
 type SlabCache struct {
 	mu    sync.Mutex
 	limit int // max entries; 0 = unbounded
 	slabs map[slabKey]*slabEntry
+	// gateways are the sources that get full-sweep rows on base entries
+	// (nil = no rows).
+	gateways []int32
 	// Intrusive LRU list over the entries, most-recent at head. Only
 	// maintained when limit > 0.
 	head, tail *slabEntry
 	hits       int64
 	misses     int64
 	evictions  int64
+	// Row counters, bumped by Measurer.Pairs outside mu.
+	rowFills, rowHits atomic.Int64
 }
 
 type slabKey struct {
@@ -52,9 +66,22 @@ type slabKey struct {
 type slabEntry struct {
 	once sync.Once
 	w    []float64
+	// rows are the gateway rows of a base entry, set when a base lookup
+	// creates the entry after SetGateways and never changed; nil on every
+	// other entry. cache takes their fill and hit counts.
+	rows  []gatewayRow
+	cache *SlabCache
 	// LRU bookkeeping (guarded by SlabCache.mu).
 	key        slabKey
 	prev, next *slabEntry
+}
+
+// gatewayRow is one full sweep from src under its entry's weights, filled
+// at most once by the first Pairs group that needs it.
+type gatewayRow struct {
+	src  int32
+	once sync.Once
+	d    []float64
 }
 
 // NewSlabCache returns an empty, unbounded slab cache — the batch-suite
@@ -75,6 +102,19 @@ func NewSlabCacheLRU(maxEntries int) *SlabCache {
 	return c
 }
 
+// SetGateways fixes the sources whose base-graph sweeps the cache keeps as
+// full rows (see SlabCache). Only base entries created afterwards carry
+// rows, so call it before the first base-side Measurer. A nil cache
+// ignores it.
+func (c *SlabCache) SetGateways(gateways []int32) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.gateways = gateways
+}
+
 // Stats returns (hits, misses); misses count slab builds.
 func (c *SlabCache) Stats() (hits, misses int64) {
 	if c == nil {
@@ -87,11 +127,13 @@ func (c *SlabCache) Stats() (hits, misses int64) {
 
 // SlabCacheStats is a point-in-time snapshot of the cache counters.
 type SlabCacheStats struct {
-	Hits      int64 // lookups served from an existing entry
-	Misses    int64 // lookups that created the entry (== slab builds)
-	Evictions int64 // entries dropped by the LRU bound
-	Entries   int   // entries currently held
-	Limit     int   // configured bound (0 = unbounded)
+	Hits      int64 `json:"slabHits"`      // lookups served from an existing entry
+	Misses    int64 `json:"slabMisses"`    // lookups that created the entry (== slab builds)
+	Evictions int64 `json:"slabEvictions"` // entries dropped by the LRU bound
+	Entries   int   `json:"slabEntries"`   // entries currently held
+	Limit     int   `json:"slabLimit"`     // configured bound (0 = unbounded)
+	RowFills  int64 `json:"rowFills"`      // gateway rows swept (see SetGateways)
+	RowHits   int64 `json:"rowHits"`       // source groups served from an already-filled row
 }
 
 // Counters returns the full counter snapshot, including evictions and the
@@ -105,6 +147,7 @@ func (c *SlabCache) Counters() SlabCacheStats {
 	return SlabCacheStats{
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
 		Entries: len(c.slabs), Limit: c.limit,
+		RowFills: c.rowFills.Load(), RowHits: c.rowHits.Load(),
 	}
 }
 
@@ -146,8 +189,15 @@ func (c *SlabCache) unlink(e *slabEntry) {
 // the slab is shared, so callers must treat it as read-only (Measurer
 // does).
 func (c *SlabCache) weights(g *graph.CSR, pos []geom.Point, beta float64) []float64 {
+	w, _ := c.lookup(g, pos, beta, false)
+	return w
+}
+
+// lookup is weights plus the cache entry (nil for a nil cache). An entry
+// a withRows lookup creates carries one row per gateway of the cache.
+func (c *SlabCache) lookup(g *graph.CSR, pos []geom.Point, beta float64, withRows bool) ([]float64, *slabEntry) {
 	if c == nil {
-		return edgeWeights(g, pos, beta)
+		return edgeWeights(g, pos, beta), nil
 	}
 	if beta < 0 {
 		beta = 0
@@ -156,7 +206,13 @@ func (c *SlabCache) weights(g *graph.CSR, pos []geom.Point, beta float64) []floa
 	c.mu.Lock()
 	e, ok := c.slabs[key]
 	if !ok {
-		e = &slabEntry{key: key}
+		e = &slabEntry{key: key, cache: c}
+		if withRows && len(c.gateways) > 0 {
+			e.rows = make([]gatewayRow, len(c.gateways))
+			for i, src := range c.gateways {
+				e.rows[i].src = src
+			}
+		}
 		c.slabs[key] = e
 		c.misses++
 		if c.limit > 0 {
@@ -182,5 +238,5 @@ func (c *SlabCache) weights(g *graph.CSR, pos []geom.Point, beta float64) []floa
 	// first lookups race. An entry evicted while filling still completes and
 	// serves its waiters — eviction only forgets the cache's reference.
 	e.once.Do(func() { e.w = edgeWeights(g, pos, beta) })
-	return e.w
+	return e.w, e
 }

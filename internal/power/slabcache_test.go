@@ -1,11 +1,15 @@
 package power
 
 import (
+	"math"
 	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/graph"
 	"repro/internal/pointprocess"
 	"repro/internal/rgg"
 	"repro/internal/rng"
@@ -208,5 +212,189 @@ func TestSlabCacheConcurrentOnce(t *testing.T) {
 	hits, misses := cache.Stats()
 	if misses != 1 || hits != workers-1 {
 		t.Errorf("stats %d hits / %d misses, want %d / 1", hits, misses, workers-1)
+	}
+}
+
+// rowsFixture is a sparse base UDG with several components (so some
+// gateway rows hold +Inf) and a sparser subgraph, four gateways — one of
+// them in a small base component when the realization has one — and a
+// pair mix: mostly gateway sources, some other sources, duplicate pairs,
+// src == dst pairs and targets outside the source's component.
+func rowsFixture(t *testing.T) (sub, base *graph.CSR, pts []geom.Point, gateways []int32, pairs []Pair) {
+	t.Helper()
+	g := rng.New(21)
+	pts = pointprocess.Poisson(geom.Box(10, 10), 4, g)
+	base = rgg.UDG(pts, 0.6).CSR
+	sub = rgg.UDG(pts, 0.45).CSR
+	n := int32(len(pts))
+	labels, sizes := graph.Components(base)
+	gateways = []int32{0, n / 3, 2 * n / 3}
+	small := int32(-1)
+	for v := int32(1); v < n; v++ {
+		if sz := sizes[labels[v]]; sz > 1 && sz < 20 && !slices.Contains(gateways, v) {
+			small = v
+			break
+		}
+	}
+	if small < 0 {
+		t.Fatal("fixture base graph has no small component")
+	}
+	gateways = append(gateways, small)
+	for i := 0; i < 200; i++ {
+		u := gateways[g.IntN(len(gateways))]
+		if i%5 == 0 {
+			u = g.Int32N(n)
+		}
+		v := g.Int32N(n)
+		if i%17 == 0 {
+			v = u
+		}
+		pairs = append(pairs, Pair{U: u, V: v})
+		if i%11 == 0 {
+			pairs = append(pairs, Pair{U: u, V: v})
+		}
+	}
+	return sub, base, pts, gateways, pairs
+}
+
+// sameSampleBits reports whether two samples are identical bit for bit,
+// +Inf and zero signs included.
+func sameSampleBits(a, b StretchSample) bool {
+	fa := []float64{a.Euclid, a.SubLen, a.BaseLen, a.PowerSub, a.PowerBase, a.DistStretch, a.PowerStretch}
+	fb := []float64{b.Euclid, b.SubLen, b.BaseLen, b.PowerSub, b.PowerBase, b.DistStretch, b.PowerStretch}
+	for i := range fa {
+		if math.Float64bits(fa[i]) != math.Float64bits(fb[i]) {
+			return false
+		}
+	}
+	return a.U == b.U && a.V == b.V && a.Hops == b.Hops
+}
+
+// TestGatewayRowsMatchBoundedSweeps pins the rows' byte-identity: a
+// measurer reading base distances from gateway rows answers every pair —
+// gateway and other sources, unreachable and duplicate targets, src == dst
+// — with exactly the bits of an uncached measurer's bounded sweeps, at
+// GOMAXPROCS 1 and 8, cold and warm. Each row fills once; later batches hit.
+func TestGatewayRowsMatchBoundedSweeps(t *testing.T) {
+	sub, base, pts, gateways, pairs := rowsFixture(t)
+	spec := BatchSpec{Beta: 2, Hops: true}
+	want := NewMeasurer(sub, base, pts, spec).Pairs(pairs)
+	sawInf := false
+	for _, s := range want {
+		sawInf = sawInf || math.IsInf(s.BaseLen, 1)
+	}
+	if !sawInf {
+		t.Fatal("fixture has no base-unreachable pair")
+	}
+	for _, procs := range []int{1, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		cache := NewSlabCacheLRU(8)
+		cache.SetGateways(gateways)
+		for round := 0; round < 3; round++ {
+			got := NewMeasurerCached(sub, base, pts, spec, cache).Pairs(pairs)
+			for i := range want {
+				if !sameSampleBits(got[i], want[i]) {
+					t.Fatalf("GOMAXPROCS %d round %d pair %d: rows give %+v, bounded sweeps %+v",
+						procs, round, i, got[i], want[i])
+				}
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+		st := cache.Counters()
+		if st.RowFills != int64(2*len(gateways)) {
+			t.Errorf("GOMAXPROCS %d: %d row fills, want one per (gateway, weight) = %d", procs, st.RowFills, 2*len(gateways))
+		}
+		if st.RowHits < 2*st.RowFills {
+			t.Errorf("GOMAXPROCS %d: %d row hits over two warm rounds, want ≥ %d", procs, st.RowHits, 2*st.RowFills)
+		}
+	}
+}
+
+// TestGatewayRowsBaseOnly: rows attach to base entries only. A measurer
+// with no base graph (the route query's shape) never creates or fills one,
+// and a cache without gateways never does either.
+func TestGatewayRowsBaseOnly(t *testing.T) {
+	sub, base, pts, gateways, pairs := rowsFixture(t)
+	spec := BatchSpec{Beta: 2, Hops: true}
+	cache := NewSlabCache()
+	cache.SetGateways(gateways)
+	m := NewMeasurerCached(sub, nil, pts, spec, cache)
+	m.Pairs(pairs)
+	if m.eBaseD != nil || m.eBaseP != nil || cache.Counters().RowFills != 0 {
+		t.Fatal("a measurer without a base graph created gateway rows")
+	}
+	plain := NewSlabCache()
+	m = NewMeasurerCached(sub, base, pts, spec, plain)
+	m.Pairs(pairs)
+	if st := plain.Counters(); m.eBaseD.rows != nil || st.RowFills != 0 || st.RowHits != 0 {
+		t.Fatalf("a cache without gateways kept rows: %+v", st)
+	}
+}
+
+// TestGatewayRowsConcurrentFirstFill races many measurers over one cold
+// cache (run it under -race): every row fills exactly once, and every
+// caller reads the same, correct bytes.
+func TestGatewayRowsConcurrentFirstFill(t *testing.T) {
+	sub, base, pts, gateways, pairs := rowsFixture(t)
+	spec := BatchSpec{Beta: 3}
+	want := NewMeasurer(sub, base, pts, spec).Pairs(pairs)
+	cache := NewSlabCache()
+	cache.SetGateways(gateways)
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ps := pairs[w%3:]
+			got := NewMeasurerCached(sub, base, pts, spec, cache).Pairs(ps)
+			for i := range got {
+				if !sameSampleBits(got[i], want[i+w%3]) {
+					t.Errorf("worker %d pair %d: %+v, want %+v", w, i, got[i], want[i+w%3])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := cache.Counters(); st.RowFills != int64(2*len(gateways)) {
+		t.Errorf("%d row fills under concurrent first use, want %d", st.RowFills, 2*len(gateways))
+	}
+}
+
+// TestGatewayRowsSurviveEviction: a measurer holding an evicted base entry
+// keeps answering from its rows, and a lookup after the eviction attaches
+// fresh rows that fill again.
+func TestGatewayRowsSurviveEviction(t *testing.T) {
+	sub, base, pts, gateways, pairs := rowsFixture(t)
+	spec := BatchSpec{Beta: 2}
+	want := NewMeasurer(sub, base, pts, spec).Pairs(pairs)
+	cache := NewSlabCacheLRU(2)
+	cache.SetGateways(gateways)
+	held := NewMeasurerCached(sub, base, pts, spec, cache)
+	held.Pairs(pairs)
+	fills := cache.Counters().RowFills
+	// Two other graphs push both base entries out of the limit-2 cache.
+	cache.weights(rgg.UDG(pts, 0.3).CSR, pts, 0)
+	cache.weights(rgg.UDG(pts, 0.35).CSR, pts, 0)
+	if st := cache.Counters(); st.Evictions < 2 {
+		t.Fatalf("expected the base entries evicted: %+v", st)
+	}
+	got := held.Pairs(pairs)
+	for i := range want {
+		if !sameSampleBits(got[i], want[i]) {
+			t.Fatalf("evicted-entry measurer pair %d: %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if st := cache.Counters(); st.RowFills != fills {
+		t.Errorf("held rows refilled after eviction: %d fills, want %d", st.RowFills, fills)
+	}
+	fresh := NewMeasurerCached(sub, base, pts, spec, cache)
+	if &fresh.eBaseD.rows[0] == &held.eBaseD.rows[0] {
+		t.Fatal("lookup after eviction reused the evicted entry's rows")
+	}
+	fresh.Pairs(pairs)
+	if st := cache.Counters(); st.RowFills != 2*fills {
+		t.Errorf("rebuilt entry filled %d rows, want %d", st.RowFills-fills, fills)
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -39,6 +40,38 @@ func BenchmarkServeRoute(b *testing.B) {
 		if rec.Code != http.StatusOK {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 		}
+	}
+}
+
+// BenchmarkServeStretchGateways is the stretch hot path the daemon's
+// traffic takes: one stretch query per iteration from the snapshot's
+// gateways through the full HTTP stack, batching disabled. Base distances
+// come from the gateway rows (filled before the timer starts), so the
+// per-query cost is the sparse subgraph sweeps plus HTTP and encoding.
+func BenchmarkServeStretchGateways(b *testing.B) {
+	s, members := benchServer(b, Config{MaxBatchPairs: 1, BatchWait: time.Microsecond})
+	gw := s.Store().Current().gatewaySet()
+	bodies := make([][]byte, 16)
+	for i := range bodies {
+		u := gw[i%len(gw)]
+		v1, v2 := members[(i*131+7)%len(members)], members[(i*71+29)%len(members)]
+		bodies[i] = fmt.Appendf(nil, `{"beta":3,"pairs":[{"u":%d,"v":%d},{"u":%d,"v":%d}]}`, u, v1, u, v2)
+	}
+	query := func(body []byte) {
+		req := httptest.NewRequest(http.MethodPost, "/query/stretch", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	for _, body := range bodies {
+		query(body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		query(bodies[i%len(bodies)])
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/power"
 )
 
 // histBuckets is the bucket count of the latency histograms: bucket i
@@ -105,12 +107,24 @@ type MetricsSnapshot struct {
 	// state.
 	Batcher BatcherStats `json:"batcher"`
 	Pool    PoolStats    `json:"pool"`
-	// SnapshotCount is the number of live snapshots; SlabCaches sums the
-	// per-snapshot weight-slab cache counters over them.
-	SnapshotCount int   `json:"snapshotCount"`
-	SlabHits      int64 `json:"slabHits"`
-	SlabMisses    int64 `json:"slabMisses"`
-	SlabEvictions int64 `json:"slabEvictions"`
+	// SnapshotCount is the number of live snapshots; the Slab* fields sum
+	// their weight-slab cache counters, and Caches lists each snapshot's
+	// counters, gateway rows included, in sorted-id order.
+	SnapshotCount int                  `json:"snapshotCount"`
+	SlabHits      int64                `json:"slabHits"`
+	SlabMisses    int64                `json:"slabMisses"`
+	SlabEvictions int64                `json:"slabEvictions"`
+	Caches        []SnapshotCacheStats `json:"caches"`
+}
+
+// SnapshotCacheStats is one live snapshot's slab-cache readout in
+// /metrics: slab lookups, and the gateway rows its base slabs keep (see
+// power.SlabCache). RowFills stays at most 2·|gateways| per base entry
+// created (one distance and one power row per gateway) while RowHits grows
+// with every gateway-sourced stretch group.
+type SnapshotCacheStats struct {
+	ID string `json:"id"`
+	power.SlabCacheStats
 }
 
 // Snapshot collects the current metrics across all subsystems.
@@ -133,6 +147,7 @@ func (m *Metrics) Snapshot(b *Batcher, p *Pool, st *Store) MetricsSnapshot {
 		ms.SlabHits += c.Hits
 		ms.SlabMisses += c.Misses
 		ms.SlabEvictions += c.Evictions
+		ms.Caches = append(ms.Caches, SnapshotCacheStats{ID: s.Info.ID, SlabCacheStats: c})
 	}
 	return ms
 }

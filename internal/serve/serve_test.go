@@ -3,10 +3,15 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/energy"
 )
 
 // doReq drives one request through the server and returns the recorder.
@@ -376,5 +381,56 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if ms.SlabMisses == 0 {
 		t.Fatalf("slab cache never missed: %+v", ms)
+	}
+}
+
+// TestGatewayRowsMetrics: stretch queries from the snapshot's gateways fill
+// at most one distance and one power row per gateway, later queries hit
+// those rows, and /metrics reports both per snapshot. Route queries fill no
+// rows, and the lifetime query simulates the same gateway set.
+func TestGatewayRowsMetrics(t *testing.T) {
+	s := New(Config{MaxBatchPairs: 1, BatchWait: time.Microsecond})
+	id := loadSmall(t, s)
+	snap, release, _ := s.Store().Acquire(id)
+	defer release()
+	doReq(t, s, http.MethodPost, "/query/route", `{"beta":2,"pairs":[{"u":0,"v":1}]}`)
+	if st := snap.SlabStats(); st.RowFills != 0 || st.RowHits != 0 {
+		t.Fatalf("route query touched gateway rows: %+v", st)
+	}
+	gw := snap.gatewaySet()
+	if !slices.Equal(gw, energy.QuadrantSinks(snap.Pts, snap.Members)) {
+		t.Fatalf("snapshot gateways %v differ from QuadrantSinks", gw)
+	}
+	metrics := func() SnapshotCacheStats {
+		t.Helper()
+		var ms MetricsSnapshot
+		if err := json.Unmarshal(doReq(t, s, http.MethodGet, "/metrics", "").Body.Bytes(), &ms); err != nil {
+			t.Fatalf("decode metrics: %v", err)
+		}
+		if len(ms.Caches) != 1 || ms.Caches[0].ID != id {
+			t.Fatalf("metrics list caches %+v, want one for %s", ms.Caches, id)
+		}
+		return ms.Caches[0]
+	}
+	const queries = 12
+	var hits []int64
+	for q := 0; q < queries; q++ {
+		u := gw[q%len(gw)]
+		v := snap.Members[(q*37+11)%len(snap.Members)]
+		body := fmt.Sprintf(`{"beta":2,"pairs":[{"u":%d,"v":%d}]}`, u, v)
+		if rec := doReq(t, s, http.MethodPost, "/query/stretch", body); rec.Code != http.StatusOK {
+			t.Fatalf("stretch: status %d body %s", rec.Code, rec.Body.String())
+		}
+		hits = append(hits, metrics().RowHits)
+	}
+	st := metrics()
+	if st.RowFills == 0 || st.RowFills > int64(2*len(gw)) {
+		t.Fatalf("%d row fills after %d gateway queries, want 1..%d", st.RowFills, queries, 2*len(gw))
+	}
+	if st.RowFills+st.RowHits != 2*queries {
+		t.Errorf("row fills %d + hits %d, want one per (query, weight) = %d", st.RowFills, st.RowHits, 2*queries)
+	}
+	if hits[len(hits)-1] <= hits[len(gw)-1] {
+		t.Errorf("row hits did not grow after every gateway was seen: %v", hits)
 	}
 }

@@ -613,8 +613,7 @@ func (s *Server) handleLifetime(w http.ResponseWriter, r *http.Request) {
 	spec := energy.DefaultSpec()
 	spec.MaxRounds = req.Rounds
 	spec.Rate = req.Rate
-	sinks := energy.QuadrantSinks(snap.Pts, snap.Members)
-	rep, err := energy.SimulateLifetime(snap.Graph, snap.Pts, snap.Members, sinks,
+	rep, err := energy.SimulateLifetime(snap.Graph, snap.Pts, snap.Members, snap.gatewaySet(),
 		spec, rng.Sub(rng.Seed(req.Seed), lifetimeStream))
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "lifetime simulation failed: %v", err)

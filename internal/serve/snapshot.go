@@ -20,6 +20,12 @@
 //     single buffered Dijkstra sweep per (source, weight) through
 //     power.Measurer, exactly the amortization the E11/E14 experiment
 //     pipeline uses.
+//   - Stretch traffic flows to a few gateways, the snapshot's
+//     energy.QuadrantSinks, fixed once per snapshot on first use. The
+//     snapshot's slab cache keeps one full base-graph sweep per (gateway,
+//     weight), so a gateway-sourced stretch query sweeps only the sparse
+//     served graph; the cache's LRU bound covers those rows too. Lifetime
+//     queries simulate the same gateway set.
 //   - A bounded worker pool (Pool) backpressures with 429 + Retry-After
 //     instead of queueing unboundedly; /healthz and /metrics expose latency
 //     histograms and batch-occupancy counters.
@@ -33,6 +39,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/energy"
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/power"
@@ -90,8 +97,13 @@ type Snapshot struct {
 	Members []int32
 	// slabs memoizes the per-(graph, β) edge-weight slabs of this
 	// snapshot's measurers, LRU-bounded so a snapshot queried at many β
-	// values over a long uptime cannot grow without bound.
+	// values over a long uptime cannot grow without bound. Its base-graph
+	// entries also keep one full sweep row per gateway (see gatewaySet).
 	slabs *power.SlabCache
+	// gateways is energy.QuadrantSinks over Members, filled on first use
+	// under gatewaysOnce (never in Build).
+	gatewaysOnce sync.Once
+	gateways     []int32
 
 	refs    atomic.Int64
 	retired atomic.Bool
@@ -104,17 +116,35 @@ func (s *Snapshot) acquire() { s.refs.Add(1) }
 func (s *Snapshot) release() { s.refs.Add(-1) }
 
 // SlabStats exposes the snapshot's weight-slab cache counters (hits,
-// misses, evictions) for /metrics.
+// misses, evictions, gateway-row fills and hits) for /metrics.
 func (s *Snapshot) SlabStats() power.SlabCacheStats { return s.slabs.Counters() }
+
+// gatewaySet returns the snapshot's gateways: energy.QuadrantSinks over its
+// members, the multi-sink layout stretch traffic flows to and lifetime
+// queries simulate. The set is computed once, on first use, and handed to
+// the slab cache, whose base entries then keep a full sweep row per
+// gateway.
+func (s *Snapshot) gatewaySet() []int32 {
+	s.gatewaysOnce.Do(func() {
+		s.gateways = energy.QuadrantSinks(s.Pts, s.Members)
+		s.slabs.SetGateways(s.gateways)
+	})
+	return s.gateways
+}
 
 // measurer builds the batched measurement engine for this snapshot at the
 // given β, against the base graph when withBase is set. Warm calls cost
 // O(1) allocations: the per-(graph, β) weight slabs come from the
-// snapshot's LRU cache.
+// snapshot's LRU cache. A base-side measurer first fixes the gateway set,
+// so its base slabs carry the gateway rows and a stretch group sourced at
+// a gateway reads base distances from a row instead of sweeping the dense
+// base graph; a route measurer (no base) never creates rows.
 func (s *Snapshot) measurer(beta float64, withBase bool) *power.Measurer {
 	base := s.Base
 	if !withBase {
 		base = nil
+	} else {
+		s.gatewaySet()
 	}
 	return power.NewMeasurerCached(s.Graph, base, s.Pts, power.BatchSpec{Beta: beta, Hops: true}, s.slabs)
 }

@@ -15,7 +15,11 @@
 #                               (time stays advisory under that gate).
 #                               >1.10 growth in bytes/op or peak RSS is
 #                               flagged MEM-REGRESSION (advisory unless
-#                               BENCH_STRICT_MEM=1).
+#                               BENCH_STRICT_MEM=1). The header records the
+#                               run's GOMAXPROCS; a notice is printed when
+#                               the baseline's differs (or is missing),
+#                               since allocs/op of sharded benchmarks depend
+#                               on the shard count.
 #
 # The million-node tier (Benchmark*1M) only runs when BENCH_1M=1 is set —
 # `BENCH_1M=1 scripts/bench.sh` to pin it into a baseline, `make bench-1m`
@@ -62,6 +66,8 @@ run_suite() {
 BEGIN { n = 0 }
 /^cpu:/ { sub(/^cpu: /, ""); cpu = $0 }
 /^Benchmark/ {
+    # go test suffixes benchmark names with -GOMAXPROCS unless it is 1.
+    if (procs == "") procs = match($1, /-[0-9]+$/) ? substr($1, RSTART + 1) : 1
     name = $1; sub(/-[0-9]+$/, "", name)
     ns = ""; bytes = ""; allocs = ""; extra = ""; rss = ""; live = ""
     qps = ""; p50 = ""; p99 = ""
@@ -93,7 +99,8 @@ BEGIN { n = 0 }
     rows[n++] = line
 }
 END {
-    printf "{\n  \"generated\": \"%s\",\n  \"go\": \"%s\",\n  \"cpu\": \"%s\",\n  \"benchmarks\": [\n", date, gover, cpu
+    if (procs == "") procs = 1
+    printf "{\n  \"generated\": \"%s\",\n  \"go\": \"%s\",\n  \"cpu\": \"%s\",\n  \"gomaxprocs\": %s,\n  \"benchmarks\": [\n", date, gover, cpu, procs
     for (i = 0; i < n; i++) printf "%s%s\n", rows[i], (i < n-1 ? "," : "")
     printf "  ]\n}\n"
 }' "$raw" > "$1"
@@ -192,6 +199,14 @@ END {
         printf "no benchmark regressed in bytes/op or peak RSS\n"
 }' "$baseline" "$fresh" > "$cmp"
     cat "$cmp"
+    # Advisory only, and kept out of $cmp so no gate below can match it.
+    pin_procs="$(sed -n 's/.*"gomaxprocs": *\([0-9][0-9]*\).*/\1/p' "$baseline" | head -n 1)"
+    run_procs="$(sed -n 's/.*"gomaxprocs": *\([0-9][0-9]*\).*/\1/p' "$fresh" | head -n 1)"
+    if [ -z "$pin_procs" ]; then
+        echo "notice: $baseline records no gomaxprocs (this run: $run_procs); allocs/op of sharded benchmarks depend on it"
+    elif [ "$pin_procs" != "$run_procs" ]; then
+        echo "notice: $baseline was pinned at gomaxprocs $pin_procs, this run used $run_procs; allocs/op of sharded benchmarks depend on it"
+    fi
     # BENCH_STRICT=1 turns flags into a failing exit for CI pipelines that
     # want a hard gate (the default stays advisory: -benchtime=1x timings
     # are noisy on busy machines).
