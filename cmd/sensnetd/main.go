@@ -1,12 +1,12 @@
 // Command sensnetd is the topology-as-a-service daemon: it holds built
 // SENS/HNG network snapshots in memory and serves route, stretch,
-// coverage and lifetime queries over HTTP/JSON, batching concurrent
-// queries into shared measurement sweeps.
+// coverage and lifetime queries over HTTP/JSON. Each route or stretch
+// query is one measurement on its snapshot.
 //
 // Usage:
 //
 //	sensnetd -addr :8080 -preload kind:udg,side:25,lambda:16,seed:42
-//	sensnetd -workers 16 -batch 128 -batchwait 1ms
+//	sensnetd -workers 16
 //	sensnetd -preload kind:hng,side:20,baseradius:1 -check
 //
 // The -check flag builds the preload snapshot, prints its summary and
@@ -23,6 +23,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -40,12 +41,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sensnetd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr      = fs.String("addr", ":8080", "listen address")
-		preload   = fs.String("preload", "", "snapshot spec to build and activate at startup, e.g. kind:udg,side:25,lambda:16,seed:42")
-		workers   = fs.Int("workers", 8, "bounded worker pool size (queries beyond it get 429)")
-		batch     = fs.Int("batch", 64, "batcher flush threshold in pairs")
-		batchwait = fs.Duration("batchwait", 2*time.Millisecond, "batcher latency bound")
-		check     = fs.Bool("check", false, "build the -preload snapshot, print its summary and exit")
+		addr    = fs.String("addr", ":8080", "listen address")
+		preload = fs.String("preload", "", "snapshot spec to build and activate at startup, e.g. kind:udg,side:25,lambda:16,seed:42")
+		workers = fs.Int("workers", 8, "bounded worker pool size (queries beyond it get 429)")
+		check   = fs.Bool("check", false, "build the -preload snapshot, print its summary and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -59,11 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("-check needs a -preload spec to build")
 	}
 
-	srv := serve.New(serve.Config{
-		Workers:       *workers,
-		MaxBatchPairs: *batch,
-		BatchWait:     *batchwait,
-	})
+	srv := serve.New(serve.Config{Workers: *workers})
 
 	if *preload != "" {
 		spec, err := parsePreload(*preload)
@@ -143,23 +138,23 @@ func parsePreload(spec string) (serve.BuildSpec, error) {
 		case "mode":
 			sp.Mode = val
 		case "seed":
-			_, err = fmt.Sscanf(val, "%d", &sp.Seed)
+			sp.Seed, err = strconv.ParseUint(val, 10, 64)
 		case "stream":
-			_, err = fmt.Sscanf(val, "%d", &sp.Stream)
+			sp.Stream, err = strconv.ParseUint(val, 10, 64)
 		case "side":
-			_, err = fmt.Sscanf(val, "%g", &sp.Side)
+			sp.Side, err = strconv.ParseFloat(val, 64)
 		case "lambda":
-			_, err = fmt.Sscanf(val, "%g", &sp.Lambda)
+			sp.Lambda, err = strconv.ParseFloat(val, 64)
 		case "genside":
-			_, err = fmt.Sscanf(val, "%g", &sp.GenSide)
+			sp.GenSide, err = strconv.ParseFloat(val, 64)
 		case "p":
-			_, err = fmt.Sscanf(val, "%g", &sp.P)
+			sp.P, err = strconv.ParseFloat(val, 64)
 		case "maxchildren":
-			_, err = fmt.Sscanf(val, "%d", &sp.MaxChildren)
+			sp.MaxChildren, err = strconv.Atoi(val)
 		case "baseradius":
-			_, err = fmt.Sscanf(val, "%g", &sp.BaseRadius)
+			sp.BaseRadius, err = strconv.ParseFloat(val, 64)
 		case "slabcap":
-			_, err = fmt.Sscanf(val, "%d", &sp.SlabCap)
+			sp.SlabCap, err = strconv.Atoi(val)
 		default:
 			return sp, fmt.Errorf("unknown -preload key %q", key)
 		}

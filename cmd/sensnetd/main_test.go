@@ -75,6 +75,9 @@ func TestBadPreloadSpecs(t *testing.T) {
 		{"bad kind", "kind:mesh", "unknown kind"},
 		{"NaN side", "kind:udg,side:NaN", "side must be finite"},
 		{"oversized", "kind:udg,side:1e4", "exceeds"},
+		{"trailing seed", "kind:udg,seed:12abc", "bad -preload value"},
+		{"trailing side", "kind:udg,side:25x", "bad -preload value"},
+		{"fractional slabcap", "kind:udg,slabcap:3.5", "bad -preload value"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,6 +3,7 @@ package power
 import (
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -125,9 +126,9 @@ func edgeWeights(g *graph.CSR, pos []geom.Point, beta float64) []float64 {
 	return w
 }
 
-// pairsScratch is one Pairs worker's reusable state: the sweep scratch,
-// the distance buffers of each (graph, weight) sweep and the current source
-// group's targets.
+// pairsScratch is one source group's reusable state: the sweep scratch,
+// the distance buffers of each (graph, weight) sweep and the group's
+// targets.
 type pairsScratch struct {
 	dijkstra                 graph.DijkstraScratch
 	bfs                      graph.PathScratch
@@ -135,6 +136,12 @@ type pairsScratch struct {
 	hop                      []int32
 	targets                  []int32
 }
+
+// pairsPool recycles pairsScratch across source groups and Pairs calls, so
+// a stream of small measurements (one daemon query each) reuses warm
+// buffers instead of allocating them per call. A scratch carries no state
+// from one sweep to the next, whatever graph it last served.
+var pairsPool = sync.Pool{New: func() any { return new(pairsScratch) }}
 
 // Pairs computes a StretchSample for every requested pair, in pair order,
 // by grouping the pairs by source vertex and running ONE buffered Dijkstra
@@ -151,8 +158,8 @@ type pairsScratch struct {
 // instead (SlabCache.SetGateways): one full sweep per (gateway, weight),
 // shared by every later group from that gateway.
 //
-// Source groups fan out across cores via parallel.ForScratch with
-// per-worker scratch, and each group writes its samples in place, so the
+// Source groups fan out across cores via parallel.ForGrain, each with a
+// scratch from pairsPool, and each group writes its samples in place, so the
 // result is deterministic at any GOMAXPROCS (the output depends only on
 // the inputs, never on worker count or scheduling).
 //
@@ -184,65 +191,65 @@ func (m *Measurer) Pairs(pairs []Pair) []StretchSample {
 	// Grain 1: every source group is a Dijkstra sweep (or four), far
 	// heavier than scheduling one shard, so sources spread across all
 	// cores even for the small group counts the samplers produce.
-	parallel.ForScratch(nGroups, 1, func() *pairsScratch { return new(pairsScratch) }, func(ps *pairsScratch, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			g0, g1 := groupStart[k], groupStart[k+1]
-			src := int32(keys[g0] >> 32)
-			ps.targets = ps.targets[:0]
-			for _, key := range keys[g0:g1] {
-				ps.targets = append(ps.targets, pairs[uint32(key)].V)
-			}
-			var dBase, pBase []float64
-			ps.dSub = graph.DijkstraEdgesInto(m.sub, src, ps.targets, m.wSubD, ps.dSub, &ps.dijkstra)
+	parallel.ForGrain(nGroups, 1, func(k int) {
+		ps := pairsPool.Get().(*pairsScratch)
+		defer pairsPool.Put(ps)
+		g0, g1 := groupStart[k], groupStart[k+1]
+		src := int32(keys[g0] >> 32)
+		ps.targets = ps.targets[:0]
+		for _, key := range keys[g0:g1] {
+			ps.targets = append(ps.targets, pairs[uint32(key)].V)
+		}
+		var dBase, pBase []float64
+		ps.dSub = graph.DijkstraEdgesInto(m.sub, src, ps.targets, m.wSubD, ps.dSub, &ps.dijkstra)
+		if m.base != nil {
+			dBase = m.baseSweep(m.eBaseD, src, m.wBaseD, &ps.dBase, ps)
+		}
+		if m.wSubP != nil {
+			ps.pSub = graph.DijkstraEdgesInto(m.sub, src, ps.targets, m.wSubP, ps.pSub, &ps.dijkstra)
 			if m.base != nil {
-				dBase = m.baseSweep(m.eBaseD, src, m.wBaseD, &ps.dBase, ps)
+				pBase = m.baseSweep(m.eBaseP, src, m.wBaseP, &ps.pBase, ps)
 			}
-			if m.wSubP != nil {
-				ps.pSub = graph.DijkstraEdgesInto(m.sub, src, ps.targets, m.wSubP, ps.pSub, &ps.dijkstra)
-				if m.base != nil {
-					pBase = m.baseSweep(m.eBaseP, src, m.wBaseP, &ps.pBase, ps)
-				}
+		}
+		if m.spec.Hops {
+			ps.hop = graph.BFSInto(m.sub, src, ps.targets, ps.hop, &ps.bfs)
+		}
+		for _, key := range keys[g0:g1] {
+			idx := uint32(key)
+			dst := pairs[idx].V
+			s := StretchSample{
+				U:      src,
+				V:      dst,
+				Euclid: m.pos[src].Dist(m.pos[dst]),
+				SubLen: ps.dSub[dst],
 			}
 			if m.spec.Hops {
-				ps.hop = graph.BFSInto(m.sub, src, ps.targets, ps.hop, &ps.bfs)
+				s.Hops = int(ps.hop[dst])
 			}
-			for _, key := range keys[g0:g1] {
-				idx := uint32(key)
-				dst := pairs[idx].V
-				s := StretchSample{
-					U:      src,
-					V:      dst,
-					Euclid: m.pos[src].Dist(m.pos[dst]),
-					SubLen: ps.dSub[dst],
-				}
-				if m.spec.Hops {
-					s.Hops = int(ps.hop[dst])
+			if m.wSubP != nil {
+				s.PowerSub = ps.pSub[dst]
+			}
+			if m.base != nil {
+				s.BaseLen = dBase[dst]
+				switch {
+				case math.IsInf(s.SubLen, 1) || math.IsInf(s.BaseLen, 1):
+					s.DistStretch = math.Inf(1)
+				case s.BaseLen > 0:
+					s.DistStretch = s.SubLen / s.BaseLen
+				default:
+					s.DistStretch = 1
 				}
 				if m.wSubP != nil {
-					s.PowerSub = ps.pSub[dst]
-				}
-				if m.base != nil {
-					s.BaseLen = dBase[dst]
-					switch {
-					case math.IsInf(s.SubLen, 1) || math.IsInf(s.BaseLen, 1):
-						s.DistStretch = math.Inf(1)
-					case s.BaseLen > 0:
-						s.DistStretch = s.SubLen / s.BaseLen
-					default:
-						s.DistStretch = 1
-					}
-					if m.wSubP != nil {
-						s.PowerBase = pBase[dst]
-						if s.PowerBase > 0 && !math.IsInf(s.PowerBase, 1) &&
-							!math.IsInf(s.PowerSub, 1) {
-							s.PowerStretch = s.PowerSub / s.PowerBase
-						} else if math.IsInf(s.PowerSub, 1) || math.IsInf(s.PowerBase, 1) {
-							s.PowerStretch = math.Inf(1)
-						}
+					s.PowerBase = pBase[dst]
+					if s.PowerBase > 0 && !math.IsInf(s.PowerBase, 1) &&
+						!math.IsInf(s.PowerSub, 1) {
+						s.PowerStretch = s.PowerSub / s.PowerBase
+					} else if math.IsInf(s.PowerSub, 1) || math.IsInf(s.PowerBase, 1) {
+						s.PowerStretch = math.Inf(1)
 					}
 				}
-				out[idx] = s
 			}
+			out[idx] = s
 		}
 	})
 	return out

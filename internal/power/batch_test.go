@@ -184,12 +184,17 @@ func TestMeasureStretchAllocsBounded(t *testing.T) {
 }
 
 // TestPairsAllocsWarm is the allocation gate for a warm Measurer.Pairs
-// (weight slabs filled, the serving path's steady state). Sweep scratch is
-// per worker and samples are written in place, so a call allocates the same
-// at 1 and at 16 source groups. The limits are what Pairs allocated on this
-// fixture with per-group scratch and a collect-then-scatter merge; the
-// bounded sweeps' target marks must not push it past them.
+// (weight slabs filled, the serving path's steady state). Sweep scratch
+// comes warm from a pool and samples are written in place, so a call
+// allocates the same at 1 and at 16 source groups. The limits are what
+// Pairs allocated on this fixture with per-group scratch and a
+// collect-then-scatter merge; the bounded sweeps' target marks must not
+// push it past them. Under the race detector sync.Pool drops Puts at
+// random, so the counts are only checked without it.
 func TestPairsAllocsWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
 	g := rng.New(9)
 	pts := pointprocess.Poisson(geom.Box(12, 12), 8, g)
 	base := rgg.UDG(pts, 1.0)

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/serve/loadgen"
 )
@@ -25,11 +24,10 @@ func benchServer(b *testing.B, cfg Config) (*Server, []int32) {
 }
 
 // BenchmarkServeRoute is the per-query hot path: one route query per
-// iteration through the full HTTP stack with batching disabled
-// (MaxBatchPairs=1 flushes inline), so allocs/op is the per-query
+// iteration through the full HTTP stack, so allocs/op is the per-query
 // allocation bill the ALLOC-REGRESSION gate pins.
 func BenchmarkServeRoute(b *testing.B) {
-	s, _ := benchServer(b, Config{MaxBatchPairs: 1, BatchWait: time.Microsecond})
+	s, _ := benchServer(b, Config{})
 	body := []byte(`{"beta":3,"pairs":[{"u":0,"v":1},{"u":2,"v":3}]}`)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -45,11 +43,11 @@ func BenchmarkServeRoute(b *testing.B) {
 
 // BenchmarkServeStretchGateways is the stretch hot path the daemon's
 // traffic takes: one stretch query per iteration from the snapshot's
-// gateways through the full HTTP stack, batching disabled. Base distances
+// gateways through the full HTTP stack. Base distances
 // come from the gateway rows (filled before the timer starts), so the
 // per-query cost is the sparse subgraph sweeps plus HTTP and encoding.
 func BenchmarkServeStretchGateways(b *testing.B) {
-	s, members := benchServer(b, Config{MaxBatchPairs: 1, BatchWait: time.Microsecond})
+	s, members := benchServer(b, Config{})
 	gw := s.Store().Current().gatewaySet()
 	bodies := make([][]byte, 16)
 	for i := range bodies {
@@ -79,7 +77,7 @@ func BenchmarkServeStretchGateways(b *testing.B) {
 // the daemon and reports the serving throughput and latency quantiles —
 // the qps/p50/p99 rows of the benchmark trajectory.
 func BenchmarkServeLoadgen(b *testing.B) {
-	s, members := benchServer(b, Config{Workers: 8, MaxBatchPairs: 64, BatchWait: 200 * time.Microsecond})
+	s, members := benchServer(b, Config{Workers: 8})
 	stream := loadgen.Generate(members, loadgen.Spec{
 		Seed: 7, Queries: 200, PairsPerQuery: 2, StretchFraction: 0.2, Beta: 3,
 	})

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/power"
 	"repro/internal/serve/loadgen"
@@ -29,7 +28,7 @@ func TestE2EDaemonFlow(t *testing.T) {
 	}
 	const beta = 3.0
 
-	s := New(Config{Workers: 8, MaxBatchPairs: 64, BatchWait: 500 * time.Microsecond})
+	s := New(Config{Workers: 8})
 
 	// Load the snapshot through the HTTP surface, exactly as a client
 	// would. side 25 × λ16 ⇒ E[points] = 10000.
@@ -62,7 +61,7 @@ func TestE2EDaemonFlow(t *testing.T) {
 	})
 
 	// Independently computed expected bodies: the same pairs through
-	// power.MeasurePairs (no daemon, no batcher, no slab cache) encoded
+	// power.MeasurePairs (no daemon, no slab cache) encoded
 	// with the daemon's wire conversion.
 	expected := expectedBodies(t, snap, info.ID, stream, beta)
 
@@ -87,9 +86,14 @@ func TestE2EDaemonFlow(t *testing.T) {
 		})
 	}
 
-	// The concurrent stream must have amortized at least one sweep.
-	if st := s.Batcher().Stats(); st.MultiQueryFlushes < 1 {
-		t.Fatalf("e2e load produced no multi-query sweeps: %+v", st)
+	// Every route and stretch query is one measurement, counted once.
+	rec = doReq(t, s, http.MethodGet, "/metrics", "")
+	var ms MetricsSnapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &ms); err != nil {
+		t.Fatalf("decode metrics: %v", err)
+	}
+	if want := int64(2 * len(stream)); ms.Batcher.Queries != want || ms.Batcher.Flushes != want {
+		t.Fatalf("/metrics counted %+v, want %d queries and flushes", ms.Batcher, want)
 	}
 }
 
@@ -98,8 +102,8 @@ func TestE2EDaemonFlow(t *testing.T) {
 func expectedBodies(t *testing.T, snap *Snapshot, id string, stream []loadgen.Query, beta float64) [][]byte {
 	t.Helper()
 	// One measurer per (path, β) family with its own slab cache — the same
-	// engine the daemon batches through, but bypassing the daemon, the
-	// batcher and the snapshot's cache entirely. Weight slabs are identical
+	// engine the daemon measures with, but bypassing the daemon and the
+	// snapshot's cache entirely. Weight slabs are identical
 	// either way (pure function of graph × β), so sharing a measurer across
 	// queries changes nothing but the test's runtime.
 	slabs := power.NewSlabCache()

@@ -80,8 +80,8 @@ func (h *Histogram) Stats() HistogramStats {
 }
 
 // Metrics aggregates the daemon's observability state: one latency
-// histogram per endpoint family plus whatever the batcher, pool and store
-// report at snapshot time.
+// histogram per endpoint family, the route/stretch query counters, and
+// whatever the pool and store report at snapshot time.
 type Metrics struct {
 	start time.Time
 	// Route, Stretch, Coverage, Lifetime and Snapshots are the per-endpoint
@@ -91,6 +91,45 @@ type Metrics struct {
 	Coverage  Histogram
 	Lifetime  Histogram
 	Snapshots Histogram
+
+	// queries and pairs count the route/stretch measurements run and the
+	// pairs they carried.
+	queries atomic.Int64
+	pairs   atomic.Int64
+}
+
+// countQuery records one route/stretch measurement over npairs pairs.
+func (m *Metrics) countQuery(npairs int) {
+	m.queries.Add(1)
+	m.pairs.Add(int64(npairs))
+}
+
+// BatcherStats is the query-counter readout served by /metrics under
+// "batcher". Each route/stretch query is measured on its own, so one query
+// is one measurement: Flushes equals Queries, MultiQueryFlushes stays 0,
+// and MaxOccupancy and QueriesPerFlush are 1 once any query has run.
+type BatcherStats struct {
+	// Flushes counts measurements run; Queries and Pairs count what they
+	// carried.
+	Flushes int64 `json:"flushes"`
+	Queries int64 `json:"queries"`
+	Pairs   int64 `json:"pairs"`
+	// MultiQueryFlushes counts measurements shared by ≥ 2 queries;
+	// MaxOccupancy is the most queries one measurement carried.
+	MultiQueryFlushes int64 `json:"multiQueryFlushes"`
+	MaxOccupancy      int64 `json:"maxOccupancy"`
+	// QueriesPerFlush is the mean occupancy (0 when nothing ran).
+	QueriesPerFlush float64 `json:"queriesPerFlush"`
+}
+
+// batcherStats reads the query counters.
+func (m *Metrics) batcherStats() BatcherStats {
+	q := m.queries.Load()
+	st := BatcherStats{Flushes: q, Queries: q, Pairs: m.pairs.Load()}
+	if q > 0 {
+		st.MaxOccupancy, st.QueriesPerFlush = 1, 1
+	}
+	return st
 }
 
 // NewMetrics returns a metrics registry anchored at now.
@@ -103,8 +142,8 @@ type MetricsSnapshot struct {
 	// Endpoints maps endpoint family → latency summary (encoding/json
 	// sorts the keys, so the body is deterministic).
 	Endpoints map[string]HistogramStats `json:"endpoints"`
-	// Batcher carries the batch-occupancy counters; Pool the worker pool
-	// state.
+	// Batcher carries the route/stretch query counters; Pool the worker
+	// pool state.
 	Batcher BatcherStats `json:"batcher"`
 	Pool    PoolStats    `json:"pool"`
 	// SnapshotCount is the number of live snapshots; the Slab* fields sum
@@ -128,7 +167,7 @@ type SnapshotCacheStats struct {
 }
 
 // Snapshot collects the current metrics across all subsystems.
-func (m *Metrics) Snapshot(b *Batcher, p *Pool, st *Store) MetricsSnapshot {
+func (m *Metrics) Snapshot(p *Pool, st *Store) MetricsSnapshot {
 	ms := MetricsSnapshot{
 		UptimeMs: time.Since(m.start).Milliseconds(),
 		Endpoints: map[string]HistogramStats{
@@ -138,7 +177,7 @@ func (m *Metrics) Snapshot(b *Batcher, p *Pool, st *Store) MetricsSnapshot {
 			"lifetime":  m.Lifetime.Stats(),
 			"snapshots": m.Snapshots.Stats(),
 		},
-		Batcher:       b.Stats(),
+		Batcher:       m.batcherStats(),
 		Pool:          p.Stats(),
 		SnapshotCount: st.Len(),
 	}

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/memprof"
 )
@@ -19,7 +18,7 @@ import (
 // table rollover publishes no torn state; the assertions prove every
 // response came from exactly one coherent snapshot.
 func TestSnapshotRolloverRace(t *testing.T) {
-	s := New(Config{Workers: 8, MaxBatchPairs: 8, BatchWait: 200 * time.Microsecond})
+	s := New(Config{Workers: 8})
 
 	// Two alternating snapshot generations (distinct seeds → distinct ids).
 	specA := `{"kind":"udg","seed":10,"side":8,"lambda":8,"replace":true}`

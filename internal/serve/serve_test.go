@@ -9,7 +9,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/energy"
 )
@@ -376,8 +375,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if ms.Endpoints["route"].P50Us == 0 || ms.Endpoints["route"].P99Us < ms.Endpoints["route"].P50Us {
 		t.Fatalf("implausible latency quantiles: %+v", ms.Endpoints["route"])
 	}
-	if ms.Batcher.Flushes == 0 || ms.Batcher.Queries == 0 {
-		t.Fatalf("batcher counters empty: %+v", ms.Batcher)
+	if want := (BatcherStats{Flushes: 1, Queries: 1, Pairs: 1, MaxOccupancy: 1, QueriesPerFlush: 1}); ms.Batcher != want {
+		t.Fatalf("query counters %+v, want %+v", ms.Batcher, want)
 	}
 	if ms.SlabMisses == 0 {
 		t.Fatalf("slab cache never missed: %+v", ms)
@@ -389,7 +388,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // those rows, and /metrics reports both per snapshot. Route queries fill no
 // rows, and the lifetime query simulates the same gateway set.
 func TestGatewayRowsMetrics(t *testing.T) {
-	s := New(Config{MaxBatchPairs: 1, BatchWait: time.Microsecond})
+	s := New(Config{})
 	id := loadSmall(t, s)
 	snap, release, _ := s.Store().Acquire(id)
 	defer release()

@@ -19,10 +19,6 @@ type Config struct {
 	// Workers bounds the concurrently computing queries (default 8); the
 	// pool full answer is 429 + Retry-After.
 	Workers int
-	// MaxBatchPairs is the batcher's size flush threshold (default 64) and
-	// BatchWait its latency bound (default 2ms).
-	MaxBatchPairs int
-	BatchWait     time.Duration
 	// MaxPairsPerRequest caps a single query body (default 4096).
 	MaxPairsPerRequest int
 }
@@ -32,38 +28,31 @@ func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
 		c.Workers = 8
 	}
-	if c.MaxBatchPairs == 0 {
-		c.MaxBatchPairs = 64
-	}
-	if c.BatchWait == 0 {
-		c.BatchWait = 2 * time.Millisecond
-	}
 	if c.MaxPairsPerRequest == 0 {
 		c.MaxPairsPerRequest = 4096
 	}
 	return c
 }
 
-// Server is the topology-as-a-service daemon: snapshot store, query
-// batcher, bounded worker pool and metrics behind an http.Handler.
+// Server is the topology-as-a-service daemon: snapshot store, bounded
+// worker pool and metrics behind an http.Handler.
 //
 // Endpoints:
 //
 //	GET    /healthz              liveness + snapshot count
-//	GET    /metrics              latency histograms, batch occupancy, pool
+//	GET    /metrics              latency histograms, query counters, pool
 //	GET    /snapshots            list snapshots
 //	POST   /snapshots            build + (optionally) activate a snapshot
 //	GET    /snapshots/{id}       one snapshot's info
 //	DELETE /snapshots/{id}       retire a snapshot
-//	POST   /query/route          batched shortest-path queries
-//	POST   /query/stretch        batched stretch queries against the base
+//	POST   /query/route          shortest-path queries over a pair list
+//	POST   /query/stretch        stretch queries against the base
 //	POST   /query/coverage       structure summary of a snapshot
 //	POST   /query/lifetime       deterministic lifetime simulation summary
 type Server struct {
 	cfg     Config
 	store   *Store
 	pool    *Pool
-	batcher *Batcher
 	metrics *Metrics
 	buildMu sync.Mutex // serializes snapshot builds (memory bound)
 	mux     *http.ServeMux
@@ -76,7 +65,6 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		store:   NewStore(),
 		pool:    NewPool(cfg.Workers),
-		batcher: NewBatcher(cfg.MaxBatchPairs, cfg.BatchWait),
 		metrics: NewMetrics(),
 		mux:     http.NewServeMux(),
 	}
@@ -95,9 +83,6 @@ func New(cfg Config) *Server {
 
 // Store exposes the snapshot store (tests and the CLI preload path).
 func (s *Server) Store() *Store { return s.store }
-
-// Batcher exposes the query batcher (tests read its occupancy counters).
-func (s *Server) Batcher() *Batcher { return s.batcher }
 
 // Pool exposes the worker pool.
 func (s *Server) Pool() *Pool { return s.pool }
@@ -197,7 +182,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.metrics.Snapshot(s.batcher, s.pool, s.store))
+	writeJSON(w, http.StatusOK, s.metrics.Snapshot(s.pool, s.store))
 }
 
 // SnapshotRequest is the body of POST /snapshots: a BuildSpec plus
@@ -438,7 +423,8 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	samples := s.batcher.Measure(snap, req.Beta, false, pairsOf(req.Pairs))
+	s.metrics.countQuery(len(req.Pairs))
+	samples := snap.measurer(req.Beta, false).Pairs(pairsOf(req.Pairs))
 	resp := RouteResponse{Snapshot: snap.Info.ID, Beta: req.Beta, Results: make([]RouteResult, len(samples))}
 	for i, smp := range samples {
 		resp.Results[i] = routeResult(smp)
@@ -501,7 +487,8 @@ func (s *Server) handleStretch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "snapshot %s has no base graph (build with baseRadius or kind udg)", snap.Info.ID)
 		return
 	}
-	samples := s.batcher.Measure(snap, req.Beta, true, pairsOf(req.Pairs))
+	s.metrics.countQuery(len(req.Pairs))
+	samples := snap.measurer(req.Beta, true).Pairs(pairsOf(req.Pairs))
 	resp := StretchResponse{Snapshot: snap.Info.ID, Beta: req.Beta, Results: make([]StretchResult, len(samples))}
 	for i, smp := range samples {
 		resp.Results[i] = stretchResult(smp)
@@ -520,8 +507,8 @@ type CoverageRequest struct {
 type CoverageResponse struct {
 	// Snapshot describes the structure (coverage is precomputed at build).
 	Snapshot SnapshotInfo `json:"snapshot"`
-	// DegreeHistogram is counts[d] = members with degree d in the serving
-	// graph.
+	// DegreeHistogram is counts[d] = deployment points with degree d in
+	// the serving graph, members or not, so it sums to Snapshot.Points.
 	DegreeHistogram []int `json:"degreeHistogram"`
 }
 

@@ -15,11 +15,11 @@
 //     snapshots are retired and drain gracefully — in-flight queries hold
 //     reference counts, and the last release makes the snapshot's memory
 //     collectable.
-//   - Route and stretch queries are batched (see Batcher): concurrent
-//     queries against one (snapshot, β, base) group are answered by a
-//     single buffered Dijkstra sweep per (source, weight) through
-//     power.Measurer, exactly the amortization the E11/E14 experiment
-//     pipeline uses.
+//   - Each route or stretch query is one power.Measurer call on its
+//     snapshot: one buffered Dijkstra sweep per (source, weight), bounded
+//     by that source's targets, the engine the E11/E14 experiment
+//     pipeline uses. A sample is a pure function of (snapshot, β, pair),
+//     so concurrent queries never change each other's bytes.
 //   - Stretch traffic flows to a few gateways, the snapshot's
 //     energy.QuadrantSinks, fixed once per snapshot on first use. The
 //     snapshot's slab cache keeps one full base-graph sweep per (gateway,
@@ -28,7 +28,7 @@
 //     queries simulate the same gateway set.
 //   - A bounded worker pool (Pool) backpressures with 429 + Retry-After
 //     instead of queueing unboundedly; /healthz and /metrics expose latency
-//     histograms and batch-occupancy counters.
+//     histograms and query counters.
 package serve
 
 import (
