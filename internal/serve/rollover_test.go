@@ -138,6 +138,12 @@ func TestRolloverReleasesMemory(t *testing.T) {
 	}
 	s := New(Config{})
 
+	// Earlier queries in this process leave sweep scratch in sync.Pools,
+	// which survive one GC in the victim cache and drop at the next. This
+	// GC plus ReadHeap's own empties them, so the pools' release does not
+	// land inside the first delta and cancel the snapshot's footprint.
+	runtime.GC()
+
 	// First generation, measured: one snapshot's live footprint.
 	before := memprof.ReadHeap()
 	loadSpec(t, s, `{"kind":"udg","seed":20,"side":16,"lambda":16,"replace":true}`)
