@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	sensnet "repro"
@@ -167,11 +168,13 @@ func parseFaults(spec string) (crash, loss float64, sel sensnet.VictimSelector, 
 		}
 		switch key {
 		case "crash":
-			if _, e := fmt.Sscanf(val, "%g", &crash); e != nil || crash < 0 || crash > 1 {
+			var e error
+			if crash, e = strconv.ParseFloat(val, 64); e != nil || !(crash >= 0 && crash <= 1) {
 				return 0, 0, sel, fmt.Errorf("bad -faults crash fraction %q (want 0..1)", val)
 			}
 		case "loss":
-			if _, e := fmt.Sscanf(val, "%g", &loss); e != nil || loss < 0 || loss >= 1 {
+			var e error
+			if loss, e = strconv.ParseFloat(val, 64); e != nil || !(loss >= 0 && loss < 1) {
 				return 0, 0, sel, fmt.Errorf("bad -faults loss rate %q (want 0 ≤ p < 1)", val)
 			}
 		case "attack":
@@ -250,15 +253,18 @@ func parseMobility(spec string) (mobility.Spec, error) {
 			}
 			ms.Model = m
 		case "speed":
-			if _, err := fmt.Sscanf(val, "%g", &ms.Speed); err != nil {
+			var err error
+			if ms.Speed, err = strconv.ParseFloat(val, 64); err != nil {
 				return ms, fmt.Errorf("bad -mobility speed %q", val)
 			}
 		case "pause":
-			if _, err := fmt.Sscanf(val, "%d", &ms.Pause); err != nil {
+			var err error
+			if ms.Pause, err = strconv.Atoi(val); err != nil {
 				return ms, fmt.Errorf("bad -mobility pause %q", val)
 			}
 		case "steps":
-			if _, err := fmt.Sscanf(val, "%d", &ms.Steps); err != nil {
+			var err error
+			if ms.Steps, err = strconv.Atoi(val); err != nil {
 				return ms, fmt.Errorf("bad -mobility steps %q", val)
 			}
 		default:

@@ -150,6 +150,9 @@ func TestFaultsFlagErrors(t *testing.T) {
 		{"-faults", "attack:psychic"},
 		{"-faults", "banana:0.5"},
 		{"-faults", "crash=0.5"},
+		{"-faults", "crash:0.1x"},
+		{"-faults", "crash:NaN"},
+		{"-faults", "loss:0.05%"},
 	}
 	for _, extra := range cases {
 		args := append([]string{"-kind", "udg", "-side", "12", "-seed", "3"}, extra...)
@@ -211,6 +214,9 @@ func TestMobilityFlagErrors(t *testing.T) {
 		{"-kind", "udg", "-side", "12", "-mobility", "speed:-1"},
 		{"-kind", "udg", "-side", "12", "-mobility", "speed:fast"},
 		{"-kind", "udg", "-side", "12", "-mobility", "steps:-3"},
+		{"-kind", "udg", "-side", "12", "-mobility", "speed:0.3m"},
+		{"-kind", "udg", "-side", "12", "-mobility", "pause:2s"},
+		{"-kind", "udg", "-side", "12", "-mobility", "steps:40abc"},
 		{"-kind", "udg", "-side", "12", "-mobility", "warp:9"},
 		{"-kind", "udg", "-side", "12", "-mobility", "model=waypoint"},
 		{"-kind", "nn", "-tiles", "3", "-mobility", "model:waypoint,steps:2"},

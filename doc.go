@@ -96,10 +96,11 @@
 //     cells in place — zero allocations per query at steady state, one
 //     KNNScratch per worker shard.
 //
-// rgg.UDG, rgg.NN and the topo baselines (Gabriel, RNG, Yao, the
-// filter-Kruskal/radix-sorted EMST) generate packed edges through
-// parallel.Collect; the SENS constructions, routing and the stretch
-// samplers reuse BFS/Dijkstra/route scratch buffers across their loops.
+// rgg.UDG, rgg.NN, the HNG build and the topo baselines (Gabriel, RNG,
+// Yao, EMST) generate packed edges through parallel.Collect and hand the
+// slab to graph.FromPacked, the one bulk CSR entry point; the SENS
+// constructions, routing and the stretch samplers reuse
+// BFS/Dijkstra/route scratch buffers across their loops.
 //
 // Stretch and power measurement (the E08/E11/E14 Monte-Carlo loops) runs
 // on the batched engine in internal/power: a Measurer precomputes per-edge
@@ -107,7 +108,8 @@
 // adjacency), groups sampled pairs by source vertex, and runs one buffered
 // Dijkstra sweep per (source, weight, graph) — covering every target of
 // that source — with sources fanned out across cores via
-// parallel.CollectGrain (grain 1: one heavyweight sweep per shard).
+// parallel.ForGrain (grain 1: one heavyweight sweep per shard), each
+// worker drawing its sweep scratch from a pool.
 // A power.SlabCache memoizes the weight slabs per (graph, β), so measurers
 // sharing a graph fill each slab once. Sampling randomness stays serial,
 // so experiment tables are byte-identical at any GOMAXPROCS for a fixed

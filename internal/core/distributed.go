@@ -76,10 +76,12 @@ func BuildUDGDistributed(pts []geom.Point, box geom.Rect, spec tiling.UDGSpec) (
 	nt := n.Map.Tiles()
 
 	// Phase 1: local classification (per node, zero messages). regionPeers
-	// lists, per slab tile, the nodes of each region.
+	// lists, per slab tile, the nodes of each region; population counts
+	// every node of the tile, in a region or not.
 	gm := spec.Compile()
 	states := make([]nodeState, len(pts))
 	regionPeers := make([][tiling.URelayBottom + 1][]int32, nt)
+	population := make([]int, nt)
 	for i, p := range pts {
 		c := n.Map.Tiling.TileOf(p)
 		st := &states[i]
@@ -92,6 +94,7 @@ func BuildUDGDistributed(pts []geom.Point, box geom.Rect, spec tiling.UDGSpec) (
 			continue
 		}
 		st.tile = c
+		population[t]++
 		st.region = gm.Classify(n.Map.Tiling.Local(c, p))
 		if st.region != tiling.UNone {
 			regionPeers[t][st.region] = append(regionPeers[t][st.region], int32(i))
@@ -100,10 +103,8 @@ func BuildUDGDistributed(pts []geom.Point, box geom.Rect, spec tiling.UDGSpec) (
 
 	sim := simnet.New()
 	b := graph.NewBuilder(len(pts))
+	// The relaxed handshake is BuildUDG's: d(u, v)² ≤ r² (inRange).
 	requireRange := spec.Mode == tiling.GeometryRelaxed
-	inRange := func(u, v int32) bool {
-		return pts[u].Dist(pts[v]) <= spec.Radius+1e-12
-	}
 
 	// Node handlers.
 	for i := range pts {
@@ -123,16 +124,15 @@ func BuildUDGDistributed(pts []geom.Point, box geom.Rect, spec tiling.UDGSpec) (
 				}
 			case tileGoodMsg:
 				// Relay leader learns its tile is good: edge to the rep.
-				if !requireRange || inRange(int32(i), payload.rep) {
-					b.AddEdge(int32(i), payload.rep)
-				}
 				n.Stats.HandshakeAttempts++
-				if requireRange && !inRange(int32(i), payload.rep) {
+				if !requireRange || inRange(pts, spec.Radius, int32(i), payload.rep) {
+					b.AddEdge(int32(i), payload.rep)
+				} else {
 					n.Stats.HandshakeFailures++
 				}
 			case crossAckMsg:
 				n.Stats.HandshakeAttempts++
-				if !requireRange || inRange(int32(i), payload.from) {
+				if !requireRange || inRange(pts, spec.Radius, int32(i), payload.from) {
 					b.AddEdge(int32(i), payload.from)
 				} else {
 					n.Stats.HandshakeFailures++
@@ -229,9 +229,7 @@ func BuildUDGDistributed(pts []geom.Point, box geom.Rect, spec tiling.UDGSpec) (
 	for t := range n.Tiles {
 		tn := &n.Tiles[t]
 		tn.Rep = winner(regionPeers[t][tiling.UC0])
-		for _, peers := range regionPeers[t] {
-			tn.Population += len(peers)
-		}
+		tn.Population = population[t]
 		for _, d := range tiling.Directions {
 			tn.Disk[d] = -1
 			tn.Bridge[d] = winner(regionPeers[t][tiling.URelay(d)])

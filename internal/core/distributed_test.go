@@ -41,27 +41,21 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 			}
 			dn := dist.Network
 
-			if dn.Stats.GoodTiles != central.Stats.GoodTiles {
-				t.Fatalf("good tiles: distributed %d vs centralized %d",
-					dn.Stats.GoodTiles, central.Stats.GoodTiles)
+			ds, cs := dn.Stats, central.Stats
+			if ds.GoodTiles != cs.GoodTiles || ds.HandshakeAttempts != cs.HandshakeAttempts ||
+				ds.HandshakeFailures != cs.HandshakeFailures {
+				t.Fatalf("good tiles / handshakes / failures: distributed %d/%d/%d vs centralized %d/%d/%d",
+					ds.GoodTiles, ds.HandshakeAttempts, ds.HandshakeFailures,
+					cs.GoodTiles, cs.HandshakeAttempts, cs.HandshakeFailures)
 			}
-			// Per-tile leaders agree for good tiles.
+			// Every tile agrees in every field: goodness, population and
+			// the elected nodes, good tile or not.
+			if len(dn.Tiles) != len(central.Tiles) {
+				t.Fatalf("tiles: distributed %d vs centralized %d", len(dn.Tiles), len(central.Tiles))
+			}
 			for i, ct := range central.Tiles {
-				c, dt := central.Map.TileAt(i), dn.Tiles[i]
-				if ct.Good != dt.Good {
-					t.Fatalf("tile %v goodness mismatch", c)
-				}
-				if !ct.Good {
-					continue
-				}
-				if dt.Rep != ct.Rep {
-					t.Fatalf("tile %v rep: distributed %d vs %d", c, dt.Rep, ct.Rep)
-				}
-				for d := range ct.Bridge {
-					if dt.Bridge[d] != ct.Bridge[d] {
-						t.Fatalf("tile %v relay %d: distributed %d vs %d",
-							c, d, dt.Bridge[d], ct.Bridge[d])
-					}
+				if dt := dn.Tiles[i]; dt != ct {
+					t.Fatalf("tile %v: distributed %+v vs centralized %+v", central.Map.TileAt(i), dt, ct)
 				}
 			}
 			// Identical edge sets.

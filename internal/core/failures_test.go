@@ -31,6 +31,28 @@ func TestSimulateFailuresLowRate(t *testing.T) {
 	}
 }
 
+// TestSimulateFailuresRelaxedRebuildInRange checks the rebuild, which runs
+// without a base graph, against the relaxed handshake: it must drop every
+// edge longer than the radius.
+func TestSimulateFailuresRelaxedRebuildInRange(t *testing.T) {
+	box := geom.Box(18, 18)
+	pts := pointprocess.Poisson(box, 5, rng.New(11))
+	n, err := BuildUDG(pts, box, tiling.RelaxedUDGSpec(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := SimulateFailures(n, 0.05, rng.New(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Rebuilt.Stats.SubgraphEdges == 0 {
+		t.Fatal("rebuild has no edges")
+	}
+	if c := overlongEdges(rep.Rebuilt); c > 0 {
+		t.Errorf("rebuilt relaxed network kept %d edges longer than r", c)
+	}
+}
+
 func TestSimulateFailuresCrossesThreshold(t *testing.T) {
 	// λ = 14, q = 0.5 → λ_eff = 7 ≪ λs ≈ 11.76: the rebuild must collapse.
 	n := buildTestUDG(t, 22, 14, 24)

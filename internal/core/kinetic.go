@@ -40,15 +40,18 @@ type KineticStats struct {
 // and at most their Left/Bottom neighbors need their contributions
 // re-derived: O(1) tiles per event, independent of the network size.
 //
-// The maintainer requires geometry-guaranteed edges: in GeometryRelaxed
-// mode with a base graph present, handshakes can drop edges in a way that
-// depends on the full deployment, which breaks tile locality; NewKinetic
-// rejects that combination.
+// In GeometryRelaxed mode the wire step applies the build's handshake rule
+// (inRange): it reads only an edge's two endpoints, whose moves dirty their
+// own tiles, so tile locality holds and the maintained graph is the build's
+// with or without a base graph.
 type Kinetic struct {
 	kern  udgKernel
 	box   geom.Rect
 	pts   []geom.Point
 	alive []bool
+	// handshake is the wire step's relaxed-mode range check; nil in the
+	// other modes, whose edges are in range by construction.
+	handshake func(u, v int32) bool
 
 	// The per-tile state is φ-indexed like Network.Tiles. members holds the
 	// live point indices of each mapped tile in ascending order — the
@@ -84,16 +87,14 @@ const (
 // contribSwap replaces contrib[t] with next[lo:hi].
 type contribSwap struct{ t, lo, hi int }
 
-// NewKinetic wraps a freshly built UDG-SENS network for incremental
-// maintenance. opt must be the Options the network was built with (the
-// election algorithm and alive mask must match for re-elections to
-// reproduce the original results).
+// NewKinetic wraps a freshly built UDG-SENS network, of any geometry mode
+// and with or without a base graph, for incremental maintenance. opt must
+// be the Options the network was built with (the election algorithm and
+// alive mask must match for re-elections to reproduce the original
+// results).
 func NewKinetic(n *Network, opt Options) (*Kinetic, error) {
 	if n.Kind != KindUDG || n.UDGSpec == nil {
 		return nil, fmt.Errorf("sens: kinetic maintenance requires a UDG-SENS network")
-	}
-	if n.Base != nil && n.UDGSpec.Mode == tiling.GeometryRelaxed {
-		return nil, fmt.Errorf("sens: kinetic maintenance requires geometry-guaranteed edges; relaxed mode with a base graph can drop edges non-locally")
 	}
 	nt := len(n.Tiles)
 	k := &Kinetic{
@@ -110,6 +111,10 @@ func NewKinetic(n *Network, opt Options) (*Kinetic, error) {
 	for i := range k.alive {
 		k.alive[i] = opt.Alive == nil || opt.Alive[i]
 	}
+	if n.UDGSpec.Mode == tiling.GeometryRelaxed {
+		r := n.UDGSpec.Radius
+		k.handshake = func(u, v int32) bool { return inRange(k.pts, r, u, v) }
+	}
 	// Members and contributions live in two shared arenas; each tile's
 	// slice is capped at its own segment, so a member insert that outgrows
 	// it reallocates instead of overwriting the next tile, and a
@@ -125,7 +130,7 @@ func NewKinetic(n *Network, opt Options) (*Kinetic, error) {
 			}
 		}
 		k.members[t] = live[lo:len(live):len(live)]
-		k.contrib[t] = k.kern.wire(k.tiles, t, arena[6*t:6*t:6*t+6], nil)
+		k.contrib[t] = k.kern.wire(k.tiles, t, arena[6*t:6*t:6*t+6], k.handshake)
 	}
 	return k, nil
 }
@@ -282,7 +287,7 @@ func (k *Kinetic) repair() {
 	for _, t := range k.cdirty {
 		k.mark[t] &^= markContrib
 		lo := len(k.next)
-		k.next = k.kern.wire(k.tiles, t, k.next, nil)
+		k.next = k.kern.wire(k.tiles, t, k.next, k.handshake)
 		if slices.Equal(k.contrib[t], k.next[lo:]) {
 			k.next = k.next[:lo]
 			continue

@@ -27,13 +27,12 @@ func checkKineticEquivalence(t *testing.T, k *Kinetic, spec tiling.UDGSpec, step
 }
 
 // runKineticEquivalence drives random moves and deaths through a Kinetic
-// UDG-SENS maintainer and checks the gate after every batch.
-func runKineticEquivalence(t *testing.T, seed rng.Seed, lambda, side float64) {
+// UDG-SENS maintainer over a network built with spec and opt, and checks
+// the gate after every batch.
+func runKineticEquivalence(t *testing.T, seed rng.Seed, lambda, side float64, spec tiling.UDGSpec, opt Options) {
 	t.Helper()
 	box := geom.Box(side, side)
 	pts := pointprocess.Poisson(box, lambda, rng.New(seed))
-	spec := tiling.DefaultUDGSpec()
-	opt := Options{SkipBase: true}
 	n, err := BuildUDG(pts, box, spec, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -77,18 +76,33 @@ func runKineticEquivalence(t *testing.T, seed rng.Seed, lambda, side float64) {
 	}
 }
 
+// TestKineticSENSEquivalenceUnderMotion runs the gate in the repaired
+// geometry and in the relaxed one, whose handshakes drop out-of-range
+// edges, with and without a base graph at the start.
 func TestKineticSENSEquivalenceUnderMotion(t *testing.T) {
-	for _, gmp := range []int{1, 8} {
-		prev := runtime.GOMAXPROCS(gmp)
-		runKineticEquivalence(t, 41, 16, 12)
-		runtime.GOMAXPROCS(prev)
+	for _, c := range []struct {
+		name string
+		spec tiling.UDGSpec
+		opt  Options
+	}{
+		{"repaired", tiling.DefaultUDGSpec(), Options{SkipBase: true}},
+		{"relaxed-skipbase", tiling.RelaxedUDGSpec(), Options{SkipBase: true}},
+		{"relaxed-base", tiling.RelaxedUDGSpec(), Options{}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, gmp := range []int{1, 8} {
+				prev := runtime.GOMAXPROCS(gmp)
+				runKineticEquivalence(t, 41, 16, 12, c.spec, c.opt)
+				runtime.GOMAXPROCS(prev)
+			}
+		})
 	}
 }
 
 func TestKineticSENSEquivalenceSparse(t *testing.T) {
 	// Subcritical density: most tiles are bad, so repairs constantly flip
 	// tiles between good and bad and contributions appear and vanish.
-	runKineticEquivalence(t, 43, 6, 12)
+	runKineticEquivalence(t, 43, 6, 12, tiling.DefaultUDGSpec(), Options{SkipBase: true})
 }
 
 func TestKineticSENSMassDeathReachesEmpty(t *testing.T) {

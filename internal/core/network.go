@@ -66,7 +66,7 @@ type Stats struct {
 	ElectionMessages  int // total messages across all region elections
 	ElectionRounds    int // max rounds over regions (they run in parallel)
 	HandshakeAttempts int // connect() calls attempted
-	HandshakeFailures int // connect() calls that failed (relaxed mode)
+	HandshakeFailures int // connect() calls that failed (relaxed mode: endpoints out of range)
 	SubgraphEdges     int // edges of the rep/relay graph
 	MissingBaseEdges  int // SENS edges absent from the base graph
 }
@@ -221,19 +221,14 @@ func electRegion(alg election.Algorithm, ids []int32, st *Stats, esc *election.S
 	return res.Leader
 }
 
-// validateEdge charges a handshake to st and checks the base graph when
-// present. Returns whether the edge should be added to the subgraph.
-func validateEdge(base *rgg.Geometric, u, v int32, requireBase bool, st *Stats) bool {
+// countHandshake charges one connect() handshake to st and, when a base
+// graph is present and lacks the edge {u, v}, counts a missing base edge.
+// The base only audits: whether the edge is installed is the caller's rule.
+func countHandshake(base *rgg.Geometric, u, v int32, st *Stats) {
 	st.HandshakeAttempts++
-	if base == nil || base.HasEdge(u, v) {
-		return true
+	if base != nil && !base.HasEdge(u, v) {
+		st.MissingBaseEdges++
 	}
-	st.MissingBaseEdges++
-	if requireBase {
-		st.HandshakeFailures++
-		return false
-	}
-	return true
 }
 
 // merge folds a shard's partial accounting into st: counters add, and

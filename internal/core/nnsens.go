@@ -110,9 +110,8 @@ func BuildNN(pts []geom.Point, box geom.Rect, spec tiling.NNSpec, opt Options) (
 				{nb.Bridge[od], nb.Rep},
 			}
 			for _, h := range hops {
-				if validateEdge(n.Base, h[0], h[1], false, &n.Stats) {
-					b.AddEdge(h[0], h[1])
-				}
+				countHandshake(n.Base, h[0], h[1], &n.Stats)
+				b.AddEdge(h[0], h[1])
 			}
 		}
 	}

@@ -138,6 +138,46 @@ func TestUDGSENSRelaxedModeHandshakes(t *testing.T) {
 	}
 }
 
+// overlongEdges counts the edges of n longer than its connection radius.
+func overlongEdges(n *Network) int {
+	r2 := n.UDGSpec.Radius * n.UDGSpec.Radius
+	count := 0
+	for u := int32(0); int(u) < n.Graph.N; u++ {
+		for _, v := range n.Graph.Neighbors(u) {
+			if v > u && n.Pts[u].Dist2(n.Pts[v]) > r2 {
+				count++
+			}
+		}
+	}
+	return count
+}
+
+// TestUDGSENSRelaxedSkipBaseMatchesBase checks that the relaxed handshake
+// needs no base graph: a SkipBase build installs the same edges, and counts
+// the same handshakes and failures, as a build with the UDG base.
+func TestUDGSENSRelaxedSkipBaseMatchesBase(t *testing.T) {
+	box := geom.Box(18, 18)
+	pts := pointprocess.Poisson(box, 5, rng.New(11))
+	withBase, err := BuildUDG(pts, box, tiling.RelaxedUDGSpec(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	skip, err := BuildUDG(pts, box, tiling.RelaxedUDGSpec(), Options{SkipBase: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if withBase.Stats.HandshakeFailures == 0 {
+		t.Fatal("fixture has no failing handshake")
+	}
+	if diff := graph.FirstDiff(skip.Graph, withBase.Graph); diff != "" {
+		t.Errorf("SkipBase graph differs from the base build: %s (%d overlong edges)", diff, overlongEdges(skip))
+	}
+	if a, b := skip.Stats, withBase.Stats; a.HandshakeAttempts != b.HandshakeAttempts || a.HandshakeFailures != b.HandshakeFailures {
+		t.Errorf("SkipBase handshakes %d attempted / %d failed, base build %d / %d",
+			a.HandshakeAttempts, a.HandshakeFailures, b.HandshakeAttempts, b.HandshakeFailures)
+	}
+}
+
 func TestUDGSENSSubcritical(t *testing.T) {
 	// Far below λs almost no tile is good.
 	n := buildTestUDG(t, 6, 2, 18)

@@ -35,7 +35,11 @@ import (
 // In GeometryRepaired mode every such edge is within the connection radius
 // by construction (tiling.UDGSpec.Validate) and the build fails loudly if a
 // base-graph check ever disagrees. In GeometryRelaxed mode the connect()
-// handshake is allowed to fail — the edge is dropped and counted. In
+// handshake is allowed to fail: an edge whose endpoints are farther apart
+// than spec.Radius (inRange, the predicate rgg.UDGGrid builds the base
+// with) is dropped and counted in HandshakeFailures. The rule reads only
+// the two endpoints, so a build with a base graph and one with SkipBase
+// install the same edges; the base only feeds MissingBaseEdges. In
 // GeometryLiteral mode no tile can be good and the result is an empty
 // network (the paper's defect, preserved for the negative experiment).
 func BuildUDG(pts []geom.Point, box geom.Rect, spec tiling.UDGSpec, opt Options) (*Network, error) {
@@ -79,12 +83,19 @@ func BuildUDG(pts []geom.Point, box geom.Rect, spec tiling.UDGSpec, opt Options)
 
 	// Phase 2: every good tile wires its own edges and stitches its Right
 	// and Top borders. The relaxed mode lets handshakes fail; the repaired
-	// mode treats a failure as a construction bug.
-	requireBase := spec.Mode == tiling.GeometryRelaxed
+	// mode treats a missing base edge as a construction bug.
+	relaxed := spec.Mode == tiling.GeometryRelaxed
 	edges := parallel.CollectCap(nt, parallel.DefaultGrain, 6*min(nt, parallel.DefaultGrain),
 		func(lo, hi int, out []uint64) []uint64 {
 			var st Stats
-			handshake := func(u, v int32) bool { return validateEdge(n.Base, u, v, requireBase, &st) }
+			handshake := func(u, v int32) bool {
+				countHandshake(n.Base, u, v, &st)
+				if relaxed && !inRange(pts, spec.Radius, u, v) {
+					st.HandshakeFailures++
+					return false
+				}
+				return true
+			}
 			for t := lo; t < hi; t++ {
 				out = kern.wire(n.Tiles, t, out, handshake)
 			}
@@ -100,6 +111,12 @@ func BuildUDG(pts []geom.Point, box geom.Rect, spec tiling.UDGSpec, opt Options)
 			n.Stats.MissingBaseEdges)
 	}
 	return n, nil
+}
+
+// inRange is the relaxed-mode connect() handshake: the edge {u, v} is
+// installed iff d(u, v)² ≤ r², the predicate rgg.UDGGrid keeps an edge by.
+func inRange(pts []geom.Point, r float64, u, v int32) bool {
+	return pts[u].Dist2(pts[v]) <= r*r
 }
 
 // BuildUDGSharded is BuildUDG.

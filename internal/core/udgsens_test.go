@@ -132,12 +132,20 @@ func buildUDGReference(pts []geom.Point, box geom.Rect, spec tiling.UDGSpec, opt
 		}
 		tiles[c] = tn
 	}
-	requireBase := spec.Mode == tiling.GeometryRelaxed
+	// Every handshake is counted and audited against the base; the relaxed
+	// mode drops an edge longer than the radius.
+	relaxed := spec.Mode == tiling.GeometryRelaxed
 	b := graph.NewBuilder(len(pts))
 	connect := func(u, v int32) {
-		if validateEdge(n.Base, u, v, requireBase, &n.Stats) {
-			b.AddEdge(u, v)
+		n.Stats.HandshakeAttempts++
+		if n.Base != nil && !n.Base.HasEdge(u, v) {
+			n.Stats.MissingBaseEdges++
 		}
+		if relaxed && pts[u].Dist2(pts[v]) > spec.Radius*spec.Radius {
+			n.Stats.HandshakeFailures++
+			return
+		}
+		b.AddEdge(u, v)
 	}
 	for c, tn := range tiles {
 		if !tn.Good {
@@ -184,6 +192,7 @@ func TestShardedMatchesSerialAt10k(t *testing.T) {
 		{"repaired-skipbase", tiling.DefaultUDGSpec(), Options{SkipBase: true}},
 		{"repaired-base", tiling.DefaultUDGSpec(), Options{}},
 		{"relaxed-base", tiling.RelaxedUDGSpec(), Options{}},
+		{"relaxed-skipbase", tiling.RelaxedUDGSpec(), Options{SkipBase: true}},
 		{"literal", tiling.PaperUDGSpec(), Options{SkipBase: true}},
 	}
 	for _, c := range cases {

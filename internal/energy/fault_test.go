@@ -20,10 +20,10 @@ func gridInstance(k int) (*graph.CSR, []geom.Point) {
 			i := int32(y*k + x)
 			pos[i] = geom.Pt(float64(x), float64(y))
 			if x+1 < k {
-				b.AddEdgeUnique(i, i+1)
+				b.AddEdge(i, i+1)
 			}
 			if y+1 < k {
-				b.AddEdgeUnique(i, i+int32(k))
+				b.AddEdge(i, i+int32(k))
 			}
 		}
 	}

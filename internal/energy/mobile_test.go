@@ -141,7 +141,7 @@ func (m *dyingMobile) Graph() *graph.CSR {
 		for u := int32(0); u < int32(m.base.N); u++ {
 			for _, v := range m.base.Neighbors(u) {
 				if u < v && !m.dead[u] && !m.dead[v] {
-					b.AddEdgeUnique(u, v)
+					b.AddEdge(u, v)
 				}
 			}
 		}
@@ -189,10 +189,10 @@ func TestMobileDeferredDeathsMatchEager(t *testing.T) {
 func TestRepairLocalNearestAttachment(t *testing.T) {
 	//  0 (sink) — 1 — 2   and   0 — 3 — 4, with 4 placed nearest to 1.
 	b := graph.NewBuilder(5)
-	b.AddEdgeUnique(0, 1)
-	b.AddEdgeUnique(1, 2)
-	b.AddEdgeUnique(0, 3)
-	b.AddEdgeUnique(3, 4)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	b.AddEdge(0, 3)
+	b.AddEdge(3, 4)
 	g := b.Build()
 	pos := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0), geom.Pt(0, 1), geom.Pt(1, 0.5)}
 	spec := lineSpec()

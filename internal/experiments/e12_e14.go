@@ -240,7 +240,7 @@ func e14Baselines(ctx *scenario.Ctx) *Table {
 			return topo.EMST(base)
 		}).CSR, baseMembers, 1},
 		{"NN(6)", ctx.Baseline("knn6", dep.Key, func() *rgg.Geometric {
-			return topo.KNN(pts, 6)
+			return rgg.NN(pts, 6)
 		}).CSR, baseMembers, 1},
 	}
 	pairs := cfg.Trials(40, 10)

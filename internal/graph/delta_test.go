@@ -39,7 +39,7 @@ func (r *refGraph) csr() *CSR {
 	b := NewBuilder(r.n)
 	for k := range r.edges {
 		u, v := Unpack(k)
-		b.AddEdgeUnique(u, v)
+		b.AddEdge(u, v)
 	}
 	return b.Build()
 }
@@ -52,7 +52,7 @@ func TestDeltaMatchesBuilderUnderRandomEdits(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		u, v := int32(gen.IntN(n)), int32(gen.IntN(n))
 		if ref.add(u, v) {
-			base.AddEdgeUnique(u, v)
+			base.AddEdge(u, v)
 		}
 	}
 	baseCSR := base.Build()
@@ -87,8 +87,8 @@ func TestDeltaMatchesBuilderUnderRandomEdits(t *testing.T) {
 
 func TestDeltaUntouchedVerticesAliasBase(t *testing.T) {
 	b := NewBuilder(4)
-	b.AddEdgeUnique(0, 1)
-	b.AddEdgeUnique(2, 3)
+	b.AddEdge(0, 1)
+	b.AddEdge(2, 3)
 	base := b.Build()
 	d := NewDelta(base)
 	d.AddEdge(0, 2)

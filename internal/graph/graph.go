@@ -1,25 +1,25 @@
 // Package graph provides the graph substrate used by the topology
-// constructions: a flat edge-list builder, an immutable CSR (compressed
-// sparse row) form for query-heavy phases, union-find for connected
-// components, BFS (hop distance) and Dijkstra (weighted distance).
+// constructions: an immutable CSR (compressed sparse row) form for
+// query-heavy phases, union-find for connected components, BFS (hop
+// distance) and Dijkstra (weighted distance).
 //
 // Vertices are dense int32 indices; edge weights, where used, are Euclidean
 // lengths supplied by the caller. All shortest-path routines reuse caller
 // buffers where it matters to keep the Monte-Carlo loops allocation-light.
 //
-// The builder stores edges as packed uint64 (u, v) pairs appended without
-// any per-insertion dedup scan, so AddEdge is O(1) and the whole edge set
-// lives in one slab. Build produces the CSR with a cache-blocked two-level
-// sort of the directed pairs: one streaming scatter into blocks of 2¹⁰
-// source vertices, then an in-cache radix sort per block, run in parallel
-// across blocks, deduplicating adjacent equal pairs as each block writes its
-// rows. The output is the same as the historical adjacency-list builder —
-// undirected, no self loops, deterministic sorted adjacency — but
-// construction is O(E + n) with O(E) memory in two slabs instead of n
-// separately grown slices, and the result is independent of insertion
-// order and of the worker count, which is what lets the parallel edge
-// generators in rgg, topo and core merge per-shard buffers in any grouping
-// and still produce byte-identical CSRs.
+// Edges are packed uint64 (u, v) pairs (Pack). A CSR comes from one slab of
+// them: FromPacked takes the slab a bulk generator collected (the parallel
+// sweeps in rgg, topo, hng and core), and Builder appends one edge at a time
+// for the code that emits edges singly, without any per-insertion dedup
+// scan, then hands its slab to the same constructor. The constructor is a
+// cache-blocked two-level sort of the directed pairs: one streaming scatter
+// into blocks of 2¹⁰ source vertices, then an in-cache radix sort per
+// block, run in parallel across blocks, deduplicating adjacent equal pairs
+// as each block writes its rows. The output is undirected, has no self
+// loops and has sorted adjacency; construction is O(E + n) with O(E) memory
+// in two slabs, and the result is independent of insertion order and of
+// the worker count, which is what lets the parallel edge generators merge
+// per-shard buffers in any grouping and still produce byte-identical CSRs.
 package graph
 
 import (
@@ -31,8 +31,8 @@ import (
 )
 
 // Pack encodes the undirected edge {u, v} as a canonical (min, max) packed
-// pair for Builder.AddPacked. Callers generating edges in parallel shards
-// pack with this and hand the merged slice to the builder.
+// pair for FromPacked. Callers generating edges in parallel shards pack
+// with this and hand the merged slab to FromPacked.
 func Pack(u, v int32) uint64 {
 	if u > v {
 		u, v = v, u
@@ -45,30 +45,18 @@ func Unpack(e uint64) (u, v int32) {
 	return int32(e >> 32), int32(uint32(e))
 }
 
-// Builder accumulates an undirected edge set over n vertices. Self loops
-// are dropped at insertion; parallel edges are dropped once, at Build time.
-// The zero Builder is not usable; use NewBuilder.
+// Builder accumulates an undirected edge set over n vertices, one edge at a
+// time, for callers that do not hold their edges in a packed slab. Self
+// loops are dropped at insertion; parallel edges are dropped once, at Build
+// time. The zero Builder is not usable; use NewBuilder.
 type Builder struct {
 	n     int
 	edges []uint64 // canonical packed pairs, in insertion order
-	// mayDup records whether any insertion path that admits duplicates was
-	// used. When false, Build skips the dedup comparison and trusts the
-	// caller's uniqueness guarantee.
-	mayDup bool
 }
 
 // NewBuilder creates a builder over n vertices.
 func NewBuilder(n int) *Builder {
 	return &Builder{n: n}
-}
-
-// N returns the number of vertices.
-func (b *Builder) N() int { return b.n }
-
-func (b *Builder) checkRange(u, v int32) {
-	if u < 0 || v < 0 || int(u) >= b.n || int(v) >= b.n {
-		panic(fmt.Sprintf("graph: edge (%d, %d) out of range [0, %d)", u, v, b.n))
-	}
 }
 
 // AddEdge records the undirected edge {u, v}. Self loops are ignored;
@@ -77,43 +65,10 @@ func (b *Builder) AddEdge(u, v int32) {
 	if u == v {
 		return
 	}
-	b.checkRange(u, v)
+	if u < 0 || v < 0 || int(u) >= b.n || int(v) >= b.n {
+		panic(fmt.Sprintf("graph: edge (%d, %d) out of range [0, %d)", u, v, b.n))
+	}
 	b.edges = append(b.edges, Pack(u, v))
-	b.mayDup = true
-}
-
-// AddEdgeUnique is the fast path for callers that guarantee each undirected
-// edge is inserted at most once (e.g. generators that only emit pairs with
-// u < v): Build then skips the dedup pass. Self loops are still ignored.
-// Violating the uniqueness guarantee corrupts EdgeCount and duplicates
-// adjacency entries.
-func (b *Builder) AddEdgeUnique(u, v int32) {
-	if u == v {
-		return
-	}
-	b.checkRange(u, v)
-	b.edges = append(b.edges, Pack(u, v))
-}
-
-// AddPacked bulk-appends canonically packed edges (see Pack). unique makes
-// the same promise as AddEdgeUnique for the entire builder: no undirected
-// edge appears twice across all insertions. Entries must be self-loop-free
-// and in range; this is checked.
-func (b *Builder) AddPacked(edges []uint64, unique bool) {
-	checkPacked(b.n, edges)
-	b.edges = append(b.edges, edges...)
-	if !unique {
-		b.mayDup = true
-	}
-}
-
-// checkPacked validates a packed edge slab: in range, no self loops.
-func checkPacked(n int, edges []uint64) {
-	for _, e := range edges {
-		if !validPacked(n, e) {
-			badPacked(n, e)
-		}
-	}
 }
 
 // validPacked reports whether a packed edge is in range and not a self loop.
@@ -131,22 +86,23 @@ func badPacked(n int, e uint64) {
 	panic(fmt.Sprintf("graph: edge (%d, %d) out of range [0, %d)", u, v, n))
 }
 
-// FromPacked builds the CSR directly from a slab of canonically packed
-// edges (see Pack), skipping the copy into a Builder — the zero-overhead
-// entry point for bulk generators that already hold their whole edge set in
-// one slab. unique makes the AddEdgeUnique promise: no undirected edge
-// appears twice. Entries must be self-loop-free and in range; the CSR
-// build's histogram pass checks this, with AddPacked's panics. The slab is
-// only read, never retained or modified.
+// FromPacked builds the CSR from a slab of canonically packed edges (see
+// Pack): the one entry point for every generator that holds its whole edge
+// set in one slab. unique promises that no undirected edge appears twice,
+// which lets the build skip its dedup comparison; breaking the promise
+// corrupts EdgeCount and duplicates adjacency entries. Entries must be
+// self-loop-free and in range; the build's histogram pass checks this and
+// panics otherwise. The slab is only read, never retained or modified; a
+// nil slab gives the edgeless graph.
 func FromPacked(n int, edges []uint64, unique bool) *CSR {
 	return makeCSR(n, edges, !unique)
 }
 
 // Build freezes the builder into CSR form with the cache-blocked sort of
-// makeCSR. The builder remains usable; Build may be called again after
-// further insertions.
+// makeCSR, removing duplicate edges. The builder remains usable; Build may
+// be called again after further insertions.
 func (b *Builder) Build() *CSR {
-	return makeCSR(b.n, b.edges, b.mayDup)
+	return makeCSR(b.n, b.edges, true)
 }
 
 // blockBits is log₂ of the vertex-block size of the CSR build. At the

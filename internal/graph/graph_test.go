@@ -29,11 +29,8 @@ func TestBuilderBasics(t *testing.T) {
 	b.AddEdge(1, 0) // duplicate (reversed) — removed at Build
 	b.AddEdge(2, 2) // self loop — ignored
 	b.AddEdge(1, 2)
-	if b.Pending() != 3 {
-		t.Errorf("Pending = %d want 3 (self loop dropped, duplicate kept)", b.Pending())
-	}
-	if b.N() != 4 {
-		t.Errorf("N = %d", b.N())
+	if len(b.edges) != 3 {
+		t.Errorf("buffered %d edges, want 3 (self loop dropped, duplicate kept)", len(b.edges))
 	}
 	g := b.Build()
 	if g.EdgeCount != 2 {
@@ -72,25 +69,31 @@ func TestBuildEdgeCountDedup(t *testing.T) {
 	}
 }
 
-func TestBuilderUniqueAndPacked(t *testing.T) {
-	// AddEdgeUnique and AddPacked(unique) must agree with the dedup path
-	// when the uniqueness promise holds.
-	b1 := NewBuilder(6)
-	b2 := NewBuilder(6)
-	var packed []uint64
-	edges := [][2]int32{{0, 1}, {2, 1}, {5, 0}, {3, 4}, {4, 5}}
+// TestBuilderMatchesFromPacked checks the one-edge-at-a-time Builder
+// against FromPacked on both values of unique: the dedup path on a slab
+// with repeated and reversed edges, and the unique path on the distinct
+// edges.
+func TestBuilderMatchesFromPacked(t *testing.T) {
+	edges := [][2]int32{{0, 1}, {2, 1}, {5, 0}, {1, 0}, {3, 4}, {4, 5}, {1, 2}}
+	b := NewBuilder(6)
+	var packed, distinct []uint64
 	for _, e := range edges {
-		b1.AddEdge(e[0], e[1])
-		b2.AddEdgeUnique(e[0], e[1])
-		packed = append(packed, Pack(e[0], e[1]))
-	}
-	b3 := NewBuilder(6)
-	b3.AddPacked(packed, true)
-	g1, g2, g3 := b1.Build(), b2.Build(), b3.Build()
-	for _, g := range []*CSR{g2, g3} {
-		if !sameCSR(g1, g) {
-			t.Fatalf("builder paths disagree:\n%v\n%v", g1, g)
+		b.AddEdge(e[0], e[1])
+		p := Pack(e[0], e[1])
+		if !slices.Contains(packed, p) {
+			distinct = append(distinct, p)
 		}
+		packed = append(packed, p)
+	}
+	want := b.Build()
+	if want.EdgeCount != len(distinct) {
+		t.Fatalf("Builder EdgeCount = %d, want %d", want.EdgeCount, len(distinct))
+	}
+	if g := FromPacked(6, packed, false); !sameCSR(g, want) {
+		t.Fatalf("FromPacked(unique=false) disagrees with Builder:\n%v\n%v", g, want)
+	}
+	if g := FromPacked(6, distinct, true); !sameCSR(g, want) {
+		t.Fatalf("FromPacked(unique=true) disagrees with Builder:\n%v\n%v", g, want)
 	}
 	if u, v := Unpack(Pack(3, 1)); u != 1 || v != 3 {
 		t.Errorf("Pack/Unpack not canonical: (%d, %d)", u, v)
@@ -199,8 +202,8 @@ func TestBuildMatchesReferenceProperty(t *testing.T) {
 // TestBuilderPanicsOnBadEdge pins the validation contract and its messages:
 // an out-of-range AddEdge, and a self loop or out-of-range vertex in a
 // packed slab — in a later vertex block and past the first scatter chunk of
-// a multi-block slab — panic on the caller's goroutine, through both
-// AddPacked and FromPacked.
+// a multi-block slab — panic on the caller's goroutine, through FromPacked
+// on both values of unique.
 func TestBuilderPanicsOnBadEdge(t *testing.T) {
 	mustPanic := func(name, want string, fn func()) {
 		t.Helper()
@@ -233,8 +236,8 @@ func TestBuilderPanicsOnBadEdge(t *testing.T) {
 	} {
 		edges := slices.Clone(slab)
 		edges[bad.at] = bad.edge
-		mustPanic("FromPacked", bad.want, func() { FromPacked(n, edges, true) })
-		mustPanic("AddPacked", bad.want, func() { NewBuilder(n).AddPacked(edges, false) })
+		mustPanic("FromPacked(unique)", bad.want, func() { FromPacked(n, edges, true) })
+		mustPanic("FromPacked(dedup)", bad.want, func() { FromPacked(n, edges, false) })
 	}
 }
 
@@ -528,7 +531,7 @@ func TestLargestComponentWhere(t *testing.T) {
 	// Path 0-1-2-3-4; dropping vertex 2 leaves components {0,1} and {3,4}.
 	b := NewBuilder(5)
 	for i := int32(0); i < 4; i++ {
-		b.AddEdgeUnique(i, i+1)
+		b.AddEdge(i, i+1)
 	}
 	c := b.Build()
 	alive := []bool{true, true, true, true, true}
@@ -550,7 +553,3 @@ func TestLargestComponentWhere(t *testing.T) {
 		t.Errorf("member subset: %d, want 2", got)
 	}
 }
-
-// Pending returns the number of edge insertions buffered so far, counting
-// duplicates. The deduplicated count is CSR.EdgeCount, computed by Build.
-func (b *Builder) Pending() int { return len(b.edges) }

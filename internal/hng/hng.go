@@ -181,7 +181,7 @@ func construct(pts []geom.Point, levels []int32, alive []bool, spec Spec) *Graph
 		}
 	}
 	if top == 0 {
-		h.Geometric = &rgg.Geometric{CSR: graph.NewBuilder(n).Build(), Pos: pts}
+		h.Geometric = &rgg.Geometric{CSR: graph.FromPacked(n, nil, true), Pos: pts}
 		h.Stats.Levels = 0
 		return h
 	}
@@ -368,9 +368,7 @@ func construct(pts []geom.Point, levels []int32, alive []bool, spec Spec) *Graph
 		h.Stats.MSTEdges += len(t) - 1
 	}
 
-	b := graph.NewBuilder(n)
-	b.AddPacked(edges, false)
-	h.Geometric = &rgg.Geometric{CSR: b.Build(), Pos: pts}
+	h.Geometric = &rgg.Geometric{CSR: graph.FromPacked(n, edges, false), Pos: pts}
 	return h
 }
 

@@ -53,7 +53,7 @@ func ExpectedUDGEdges(n, area, r float64) float64 {
 // against the per-point-query oracle in the package tests.
 func UDGGrid(pts []geom.Point, r float64) *Geometric {
 	if len(pts) == 0 || !(r > 0) {
-		return &Geometric{CSR: graph.NewBuilder(len(pts)).Build(), Pos: pts}
+		return &Geometric{CSR: graph.FromPacked(len(pts), nil, true), Pos: pts}
 	}
 	grid := spatial.NewGrid(pts, r)
 	nx, ny := grid.Dims()

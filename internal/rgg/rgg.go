@@ -46,11 +46,11 @@ func UDG(pts []geom.Point, r float64) *Geometric { return UDGGrid(pts, r) }
 // mutual-pair duplicates are removed during the CSR build. The result is
 // deterministic: identical CSR at any GOMAXPROCS.
 func NN(pts []geom.Point, k int) *Geometric {
-	b := graph.NewBuilder(len(pts))
+	var edges []uint64
 	if len(pts) > 1 && k > 0 {
 		box := spatial.FiniteBounds(pts)
 		grid := spatial.NewDynGrid(pts, box, spatial.CellSize(box, len(pts)/k))
-		edges := parallel.Collect(len(pts), func(lo, hi int, out []uint64) []uint64 {
+		edges = parallel.Collect(len(pts), func(lo, hi int, out []uint64) []uint64 {
 			var scratch spatial.KNNScratch
 			var nbrs []int32
 			for i := lo; i < hi; i++ {
@@ -61,7 +61,6 @@ func NN(pts []geom.Point, k int) *Geometric {
 			}
 			return out
 		})
-		b.AddPacked(edges, false)
 	}
-	return &Geometric{CSR: b.Build(), Pos: pts}
+	return &Geometric{CSR: graph.FromPacked(len(pts), edges, false), Pos: pts}
 }

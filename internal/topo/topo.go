@@ -1,15 +1,16 @@
 // Package topo implements the classical topology-control baselines the
 // paper positions itself against (§1.2): structures that keep EVERY node
 // connected — the Gabriel graph, the relative neighborhood graph (RNG),
-// the Yao graph, and the Euclidean minimum spanning tree — plus plain k-NN.
-// The E14 experiment compares them with the SENS constructions on degree,
-// stretch, power and active-node metrics.
+// the Yao graph, and the Euclidean minimum spanning tree. The E14
+// experiment compares them, and plain k-NN (rgg.NN), with the SENS
+// constructions on degree, stretch, power and active-node metrics.
 //
 // All four are computed as subgraphs of a unit disk graph (as a real radio
 // network would), so "connected" means "as connected as UDG allows".
 package topo
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -29,7 +30,6 @@ import (
 // kept iff the disk with diameter uv contains no other point.
 func Gabriel(base *rgg.Geometric) *rgg.Geometric {
 	pts := base.Pos
-	b := graph.NewBuilder(len(pts))
 	edges := parallel.Collect(base.N, func(lo, hi int, out []uint64) []uint64 {
 		for u := int32(lo); u < int32(hi); u++ {
 			for _, v := range base.Neighbors(u) {
@@ -62,8 +62,7 @@ func Gabriel(base *rgg.Geometric) *rgg.Geometric {
 		}
 		return out
 	})
-	b.AddPacked(edges, true)
-	return &rgg.Geometric{CSR: b.Build(), Pos: pts}
+	return &rgg.Geometric{CSR: graph.FromPacked(len(pts), edges, true), Pos: pts}
 }
 
 // RelativeNeighborhood returns the RNG restricted to base edges: {u, v} is
@@ -71,7 +70,6 @@ func Gabriel(base *rgg.Geometric) *rgg.Geometric {
 // empty).
 func RelativeNeighborhood(base *rgg.Geometric) *rgg.Geometric {
 	pts := base.Pos
-	b := graph.NewBuilder(len(pts))
 	edges := parallel.Collect(base.N, func(lo, hi int, out []uint64) []uint64 {
 		for u := int32(lo); u < int32(hi); u++ {
 			for _, v := range base.Neighbors(u) {
@@ -98,8 +96,7 @@ func RelativeNeighborhood(base *rgg.Geometric) *rgg.Geometric {
 		}
 		return out
 	})
-	b.AddPacked(edges, true)
-	return &rgg.Geometric{CSR: b.Build(), Pos: pts}
+	return &rgg.Geometric{CSR: graph.FromPacked(len(pts), edges, true), Pos: pts}
 }
 
 // Yao returns the Yao graph with the given number of cones (≥ 6 for
@@ -110,7 +107,6 @@ func Yao(base *rgg.Geometric, cones int) *rgg.Geometric {
 		cones = 1
 	}
 	pts := base.Pos
-	b := graph.NewBuilder(len(pts))
 	edges := parallel.Collect(base.N, func(lo, hi int, out []uint64) []uint64 {
 		best := make([]int32, cones)
 		bestD := make([]float64, cones)
@@ -141,203 +137,41 @@ func Yao(base *rgg.Geometric, cones int) *rgg.Geometric {
 		}
 		return out
 	})
-	b.AddPacked(edges, false)
-	return &rgg.Geometric{CSR: b.Build(), Pos: pts}
+	return &rgg.Geometric{CSR: graph.FromPacked(len(pts), edges, false), Pos: pts}
 }
 
-// EMST returns the Euclidean minimum spanning forest of the base graph
-// (Kruskal over base edges; a spanning tree per connected component).
-//
-// The build is a filter-Kruskal-style pipeline instead of the classical
-// sort-everything Kruskal: edges are extracted in parallel (packed pairs,
-// deterministic shard merge), split around a sampled median weight, and the
-// light half is radix-sorted (LSD counting sort on the IEEE-754 bit pattern
-// of d², which orders like the float for non-negative values) and scanned
-// first. The heavy half is then filtered through the union-find — any edge
-// whose endpoints the light half already connected can never enter the
-// forest — before being sorted and scanned itself. On a UDG with mean
-// degree ~50 the light scan connects almost everything, so the filter
-// discards most of the edge set without ever sorting it, and no
-// sort.Slice interface boxing happens at any size.
+// EMST returns the Euclidean minimum spanning forest of the base graph: a
+// spanning tree per connected component. It is Kruskal's algorithm over the
+// base edges, sorted by (squared length, packed pair). The IEEE-754 bits of a non-negative d² order like the float, and
+// the packed pair breaks ties by (u, v), so the order is total and the
+// forest does not depend on the worker count. The scan stops once one
+// component is left.
 func EMST(base *rgg.Geometric) *rgg.Geometric {
 	pts := base.Pos
-	packed := parallel.Collect(base.N, func(lo, hi int, out []uint64) []uint64 {
-		for u := int32(lo); u < int32(hi); u++ {
-			for _, v := range base.Neighbors(u) {
-				if v > u {
-					out = append(out, graph.Pack(u, v))
-				}
+	type weighted struct{ key, e uint64 }
+	recs := make([]weighted, 0, base.EdgeCount)
+	for u := int32(0); int(u) < base.N; u++ {
+		for _, v := range base.Neighbors(u) {
+			if v > u {
+				recs = append(recs, weighted{math.Float64bits(pts[u].Dist2(pts[v])), graph.Pack(u, v)})
 			}
 		}
-		return out
-	})
-	recs := make([]emstEdge, len(packed))
-	parallel.ForShard(len(packed), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			u, v := graph.Unpack(packed[i])
-			recs[i] = emstEdge{key: math.Float64bits(pts[u].Dist2(pts[v])), e: packed[i]}
+	}
+	slices.SortFunc(recs, func(a, b weighted) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
 		}
+		return cmp.Compare(a.e, b.e)
 	})
-
 	uf := graph.NewUnionFind(base.N)
-	b := graph.NewBuilder(base.N)
-	scratch := &emstScratch{aux: make([]emstEdge, len(recs))}
-	if len(recs) > emstFilterCutoff {
-		pivot := emstPivot(recs)
-		light, heavy := emstPartition(recs, scratch.aux, pivot)
-		emstKruskal(light, uf, b, scratch)
-		if uf.Count() > 1 {
-			// Filter: drop heavy edges already connected by the light forest.
-			kept := heavy[:0]
-			for _, r := range heavy {
-				if u, v := graph.Unpack(r.e); !uf.Connected(u, v) {
-					kept = append(kept, r)
-				}
-			}
-			emstKruskal(kept, uf, b, scratch)
-		}
-	} else {
-		emstKruskal(recs, uf, b, scratch)
-	}
-	return &rgg.Geometric{CSR: b.Build(), Pos: pts}
-}
-
-// emstFilterCutoff is the edge count below which the light/heavy split is
-// not worth the extra pass and a single sort+scan runs directly.
-const emstFilterCutoff = 4096
-
-// emstEdge carries one candidate edge: the Float64bits of its squared
-// length (radix-sort key) and the packed (u, v) pair.
-type emstEdge struct {
-	key uint64
-	e   uint64
-}
-
-type emstScratch struct {
-	aux   []emstEdge
-	count [1 << 16]int32
-}
-
-// emstPivot returns an approximate median key from a deterministic stride
-// sample.
-func emstPivot(recs []emstEdge) uint64 {
-	const samples = 255
-	stride := len(recs) / samples
-	if stride < 1 {
-		stride = 1
-	}
-	var keys []uint64
-	for i := 0; i < len(recs); i += stride {
-		keys = append(keys, recs[i].key)
-	}
-	slices.Sort(keys)
-	return keys[len(keys)/2]
-}
-
-// emstPartition stably splits recs into (key <= pivot, key > pivot) using
-// aux as the staging area for the heavy side; both returned slices alias
-// recs and preserve relative order.
-func emstPartition(recs, aux []emstEdge, pivot uint64) (light, heavy []emstEdge) {
-	nl := 0
-	nh := 0
+	var tree []uint64
 	for _, r := range recs {
-		if r.key <= pivot {
-			recs[nl] = r
-			nl++
-		} else {
-			aux[nh] = r
-			nh++
+		if uf.Count() == 1 {
+			break
+		}
+		if u, v := graph.Unpack(r.e); uf.Union(u, v) {
+			tree = append(tree, r.e)
 		}
 	}
-	copy(recs[nl:], aux[:nh])
-	return recs[:nl], recs[nl:]
+	return &rgg.Geometric{CSR: graph.FromPacked(base.N, tree, true), Pos: pts}
 }
-
-// emstKruskal sorts the edges by key and runs the union-find scan, stopping
-// as soon as the forest spans.
-func emstKruskal(recs []emstEdge, uf *graph.UnionFind, b *graph.Builder, s *emstScratch) {
-	emstRadixSort(recs, s)
-	for _, r := range recs {
-		u, v := graph.Unpack(r.e)
-		if uf.Union(u, v) {
-			b.AddEdgeUnique(u, v)
-			if uf.Count() == 1 {
-				return
-			}
-		}
-	}
-}
-
-// emstSortCutoff is the edge count below which a comparison sort beats the
-// radix passes (each pass clears and scans a 65536-entry counter array, so
-// small inputs would pay ~256KB of memory traffic per pass for nothing).
-const emstSortCutoff = 8192
-
-// emstRadixSort sorts recs by key with an LSD counting sort over 16-bit
-// digits. Passes whose digit is constant across all keys (common in the
-// exponent-heavy high bits of clustered edge lengths) are skipped. The sort
-// is stable, so ties keep the deterministic extraction order; the
-// comparison-sort path for small inputs breaks key ties by the packed edge,
-// which IS the extraction order (u then v, both ascending), so both paths
-// produce the same permutation.
-func emstRadixSort(recs []emstEdge, s *emstScratch) {
-	if len(recs) < 2 {
-		return
-	}
-	if len(recs) <= emstSortCutoff {
-		slices.SortFunc(recs, func(a, b emstEdge) int {
-			if a.key != b.key {
-				if a.key < b.key {
-					return -1
-				}
-				return 1
-			}
-			if a.e < b.e {
-				return -1
-			}
-			if a.e > b.e {
-				return 1
-			}
-			return 0
-		})
-		return
-	}
-	src, dst := recs, s.aux[:len(recs)]
-	swapped := false
-	for shift := 0; shift < 64; shift += 16 {
-		count := &s.count
-		for i := range count {
-			count[i] = 0
-		}
-		first := uint16(src[0].key >> shift)
-		uniform := true
-		for _, r := range src {
-			d := uint16(r.key >> shift)
-			count[d]++
-			uniform = uniform && d == first
-		}
-		if uniform {
-			continue
-		}
-		sum := int32(0)
-		for i := range count {
-			c := count[i]
-			count[i] = sum
-			sum += c
-		}
-		for _, r := range src {
-			d := uint16(r.key >> shift)
-			dst[count[d]] = r
-			count[d]++
-		}
-		src, dst = dst, src
-		swapped = !swapped
-	}
-	if swapped {
-		copy(recs, src)
-	}
-}
-
-// KNN returns the undirected k-nearest-neighbor graph (re-exported from rgg
-// for baseline symmetry).
-func KNN(pts []geom.Point, k int) *rgg.Geometric { return rgg.NN(pts, k) }

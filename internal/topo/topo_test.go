@@ -1,8 +1,10 @@
 package topo
 
 import (
+	"cmp"
+	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -187,14 +189,6 @@ func TestSparsityOrdering(t *testing.T) {
 	}
 }
 
-func TestKNNBaselineAlias(t *testing.T) {
-	g := rng.New(8)
-	pts := pointprocess.Binomial(geom.Box(5, 5), 100, g)
-	if got := KNN(pts, 3); got.N != 100 {
-		t.Errorf("KNN N = %d", got.N)
-	}
-}
-
 func TestEmptyInputs(t *testing.T) {
 	empty := rgg.UDG(nil, 1)
 	if Gabriel(empty).N != 0 || RelativeNeighborhood(empty).N != 0 ||
@@ -238,51 +232,56 @@ func TestTopoDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestEMSTFilterPathMatchesReference pushes EMST over the filter cutoff
-// (light/heavy split + heavy-edge filtering + radix sort) and checks the
-// forest against a plain sort-everything Kruskal reference.
-func TestEMSTFilterPathMatchesReference(t *testing.T) {
-	pts := pointprocess.Poisson(geom.Box(10, 10), 20, rng.New(17))
-	base := rgg.UDG(pts, 1)
-	if base.EdgeCount <= 4096 {
-		t.Fatalf("fixture too small to exercise the filter path: %d edges", base.EdgeCount)
+// TestEMSTMatchesReferenceKruskal checks EMST edge for edge against a
+// brute-force Kruskal over every base edge in (d², u, v) order, at one and
+// at eight workers, on a Poisson fixture and on an integer lattice at
+// radius √2, where most edge lengths tie.
+func TestEMSTMatchesReferenceKruskal(t *testing.T) {
+	var lattice []geom.Point
+	for y := 0; y < 40; y++ {
+		for x := 0; x < 40; x++ {
+			lattice = append(lattice, geom.Point{X: float64(x), Y: float64(y)})
+		}
 	}
-	mst := EMST(base)
-
-	type edge struct {
-		u, v int32
-		d2   float64
-	}
-	var edges []edge
-	for u := int32(0); int(u) < base.N; u++ {
-		for _, v := range base.Neighbors(u) {
-			if v > u {
-				edges = append(edges, edge{u, v, pts[u].Dist2(pts[v])})
+	for _, fx := range []struct {
+		name string
+		base *rgg.Geometric
+	}{
+		{"poisson", rgg.UDG(pointprocess.Poisson(geom.Box(10, 10), 20, rng.New(17)), 1)},
+		{"lattice", rgg.UDG(lattice, math.Sqrt2)},
+	} {
+		base, pts := fx.base, fx.base.Pos
+		type edge struct {
+			d2   float64
+			u, v int32
+		}
+		var edges []edge
+		for u := int32(0); int(u) < base.N; u++ {
+			for _, v := range base.Neighbors(u) {
+				if v > u {
+					edges = append(edges, edge{pts[u].Dist2(pts[v]), u, v})
+				}
 			}
 		}
-	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i].d2 < edges[j].d2 })
-	uf := graph.NewUnionFind(base.N)
-	refCount := 0
-	var refWeight float64
-	for _, e := range edges {
-		if uf.Union(e.u, e.v) {
-			refCount++
-			refWeight += pts[e.u].Dist(pts[e.v])
-		}
-	}
-	if mst.EdgeCount != refCount {
-		t.Fatalf("EMST edges = %d, reference Kruskal = %d", mst.EdgeCount, refCount)
-	}
-	var gotWeight float64
-	for u := int32(0); int(u) < mst.N; u++ {
-		for _, v := range mst.Neighbors(u) {
-			if v > u {
-				gotWeight += pts[u].Dist(pts[v])
+		slices.SortFunc(edges, func(a, b edge) int {
+			return cmp.Or(cmp.Compare(a.d2, b.d2), cmp.Compare(a.u, b.u), cmp.Compare(a.v, b.v))
+		})
+		uf := graph.NewUnionFind(base.N)
+		ref := graph.NewBuilder(base.N)
+		for _, e := range edges {
+			if uf.Union(e.u, e.v) {
+				ref.AddEdge(e.u, e.v)
 			}
 		}
-	}
-	if d := gotWeight - refWeight; d > 1e-7 || d < -1e-7 {
-		t.Fatalf("EMST weight %v vs reference %v", gotWeight, refWeight)
+		want := ref.Build()
+		for _, procs := range []int{1, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			got := EMST(base).CSR
+			runtime.GOMAXPROCS(prev)
+			if !graph.Equal(got, want) {
+				t.Errorf("%s at GOMAXPROCS %d: EMST (%d edges) differs from reference Kruskal (%d edges)",
+					fx.name, procs, got.EdgeCount, want.EdgeCount)
+			}
+		}
 	}
 }
