@@ -387,7 +387,9 @@ type (
 	ScenarioParam = scenario.Param
 	// ScenarioEngine executes scenarios through shared caches into a sink.
 	ScenarioEngine = scenario.Engine
-	// ResultSink consumes the typed row stream of an engine run.
+	// ResultSink receives each finished table of an engine run, in
+	// registration order, with the scenario's wall time:
+	// Table(t *ExperimentTable, elapsed time.Duration) error.
 	ResultSink = scenario.Sink
 )
 
@@ -412,8 +414,9 @@ func NewScenarioEngine(sink ResultSink) *ScenarioEngine { return scenario.NewEng
 // NewTextSink renders tables as aligned monospace text.
 func NewTextSink(w io.Writer) ResultSink { return scenario.NewTextSink(w) }
 
-// NewCSVSink streams rows as CSV records prefixed with the scenario ID.
+// NewCSVSink writes rows as CSV records prefixed with the scenario ID.
 func NewCSVSink(w io.Writer) ResultSink { return scenario.NewCSVSink(w) }
 
-// NewJSONLSink streams one JSON event per table/row/note.
+// NewJSONLSink writes one JSON event per table, row and note, then a
+// "done" event with the scenario's wall time.
 func NewJSONLSink(w io.Writer) ResultSink { return scenario.NewJSONLSink(w) }

@@ -4,8 +4,8 @@
 // energy/lifetime scenarios Q01–Q03 — is a registered scenario, executed
 // through a shared build cache (deployments, base graphs, SENS structures,
 // HNGs, baselines, lifetime instances and measurement weight slabs are
-// built at most once per suite run) with results streamed to a pluggable
-// sink.
+// built at most once per suite run) with each finished table handed to a
+// pluggable sink.
 //
 // Usage:
 //
@@ -18,7 +18,7 @@
 //	experiments -run tag:energy        # the battery/lifetime suite (Q01–Q03)
 //	experiments -run stretch           # by scenario name
 //	experiments -scale 0.2             # quick pass
-//	experiments -format csv -out t.csv # stream rows as CSV to a file
+//	experiments -format csv -out t.csv # write the tables as CSV to a file
 //	experiments -format jsonl          # one JSON event per table/row/note
 //	experiments -jobs 4                # run up to 4 scenarios concurrently
 //
@@ -28,8 +28,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -39,84 +41,99 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// sinks builds the result sink of each -format; timings switches the
+// per-table wall time on or off where the format has one.
+var sinks = map[string]func(w io.Writer, timings bool) scenario.Sink{
+	"table": func(w io.Writer, timings bool) scenario.Sink {
+		return &scenario.TextSink{W: w, Timings: timings}
+	},
+	"csv": func(w io.Writer, _ bool) scenario.Sink { return scenario.NewCSVSink(w) },
+	"jsonl": func(w io.Writer, timings bool) scenario.Sink {
+		s := scenario.NewJSONLSink(w)
+		s.Timings = timings
+		return s
+	},
+}
+
+// run executes the CLI against explicit streams and returns the process
+// exit code — the testable core of the command.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		run = flag.String("run", "all", "comma-separated scenario selectors: IDs (E05), "+
+		runSel = fs.String("run", "all", "comma-separated scenario selectors: IDs (E05), "+
 			"names (stretch), globs (E0?, ablation-*) or tags (tag:power)")
-		scale   = flag.Float64("scale", 1.0, "trial/size multiplier (1 = EXPERIMENTS.md scale)")
-		seed    = flag.Uint64("seed", 2026, "random seed")
-		list    = flag.Bool("list", false, "list available scenarios and exit")
-		format  = flag.String("format", "table", "output format: table, csv or jsonl")
-		out     = flag.String("out", "", "write results to this file instead of stdout")
-		jobs    = flag.Int("jobs", 1, "max scenarios running concurrently")
-		timings = flag.Bool("timings", true, "report per-scenario wall time (table and jsonl formats)")
+		scale   = fs.Float64("scale", 1.0, "trial/size multiplier (1 = EXPERIMENTS.md scale)")
+		seed    = fs.Uint64("seed", 2026, "random seed")
+		list    = fs.Bool("list", false, "list available scenarios and exit")
+		format  = fs.String("format", "table", "output format: table, csv or jsonl")
+		out     = fs.String("out", "", "write results to this file instead of stdout")
+		jobs    = fs.Int("jobs", 1, "max scenarios running concurrently")
+		timings = fs.Bool("timings", true, "report per-scenario wall time (table and jsonl formats)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *list {
-		listScenarios()
-		return
+		listScenarios(stdout)
+		return 0
 	}
 
-	selected, err := scenario.Match(strings.Split(*run, ","))
+	selected, err := scenario.Match(strings.Split(*runSel, ","))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "experiments: %v\n", err)
+		return 1
+	}
+	newSink, ok := sinks[*format]
+	if !ok {
+		fmt.Fprintf(stderr, "experiments: unknown format %q (table, csv, jsonl)\n", *format)
+		return 1
 	}
 
-	w := os.Stdout
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "experiments: %v\n", err)
+			return 1
 		}
-		defer f.Close()
+		defer func() {
+			if err := f.Close(); err != nil && code == 0 {
+				fmt.Fprintf(stderr, "experiments: %v\n", err)
+				code = 1
+			}
+		}()
 		w = f
 	}
 
-	var sink scenario.Sink
-	switch *format {
-	case "table":
-		ts := scenario.NewTextSink(w)
-		ts.Timings = *timings
-		sink = ts
-	case "csv":
-		sink = scenario.NewCSVSink(w)
-	case "jsonl":
-		js := scenario.NewJSONLSink(w)
-		if !*timings {
-			sink = noTimingSink{js}
-		} else {
-			sink = js
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "experiments: unknown format %q (table, csv, jsonl)\n", *format)
-		os.Exit(1)
-	}
-
-	eng := scenario.NewEngine(sink)
+	eng := scenario.NewEngine(newSink(w, *timings))
 	eng.Jobs = *jobs
 	cfg := scenario.Config{Seed: rng.Seed(*seed), Scale: *scale}
 	if _, err := eng.Run(cfg, selected); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "experiments: %v\n", err)
+		return 1
 	}
+	return 0
 }
 
-// noTimingSink hides the TimingSink extension of the wrapped sink.
-type noTimingSink struct{ scenario.Sink }
-
-func listScenarios() {
+func listScenarios(w io.Writer) {
 	for _, s := range scenario.All() {
-		fmt.Printf("%s  %-18s %s\n", s.ID, s.Name, s.Title)
+		fmt.Fprintf(w, "%s  %-18s %s\n", s.ID, s.Name, s.Title)
 		if len(s.Tags) > 0 {
-			fmt.Printf("     tags: %s\n", strings.Join(s.Tags, ", "))
+			fmt.Fprintf(w, "     tags: %s\n", strings.Join(s.Tags, ", "))
 		}
 		for _, p := range s.Grid {
-			fmt.Printf("     grid: %s ∈ {%s}\n", p.Name, strings.Join(p.Values, ", "))
+			fmt.Fprintf(w, "     grid: %s ∈ {%s}\n", p.Name, strings.Join(p.Values, ", "))
 		}
 		if len(s.Needs) > 0 {
-			fmt.Printf("     needs: %s\n", strings.Join(s.Needs, ", "))
+			fmt.Fprintf(w, "     needs: %s\n", strings.Join(s.Needs, ", "))
 		}
 	}
-	fmt.Printf("\ntags: %s\n", strings.Join(scenario.Tags(), ", "))
+	fmt.Fprintf(w, "\ntags: %s\n", strings.Join(scenario.Tags(), ", "))
 }

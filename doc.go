@@ -57,7 +57,7 @@
 // election protocols share one deployment, E14's seven structures share one
 // deployment, base graph and weight slabs.
 //
-// Results flow as a typed row stream into pluggable sinks — aligned text
+// Results flow as finished tables into pluggable sinks — aligned text
 // tables (the historical format), CSV records, or JSONL events — and the
 // engine emits tables in registration order even when scenarios execute
 // concurrently (Engine.Jobs), so output is byte-identical at any

@@ -40,7 +40,7 @@ func TestScenarioTablesMatchPreRefactorGolden(t *testing.T) {
 		// (they are pinned by normal runs); only genuinely new scenarios gain
 		// files.
 		eng := scenario.NewEngine(nil)
-		tables, err := eng.RunAll(goldenCfg)
+		tables, err := eng.Run(goldenCfg, scenario.All())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestScenarioTablesMatchPreRefactorGolden(t *testing.T) {
 		if gmp > 1 {
 			eng.Jobs = 4 // exercise concurrent scenario execution + shared cache
 		}
-		tables, err := eng.RunAll(goldenCfg)
+		tables, err := eng.Run(goldenCfg, scenario.All())
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatalf("GOMAXPROCS %d: engine run failed: %v", gmp, err)
@@ -93,7 +93,7 @@ func TestSuiteRebuildsSharedStructuresAtMostOnce(t *testing.T) {
 	}
 	eng := scenario.NewEngine(nil)
 	eng.Jobs = 2
-	if _, err := eng.RunAll(goldenCfg); err != nil {
+	if _, err := eng.Run(goldenCfg, scenario.All()); err != nil {
 		t.Fatal(err)
 	}
 	first := eng.Cache.Stats()

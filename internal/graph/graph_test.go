@@ -361,6 +361,59 @@ func TestLargestComponentEmpty(t *testing.T) {
 	}
 }
 
+// TestComponentsMatchesUnionFind holds Components to a union-find
+// reference on sparse random graphs: ids in order of each component's
+// smallest vertex, and the size of every component.
+func TestComponentsMatchesUnionFind(t *testing.T) {
+	for _, tc := range []struct {
+		n int
+		p float64
+	}{{1, 0}, {50, 0.01}, {200, 0.004}, {300, 0.02}} {
+		g := rngGraph(t, tc.n, tc.p)
+		uf := NewUnionFind(tc.n)
+		for u := int32(0); int(u) < tc.n; u++ {
+			for _, v := range g.Neighbors(u) {
+				uf.Union(u, v)
+			}
+		}
+		id := map[int32]int32{}
+		var wantSizes []int
+		wantLabels := make([]int32, tc.n)
+		for u := int32(0); int(u) < tc.n; u++ {
+			r := uf.Find(u)
+			l, ok := id[r]
+			if !ok {
+				l = int32(len(wantSizes))
+				id[r] = l
+				wantSizes = append(wantSizes, 0)
+			}
+			wantLabels[u] = l
+			wantSizes[l]++
+		}
+		labels, sizes := Components(g)
+		if !slices.Equal(labels, wantLabels) || !slices.Equal(sizes, wantSizes) {
+			t.Errorf("n=%d p=%v: Components = %v %v, want %v %v",
+				tc.n, tc.p, labels, sizes, wantLabels, wantSizes)
+		}
+	}
+}
+
+// TestComponentsAllocs: on a graph that is mostly isolated vertices (the
+// subgraph a SENS build labels over all deployment points), allocations
+// stay constant in the component count — labels, the BFS queue's growth
+// along the one long path, and sizes.
+func TestComponentsAllocs(t *testing.T) {
+	const n, path = 10_000, 1000
+	b := NewBuilder(n)
+	for i := 0; i < path-1; i++ {
+		b.AddEdge(int32(i), int32(i+1))
+	}
+	g := b.Build()
+	if allocs := testing.AllocsPerRun(10, func() { Components(g) }); allocs > 6 {
+		t.Errorf("Components allocates %v times, want ≤ 6", allocs)
+	}
+}
+
 func TestBFSOnPath(t *testing.T) {
 	g := pathGraph(10)
 	dist := BFS(g, 0, nil)

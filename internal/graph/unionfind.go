@@ -55,7 +55,8 @@ func (uf *UnionFind) Count() int { return uf.count }
 // Components labels each vertex of the graph with a component id in
 // [0, numComponents) and returns (labels, sizes). Ids are assigned in order
 // of each component's smallest vertex. Implemented as a flood fill over the
-// CSR — O(N + E) with two slab allocations, no union-find or remap table.
+// CSR, then one counting pass for the sizes — O(N + E) with the labels,
+// queue and sizes slabs as its only allocations.
 func Components(g *CSR) (labels []int32, sizes []int) {
 	labels = make([]int32, g.N)
 	for i := range labels {
@@ -68,19 +69,20 @@ func Components(g *CSR) (labels []int32, sizes []int) {
 			continue
 		}
 		labels[s] = id
-		size := 1
 		queue = append(queue[:0], int32(s))
 		for head := 0; head < len(queue); head++ {
 			for _, v := range g.Neighbors(queue[head]) {
 				if labels[v] < 0 {
 					labels[v] = id
-					size++
 					queue = append(queue, v)
 				}
 			}
 		}
-		sizes = append(sizes, size)
 		id++
+	}
+	sizes = make([]int, id)
+	for _, l := range labels {
+		sizes[l]++
 	}
 	return labels, sizes
 }

@@ -25,15 +25,15 @@ func NewCtx(cfg Config) *Ctx {
 	return &Ctx{Cfg: cfg, Cache: NewCache(), Slabs: power.NewSlabCache()}
 }
 
-// Engine executes scenarios through shared caches and streams their tables
-// into a sink. The zero value is not usable; construct with NewEngine.
+// Engine executes scenarios through shared caches and hands their finished
+// tables to a sink. The zero value is not usable; construct with NewEngine.
 type Engine struct {
 	// Cache memoizes deployments, base graphs, SENS networks and baselines
 	// across every scenario this engine runs.
 	Cache *Cache
 	// Slabs memoizes power.Measurer edge-weight slabs per (graph, β).
 	Slabs *power.SlabCache
-	// Sink receives the typed row stream; nil collects tables only.
+	// Sink receives each finished table; nil collects tables only.
 	Sink Sink
 	// Jobs bounds how many scenarios execute concurrently (≤ 1 = serial).
 	// Scenario-internal parallelism (internal/parallel) is unaffected.
@@ -67,11 +67,11 @@ func (e *Engine) Run(cfg Config, scs []Scenario) ([]*Table, error) {
 	}
 
 	run := func(i int) {
-		//sensvet:allow detclock — per-scenario wall time feeds the TimingSink progress channel only, never a result table
+		//sensvet:allow detclock — per-scenario wall time reaches the sink only as Table's elapsed argument, never a result table
 		start := time.Now()
 		ctx := &Ctx{Cfg: cfg, Cache: e.Cache, Slabs: e.Slabs}
 		tables[i] = scs[i].Run(ctx)
-		//sensvet:allow detclock — same timing side channel; elapsed never reaches table bytes
+		//sensvet:allow detclock — same out-of-band timing; elapsed never reaches table bytes
 		elapsed[i] = time.Since(start)
 	}
 
@@ -112,8 +112,7 @@ func (e *Engine) Run(cfg Config, scs []Scenario) ([]*Table, error) {
 	return tables, emitErr
 }
 
-// emit replays one finished table into the sink (if any) and reports the
-// scenario timing to sinks that want it.
+// emit hands one finished table and its wall time to the sink, if any.
 func (e *Engine) emit(sc Scenario, t *Table, d time.Duration) error {
 	if t == nil {
 		return fmt.Errorf("scenario: %s returned a nil table", sc.ID)
@@ -121,14 +120,5 @@ func (e *Engine) emit(sc Scenario, t *Table, d time.Duration) error {
 	if e.Sink == nil {
 		return nil
 	}
-	if err := Emit(e.Sink, t); err != nil {
-		return err
-	}
-	if ts, ok := e.Sink.(TimingSink); ok {
-		return ts.Timing(t.ID, d)
-	}
-	return nil
+	return e.Sink.Table(t, d)
 }
-
-// RunAll executes every registered scenario.
-func (e *Engine) RunAll(cfg Config) ([]*Table, error) { return e.Run(cfg, All()) }

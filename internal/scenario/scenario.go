@@ -3,9 +3,9 @@
 // every future workload), an Engine that executes them through a keyed
 // build cache — deployments, base graphs, SENS structures, topology-control
 // baselines and power.Measurer weight slabs are built at most once per
-// (seed, params) and shared across every scenario that needs them — and a
-// typed row stream feeding pluggable result sinks (aligned text tables,
-// CSV, JSONL).
+// (seed, params) and shared across every scenario that needs them — and
+// pluggable result sinks that take each finished table (aligned text
+// tables, CSV, JSONL).
 //
 // A scenario is registered once, usually from an init function:
 //
@@ -21,7 +21,7 @@
 //
 // and executed — alone, by glob, or by tag — through an Engine, whose Ctx
 // hands the Run function the shared Cache and slab cache. Tables produced
-// by a Run are replayed into the engine's Sink in registration order, so
+// by a Run are handed to the engine's Sink in registration order, so
 // output is byte-identical at any concurrency level.
 package scenario
 

@@ -215,7 +215,7 @@ func TestEngineEmitsInRegistrationOrder(t *testing.T) {
 		var buf bytes.Buffer
 		eng := NewEngine(NewTextSink(&buf))
 		eng.Jobs = jobs
-		if _, err := eng.RunAll(Config{Seed: 1}); err != nil {
+		if _, err := eng.Run(Config{Seed: 1}, All()); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -247,7 +247,7 @@ func TestEngineSharesCacheAcrossScenarios(t *testing.T) {
 	withScenarios(t, mk("A1"), mk("A2"), mk("A3"))
 	eng := NewEngine(nil)
 	eng.Jobs = 3
-	if _, err := eng.RunAll(Config{}); err != nil {
+	if _, err := eng.Run(Config{}, All()); err != nil {
 		t.Fatal(err)
 	}
 	if builds.Load() != 1 {
@@ -265,7 +265,7 @@ func TestTextSinkMatchesTableString(t *testing.T) {
 	tab.AddNote("hello %d", 5)
 
 	var buf bytes.Buffer
-	if err := Emit(NewTextSink(&buf), tab); err != nil {
+	if err := NewTextSink(&buf).Table(tab, 0); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != tab.String() {
@@ -278,7 +278,7 @@ func TestCSVSink(t *testing.T) {
 	tab.AddRow("1", "x,y") // comma forces quoting
 	tab.AddNote("n1")
 	var buf bytes.Buffer
-	if err := Emit(NewCSVSink(&buf), tab); err != nil {
+	if err := NewCSVSink(&buf).Table(tab, 0); err != nil {
 		t.Fatal(err)
 	}
 	want := "scenario,a,b\nE99,1,\"x,y\"\nE99,note,n1\n"
@@ -297,7 +297,7 @@ func TestCSVSinkEscaping(t *testing.T) {
 	tab.AddRow(`plain`, `,"`, ``)
 	tab.AddNote(`note with, comma and "quotes"`)
 	var buf bytes.Buffer
-	if err := Emit(NewCSVSink(&buf), tab); err != nil {
+	if err := NewCSVSink(&buf).Table(tab, 0); err != nil {
 		t.Fatal(err)
 	}
 	want := "scenario,a,b,c\n" +
@@ -329,7 +329,9 @@ func TestJSONLSinkEscaping(t *testing.T) {
 	tab.AddRow(`cell "with" quotes`, "back\\slash and\nnewline")
 	tab.AddNote(`note, with "both"`)
 	var buf bytes.Buffer
-	if err := Emit(NewJSONLSink(&buf), tab); err != nil {
+	sink := NewJSONLSink(&buf)
+	sink.Timings = false
+	if err := sink.Table(tab, 0); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -363,10 +365,7 @@ func TestJSONLSink(t *testing.T) {
 	tab.AddNote("n1")
 	var buf bytes.Buffer
 	sink := NewJSONLSink(&buf)
-	if err := Emit(sink, tab); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Timing("E99", 1500*time.Microsecond); err != nil {
+	if err := sink.Table(tab, 1500*time.Microsecond); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

@@ -8,154 +8,86 @@ import (
 	"time"
 )
 
-// Header announces a table to a sink: scenario identity plus column names.
-type Header struct {
-	ID      string
-	Title   string
-	Columns []string
-}
-
-// Sink consumes the typed row stream of an engine run. Calls arrive in a
-// fixed grammar per table — BeginTable, zero or more Row, zero or more
-// Note, EndTable — with tables in scenario registration order regardless of
-// how many scenarios executed concurrently. Implementations that also
-// implement TimingSink receive the scenario wall time after each EndTable.
+// Sink receives the finished tables of an engine run, one call per table,
+// in scenario registration order regardless of how many scenarios executed
+// concurrently. elapsed is the scenario's wall time: the one out-of-band
+// value a sink sees, which must never reach result bytes.
 type Sink interface {
-	BeginTable(h Header) error
-	Row(cells []string) error
-	Note(text string) error
-	EndTable() error
-}
-
-// TimingSink is an optional extension: the engine reports each scenario's
-// wall-clock time right after its EndTable.
-type TimingSink interface {
-	Timing(id string, elapsed time.Duration) error
-}
-
-// Emit replays a finished table into a sink using the standard grammar.
-func Emit(s Sink, t *Table) error {
-	if err := s.BeginTable(Header{ID: t.ID, Title: t.Title, Columns: t.Columns}); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := s.Row(row); err != nil {
-			return err
-		}
-	}
-	for _, n := range t.Notes {
-		if err := s.Note(n); err != nil {
-			return err
-		}
-	}
-	return s.EndTable()
+	Table(t *Table, elapsed time.Duration) error
 }
 
 // TextSink renders tables as the aligned monospace text of Table.String —
 // the historical cmd/experiments output: a blank line between tables and,
-// when Timings is set, a "(ID in 12ms)" line after each. Alignment needs
-// every row's width, so the sink buffers one table and writes it at
-// EndTable; memory stays bounded by a single table.
+// when Timings is set, a "(ID in 12ms)" line after each.
 type TextSink struct {
 	W       io.Writer
 	Timings bool
-	cur     *Table
-	first   bool
+	started bool
 }
 
-// NewTextSink returns a text sink writing to w.
-func NewTextSink(w io.Writer) *TextSink { return &TextSink{W: w, first: true} }
+// NewTextSink returns a text sink writing to w, without timing lines.
+func NewTextSink(w io.Writer) *TextSink { return &TextSink{W: w} }
 
-// BeginTable implements Sink.
-func (s *TextSink) BeginTable(h Header) error {
-	s.cur = &Table{ID: h.ID, Title: h.Title, Columns: h.Columns}
-	return nil
-}
-
-// Row implements Sink.
-func (s *TextSink) Row(cells []string) error {
-	s.cur.Rows = append(s.cur.Rows, cells)
-	return nil
-}
-
-// Note implements Sink.
-func (s *TextSink) Note(text string) error {
-	s.cur.Notes = append(s.cur.Notes, text)
-	return nil
-}
-
-// EndTable implements Sink: renders the buffered table, blank-line
-// separated from the previous one.
-func (s *TextSink) EndTable() error {
-	if !s.first {
+// Table implements Sink.
+func (s *TextSink) Table(t *Table, elapsed time.Duration) error {
+	if s.started {
 		if _, err := fmt.Fprintln(s.W); err != nil {
 			return err
 		}
 	}
-	s.first = false
-	_, err := io.WriteString(s.W, s.cur.String())
-	s.cur = nil
-	return err
-}
-
-// Timing implements TimingSink.
-func (s *TextSink) Timing(id string, elapsed time.Duration) error {
+	s.started = true
+	if _, err := io.WriteString(s.W, t.String()); err != nil {
+		return err
+	}
 	if !s.Timings {
 		return nil
 	}
-	_, err := fmt.Fprintf(s.W, "(%s in %v)\n", id, elapsed.Round(time.Millisecond))
+	_, err := fmt.Fprintf(s.W, "(%s in %v)\n", t.ID, elapsed.Round(time.Millisecond))
 	return err
 }
 
-// CSVSink streams rows as CSV records. Each table contributes a header
+// CSVSink writes tables as CSV records. Each table contributes a header
 // record ["scenario", col...] followed by one record per row
-// [id, cell...]; notes become [id, "note", text] records. Rows are written
-// as they arrive — nothing is buffered beyond the csv writer.
-type CSVSink struct {
-	w  *csv.Writer
-	id string
-}
+// [id, cell...]; notes become [id, "note", text] records. Scenario timings
+// are not written.
+type CSVSink struct{ w *csv.Writer }
 
 // NewCSVSink returns a CSV sink writing to w.
 func NewCSVSink(w io.Writer) *CSVSink { return &CSVSink{w: csv.NewWriter(w)} }
 
-// BeginTable implements Sink.
-func (s *CSVSink) BeginTable(h Header) error {
-	s.id = h.ID
-	return s.w.Write(append([]string{"scenario"}, h.Columns...))
-}
-
-// Row implements Sink.
-func (s *CSVSink) Row(cells []string) error {
-	return s.w.Write(append([]string{s.id}, cells...))
-}
-
-// Note implements Sink.
-func (s *CSVSink) Note(text string) error {
-	return s.w.Write([]string{s.id, "note", text})
-}
-
-// EndTable implements Sink.
-func (s *CSVSink) EndTable() error {
+// Table implements Sink.
+func (s *CSVSink) Table(t *Table, _ time.Duration) error {
+	if err := s.w.Write(append([]string{"scenario"}, t.Columns...)); err != nil {
+		return err
+	}
+	for _, row := range t.Rows {
+		if err := s.w.Write(append([]string{t.ID}, row...)); err != nil {
+			return err
+		}
+	}
+	for _, n := range t.Notes {
+		if err := s.w.Write([]string{t.ID, "note", n}); err != nil {
+			return err
+		}
+	}
 	s.w.Flush()
 	return s.w.Error()
 }
 
-// JSONLSink streams one JSON object per line: a "table" event per
-// BeginTable ({"event","id","title","columns"}), a "row" event per row
-// ({"event","id","cells"}), a "note" event per note and — when the engine
-// reports timings — a "done" event with the elapsed milliseconds. The
-// format is append-only and schema-free, so downstream tooling can consume
-// a suite run incrementally.
+// JSONLSink writes one JSON object per line: a "table" event per table
+// ({"event","id","title","columns"}), a "row" event per row
+// ({"event","id","cells"}), a "note" event per note and, when Timings is
+// set, a "done" event with the elapsed milliseconds. The format is
+// append-only and schema-free, so downstream tooling can consume a suite
+// run table by table.
 type JSONLSink struct {
-	w   io.Writer
-	enc *json.Encoder
-	id  string
+	Timings bool
+	enc     *json.Encoder
 }
 
-// NewJSONLSink returns a JSONL sink writing to w.
+// NewJSONLSink returns a JSONL sink writing to w, with "done" events.
 func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{w: w, enc: json.NewEncoder(w)}
+	return &JSONLSink{Timings: true, enc: json.NewEncoder(w)}
 }
 
 type jsonlEvent struct {
@@ -168,27 +100,24 @@ type jsonlEvent struct {
 	Millis  float64  `json:"ms,omitempty"`
 }
 
-// BeginTable implements Sink.
-func (s *JSONLSink) BeginTable(h Header) error {
-	s.id = h.ID
-	return s.enc.Encode(jsonlEvent{Event: "table", ID: h.ID, Title: h.Title, Columns: h.Columns})
-}
-
-// Row implements Sink.
-func (s *JSONLSink) Row(cells []string) error {
-	return s.enc.Encode(jsonlEvent{Event: "row", ID: s.id, Cells: cells})
-}
-
-// Note implements Sink.
-func (s *JSONLSink) Note(text string) error {
-	return s.enc.Encode(jsonlEvent{Event: "note", ID: s.id, Text: text})
-}
-
-// EndTable implements Sink.
-func (s *JSONLSink) EndTable() error { return nil }
-
-// Timing implements TimingSink.
-func (s *JSONLSink) Timing(id string, elapsed time.Duration) error {
-	return s.enc.Encode(jsonlEvent{Event: "done", ID: id,
+// Table implements Sink.
+func (s *JSONLSink) Table(t *Table, elapsed time.Duration) error {
+	if err := s.enc.Encode(jsonlEvent{Event: "table", ID: t.ID, Title: t.Title, Columns: t.Columns}); err != nil {
+		return err
+	}
+	for _, row := range t.Rows {
+		if err := s.enc.Encode(jsonlEvent{Event: "row", ID: t.ID, Cells: row}); err != nil {
+			return err
+		}
+	}
+	for _, n := range t.Notes {
+		if err := s.enc.Encode(jsonlEvent{Event: "note", ID: t.ID, Text: n}); err != nil {
+			return err
+		}
+	}
+	if !s.Timings {
+		return nil
+	}
+	return s.enc.Encode(jsonlEvent{Event: "done", ID: t.ID,
 		Millis: float64(elapsed.Microseconds()) / 1000})
 }

@@ -5,9 +5,9 @@ import (
 	"strings"
 )
 
-// Table is a rendered scenario result: the typed row payload every sink
-// consumes. Scenarios append rows and notes as they compute; the engine
-// replays finished tables into its sink in registration order.
+// Table is a rendered scenario result, the payload every sink consumes.
+// Scenarios append rows and notes as they compute; the engine hands each
+// finished table to its sink in registration order.
 type Table struct {
 	ID      string
 	Title   string

@@ -170,6 +170,7 @@ func TestErrorPaths(t *testing.T) {
 			})
 		}
 	}
+	tooManyPairs := `{"pairs":[` + strings.Repeat(`{"u":0,"v":1},`, MaxPairsPerRequest) + `{"u":0,"v":1}]}`
 	run(s, []errCase{
 		{"unknown snapshot get", http.MethodGet, "/snapshots/deadbeef", "", http.StatusNotFound, `unknown snapshot "deadbeef"`},
 		{"unknown snapshot delete", http.MethodDelete, "/snapshots/deadbeef", "", http.StatusNotFound, `unknown snapshot "deadbeef"`},
@@ -180,6 +181,7 @@ func TestErrorPaths(t *testing.T) {
 		{"empty pairs", http.MethodPost, "/query/route", `{"pairs":[]}`, http.StatusBadRequest, "at least one pair"},
 		{"pair out of range", http.MethodPost, "/query/route", `{"pairs":[{"u":0,"v":1000000}]}`, http.StatusBadRequest, "out of vertex range"},
 		{"negative pair", http.MethodPost, "/query/route", `{"pairs":[{"u":-1,"v":0}]}`, http.StatusBadRequest, "out of vertex range"},
+		{"pairs above cap", http.MethodPost, "/query/route", tooManyPairs, http.StatusBadRequest, "4097 pairs exceed the per-request cap 4096"},
 		{"beta below range", http.MethodPost, "/query/route", `{"beta":1.5,"pairs":[{"u":0,"v":1}]}`, http.StatusBadRequest, "out of range"},
 		{"beta above range", http.MethodPost, "/query/stretch", `{"beta":9,"pairs":[{"u":0,"v":1}]}`, http.StatusBadRequest, "out of range"},
 		{"bad build kind", http.MethodPost, "/snapshots", `{"kind":"mesh"}`, http.StatusBadRequest, "unknown kind"},

@@ -19,17 +19,16 @@ type Config struct {
 	// Workers bounds the concurrently computing queries (default 8); the
 	// pool full answer is 429 + Retry-After.
 	Workers int
-	// MaxPairsPerRequest caps a single query body (default 4096).
-	MaxPairsPerRequest int
 }
+
+// MaxPairsPerRequest caps the pair list of a single query body; a longer
+// one is answered 400.
+const MaxPairsPerRequest = 4096
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
 		c.Workers = 8
-	}
-	if c.MaxPairsPerRequest == 0 {
-		c.MaxPairsPerRequest = 4096
 	}
 	return c
 }
@@ -345,8 +344,8 @@ func (s *Server) resolveQuery(w http.ResponseWriter, r *http.Request) (req Query
 		writeError(w, http.StatusBadRequest, "query needs at least one pair")
 		return req, nil, nil, false
 	}
-	if len(req.Pairs) > s.cfg.MaxPairsPerRequest {
-		writeError(w, http.StatusBadRequest, "%d pairs exceed the per-request cap %d", len(req.Pairs), s.cfg.MaxPairsPerRequest)
+	if len(req.Pairs) > MaxPairsPerRequest {
+		writeError(w, http.StatusBadRequest, "%d pairs exceed the per-request cap %d", len(req.Pairs), MaxPairsPerRequest)
 		return req, nil, nil, false
 	}
 	snap, release, ok = s.acquire(w, req.Snapshot)
