@@ -89,12 +89,13 @@
 //     a fixed granularity (never by worker count) and merge per-shard
 //     buffers in shard index order, so every parallel producer is
 //     deterministic: same seed ⇒ byte-identical CSR at any GOMAXPROCS.
-//   - internal/spatial: two uniform grids. Grid enumerates cells for the
-//     UDG builder; DynGrid answers every radius and k-nearest query, for
-//     the static NN and HNG builds and the kinetic maintainers alike. Its
+//   - internal/spatial: uniform grids. Grid enumerates cells for the UDG
+//     builder; DynGrid answers every radius and k-nearest query, for the
+//     static NN and HNG builds and the kinetic maintainers alike. Its
 //     KNearestInto/Within query forms append into caller buffers and scan
 //     cells in place — zero allocations per query at steady state, one
-//     KNNScratch per worker shard.
+//     KNNScratch per worker shard. DiskIndex files disks by the cells they
+//     overlap, so the kinetic HNG finds the links an event may change.
 //
 // rgg.UDG, rgg.NN, the HNG build and the topo baselines (Gabriel, RNG,
 // Yao, EMST) generate packed edges through parallel.Collect and hand the

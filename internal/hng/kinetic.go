@@ -1,7 +1,6 @@
 package hng
 
 import (
-	"math"
 	"slices"
 
 	"repro/internal/geom"
@@ -12,7 +11,7 @@ import (
 
 // KineticStats counts the work one or more repair operations performed —
 // the deterministic cost signal the M01 scenario reports. All counters
-// accumulate until Stats is read through ResetStats.
+// accumulate until ResetStats reads and zeroes them.
 type KineticStats struct {
 	// LinkRecomputes counts nearest-neighbor link re-queries (a node's
 	// up-link and within-link recomputed together count once).
@@ -26,24 +25,26 @@ type KineticStats struct {
 }
 
 // kGroup is the live state of one pruning group (parent, child level):
-// its member set (unsorted), the edges it currently emits, and whether it
-// is queued for regeneration. A group that empties stays in the map with its
-// storage, so children moving back and forth between parents reuse it
-// instead of reallocating.
+// its parent, its member set (unsorted), the edges it currently emits, and
+// whether it is queued for regeneration. Every group a parent can have
+// exists from construction on and keeps its storage when it empties, so
+// children moving back and forth between parents reuse it instead of
+// reallocating.
 type kGroup struct {
+	parent  int32
+	dirty   bool
 	members []int32
 	edges   []uint64
-	dirty   bool
 }
 
 // Kinetic maintains a hierarchical neighbor graph incrementally under node
 // motion and death. It holds per-level kinetic spatial indexes, every node's
-// current up-link and within-link, the pruning-group states, and the
-// top-level MST, and repairs exactly the region a Round touches: links whose
-// nearest neighbor may have changed (found by radius queries bounded by
-// per-level maximum link lengths), the pruning groups those links feed, and
-// the MST only when a top-level node is involved. Move and Remove are
-// one-event rounds.
+// current up-link and within-link, per-level indexes of those links' disks,
+// the pruning-group states, and the top-level MST, and repairs exactly the
+// region a Round touches: links whose nearest neighbor may have changed
+// (the nodes whose link disk covers an event position), the pruning groups
+// those links feed, and the MST only when a top-level node is involved.
+// Move and Remove are one-event rounds.
 //
 // The invariant — property-tested at GOMAXPROCS 1 and 8 — is that after any
 // operation sequence, Materialize() equals Rebuild(positions, levels, alive)
@@ -72,30 +73,39 @@ type Kinetic struct {
 	within     []int32   // within-level link target, −1 for none
 	withinD2   []float64 // squared distance to within target
 
-	// maxUpD2 / maxWithinD2 are per-exact-level monotone upper bounds on the
-	// squared link lengths — the sound over-approximation bounding the
-	// candidate radius of a repair. Index by level, 1..topAll.
-	maxUpD2     []float64
-	maxWithinD2 []float64
+	// upDisks[j] / withinDisks[j] register the up-link / within-link disk
+	// (centre pos(y), squared radius parentD2[y] / withinD2[y]) of every
+	// alive level-j node y with that link, j = 1..topAll, in cells sized
+	// for V_{j+1} / V_j: a repair's candidates are the disks covering its
+	// event positions. Node y is slot slotOf[y] of its level's indexes, and
+	// levelNodes[j] maps level-j slots back to nodes.
+	upDisks     []*spatial.DiskIndex
+	withinDisks []*spatial.DiskIndex
+	slotOf      []int32
+	levelNodes  [][]int32
 
-	groups    map[uint64]*kGroup
-	dirtyKeys []uint64 // keys of the groups with dirty set, in queue order
-	mst       []uint64
+	// groups holds every pruning group, (parent p, child level j) at
+	// groupAt[p] + j − 1: ascending slab index is ascending (p, j).
+	groups  []kGroup
+	groupAt []int32
+	dirty   []int32 // slab indices of the groups with dirty set, in queue order
+	mst     []uint64
 
-	ref   map[uint64]int32 // emission refcounts per packed edge
+	ref   *edgeRefs // emission refcounts per packed edge
 	delta *graph.Delta
 	init  bool // during initial indexing, emissions skip the overlay
 
 	stats KineticStats
 	// regroup, when set, replaces recomputeGroup: the tests plug in the
 	// retract-everything, emit-everything reference the diff is held to.
-	regroup func(key uint64, g *kGroup)
+	regroup func(g *kGroup)
 
 	// Reusable scratch.
 	scratch    spatial.KNNScratch
 	nnBuf      []int32
 	candBuf    []int32
 	queryBuf   []int32
+	hitBuf     []uint64
 	seen       []bool
 	sortBuf    []int32
 	edgeBuf    []uint64
@@ -110,11 +120,6 @@ type Kinetic struct {
 type movedNode struct {
 	u   int32
 	old geom.Point
-}
-
-// groupKey packs a (parent, child level) pruning-group identity.
-func groupKey(parent, level int32) uint64 {
-	return uint64(uint32(parent))<<8 | uint64(uint32(level))
 }
 
 // NewKinetic wraps a built graph in an incremental maintainer. box is the
@@ -133,8 +138,9 @@ func NewKinetic(h *Graph, box geom.Rect) *Kinetic {
 		parentD2:   make([]float64, n),
 		within:     make([]int32, n),
 		withinD2:   make([]float64, n),
-		groups:     make(map[uint64]*kGroup),
-		ref:        make(map[uint64]int32),
+		groupAt:    make([]int32, n+1),
+		slotOf:     make([]int32, n),
+		ref:        newEdgeRefs(h.CSR.EdgeCount),
 		delta:      graph.NewDelta(h.CSR),
 		seen:       make([]bool, n),
 	}
@@ -151,26 +157,40 @@ func NewKinetic(h *Graph, box geom.Rect) *Kinetic {
 	}
 	k.top = k.topAll
 	k.lvlCount = make([]int, k.topAll+1)
-	for _, l := range k.levels {
+	k.levelNodes = make([][]int32, k.topAll+1)
+	for u, l := range k.levels {
 		k.lvlCount[l]++
+		k.slotOf[u] = int32(len(k.levelNodes[l]))
+		k.levelNodes[l] = append(k.levelNodes[l], int32(u))
+		k.groupAt[u+1] = k.groupAt[u] + l - 1 // groups of child levels 1..ℓ−1
 	}
-	k.maxUpD2 = make([]float64, k.topAll+1)
-	k.maxWithinD2 = make([]float64, k.topAll+1)
+	k.groups = make([]kGroup, k.groupAt[n])
+	for u := int32(0); u < int32(n); u++ {
+		for gi := k.groupAt[u]; gi < k.groupAt[u+1]; gi++ {
+			k.groups[gi].parent = u
+		}
+	}
 
 	// Per-level kinetic grids: every slot exists in every grid, but only
 	// V_{i+1} members stay live in grids[i]. Cell sizes track the thinning
-	// populations so occupancy stays O(1) per cell.
+	// populations so occupancy stays O(1) per cell; the disk indexes of
+	// level i use the cells of the grids their links point into.
 	k.grids = make([]*spatial.DynGrid, k.topAll)
-	levelPop := 0
+	k.upDisks = make([]*spatial.DiskIndex, k.topAll+1)
+	k.withinDisks = make([]*spatial.DiskIndex, k.topAll+1)
+	levelPop, upPop := 0, 0
 	for i := int32(k.topAll); i >= 1; i-- {
-		levelPop += k.lvlCount[i]
-		g := spatial.NewDynGrid(k.pts, box, spatial.CellSize(box, levelPop))
+		upPop, levelPop = levelPop, levelPop+k.lvlCount[i]
+		cell := spatial.CellSize(box, levelPop)
+		g := spatial.NewDynGrid(k.pts, box, cell)
 		for u := int32(0); u < int32(n); u++ {
 			if k.levels[u] < i {
 				g.Remove(u)
 			}
 		}
 		k.grids[i-1] = g
+		k.upDisks[i] = spatial.NewDiskIndex(box, spatial.CellSize(box, upPop), k.lvlCount[i])
+		k.withinDisks[i] = spatial.NewDiskIndex(box, cell, k.lvlCount[i])
 	}
 
 	// Initial link state, emitted without touching the overlay: the base CSR
@@ -200,9 +220,6 @@ func (k *Kinetic) AliveMask() []bool { return k.alive }
 // the equivalence gate compares against Rebuild.
 func (k *Kinetic) Materialize() *graph.CSR { return k.delta.Materialize() }
 
-// Stats returns the accumulated repair-cost counters.
-func (k *Kinetic) Stats() KineticStats { return k.stats }
-
 // ResetStats zeroes and returns the accumulated counters.
 func (k *Kinetic) ResetStats() KineticStats {
 	s := k.stats
@@ -213,9 +230,7 @@ func (k *Kinetic) ResetStats() KineticStats {
 // emit records one source for edge {u, v}; the overlay gains the edge on the
 // 0→1 transition.
 func (k *Kinetic) emit(u, v int32) {
-	e := graph.Pack(u, v)
-	k.ref[e]++
-	if k.ref[e] == 1 && !k.init {
+	if k.ref.add(graph.Pack(u, v), 1) == 1 && !k.init {
 		k.delta.AddEdge(u, v)
 		k.stats.EdgeChanges++
 	}
@@ -224,14 +239,9 @@ func (k *Kinetic) emit(u, v int32) {
 // retract drops one source for edge {u, v}; the overlay loses the edge on
 // the 1→0 transition.
 func (k *Kinetic) retract(u, v int32) {
-	e := graph.Pack(u, v)
-	k.ref[e]--
-	if k.ref[e] == 0 {
-		delete(k.ref, e)
-		if !k.init {
-			k.delta.RemoveEdge(u, v)
-			k.stats.EdgeChanges++
-		}
+	if k.ref.add(graph.Pack(u, v), -1) == 0 && !k.init {
+		k.delta.RemoveEdge(u, v)
+		k.stats.EdgeChanges++
 	}
 }
 
@@ -266,22 +276,20 @@ func (k *Kinetic) queryWithin(u int32) (int32, float64) {
 	return v, k.pts[u].Dist2(k.pts[v])
 }
 
+// groupOf returns the slab index of pruning group (p, level).
+func (k *Kinetic) groupOf(p, level int32) int32 { return k.groupAt[p] + level - 1 }
+
 // groupAdd registers u as a child of p and marks the group dirty.
 func (k *Kinetic) groupAdd(p, u int32) {
-	key := groupKey(p, k.levels[u])
-	g := k.groups[key]
-	if g == nil {
-		g = &kGroup{}
-		k.groups[key] = g
-	}
-	g.members = append(g.members, u)
-	k.markDirty(key, g)
+	gi := k.groupOf(p, k.levels[u])
+	k.groups[gi].members = append(k.groups[gi].members, u)
+	k.markDirty(gi)
 }
 
 // groupRemove unregisters child u from parent p and marks the group dirty.
 func (k *Kinetic) groupRemove(p, u int32) {
-	key := groupKey(p, k.levels[u])
-	g := k.groups[key]
+	gi := k.groupOf(p, k.levels[u])
+	g := &k.groups[gi]
 	for i, m := range g.members {
 		if m == u {
 			g.members[i] = g.members[len(g.members)-1]
@@ -289,21 +297,21 @@ func (k *Kinetic) groupRemove(p, u int32) {
 			break
 		}
 	}
-	k.markDirty(key, g)
+	k.markDirty(gi)
 }
 
-// markDirty queues group g (identity key) for regeneration at the next
-// flush; queueing an already-dirty group is a no-op.
-func (k *Kinetic) markDirty(key uint64, g *kGroup) {
-	if !g.dirty {
+// markDirty queues group gi for regeneration at the next flush; queueing an
+// already-dirty group is a no-op.
+func (k *Kinetic) markDirty(gi int32) {
+	if g := &k.groups[gi]; !g.dirty {
 		g.dirty = true
-		k.dirtyKeys = append(k.dirtyKeys, key)
+		k.dirty = append(k.dirty, gi)
 	}
 }
 
 // relink recomputes u's up-link and within-link from the current grids,
-// updating group membership, the emitted within edge, and the per-level
-// radius bounds. Group edge regeneration is deferred to the dirty queue.
+// updating group membership, the emitted within edge, and u's link disks.
+// Group edge regeneration is deferred to the dirty queue.
 func (k *Kinetic) relink(u int32) {
 	k.stats.LinkRecomputes++
 	lvl := k.levels[u]
@@ -318,18 +326,16 @@ func (k *Kinetic) relink(u int32) {
 			k.parentD2[u] = nd2
 			k.parentDist[u] = k.pts[u].Dist(k.pts[np])
 			k.groupAdd(np, u)
-			if nd2 > k.maxUpD2[lvl] {
-				k.maxUpD2[lvl] = nd2
-			}
 		}
 	} else if np >= 0 && nd2 != k.parentD2[u] {
 		k.parentD2[u] = nd2
 		k.parentDist[u] = k.pts[u].Dist(k.pts[np])
-		key := groupKey(np, lvl)
-		k.markDirty(key, k.groups[key])
-		if nd2 > k.maxUpD2[lvl] {
-			k.maxUpD2[lvl] = nd2
-		}
+		k.markDirty(k.groupOf(np, lvl))
+	}
+	if np >= 0 {
+		k.upDisks[lvl].Set(k.slotOf[u], k.pts[u], nd2)
+	} else {
+		k.upDisks[lvl].Clear(k.slotOf[u])
 	}
 
 	nw, wd2 := k.queryWithin(u)
@@ -339,17 +345,14 @@ func (k *Kinetic) relink(u int32) {
 		}
 		k.within[u] = nw
 		if nw >= 0 {
-			k.withinD2[u] = wd2
 			k.emit(u, nw)
-			if wd2 > k.maxWithinD2[lvl] {
-				k.maxWithinD2[lvl] = wd2
-			}
 		}
-	} else if nw >= 0 {
+	}
+	if nw >= 0 {
 		k.withinD2[u] = wd2
-		if wd2 > k.maxWithinD2[lvl] {
-			k.maxWithinD2[lvl] = wd2
-		}
+		k.withinDisks[lvl].Set(k.slotOf[u], k.pts[u], wd2)
+	} else {
+		k.withinDisks[lvl].Clear(k.slotOf[u])
 	}
 }
 
@@ -361,9 +364,9 @@ func (k *Kinetic) relink(u int32) {
 // the result is what retracting every old edge and emitting every new one
 // would leave, and so is the EdgeChanges tally: there a kept edge held by
 // this group alone dropped out and came back, two changes.
-func (k *Kinetic) recomputeGroup(key uint64, g *kGroup) {
+func (k *Kinetic) recomputeGroup(g *kGroup) {
 	k.stats.GroupRecomputes++
-	cur := k.groupEdges(key, g)
+	cur := k.groupEdges(g)
 	slices.Sort(cur)
 	old := g.edges // sorted by the previous recompute
 	i, j := 0, 0
@@ -378,7 +381,7 @@ func (k *Kinetic) recomputeGroup(key uint64, g *kGroup) {
 			k.emit(u, v)
 			j++
 		default:
-			if !k.init && k.ref[cur[j]] == 1 {
+			if !k.init && k.ref.get(cur[j]) == 1 {
 				k.stats.EdgeChanges += 2
 			}
 			i++
@@ -388,14 +391,13 @@ func (k *Kinetic) recomputeGroup(key uint64, g *kGroup) {
 	g.edges = append(g.edges[:0], cur...)
 }
 
-// groupEdges returns the direct and chain edges group g (identity key)
-// emits at the current positions, in chain order, in the reusable edgeBuf.
-func (k *Kinetic) groupEdges(key uint64, g *kGroup) []uint64 {
+// groupEdges returns the direct and chain edges group g emits at the
+// current positions, in chain order, in the reusable edgeBuf.
+func (k *Kinetic) groupEdges(g *kGroup) []uint64 {
 	k.edgeBuf = k.edgeBuf[:0]
 	if len(g.members) == 0 {
 		return k.edgeBuf // the group is kept, storage and all, for the next child
 	}
-	parent := int32(key >> 8)
 	k.sortBuf = append(k.sortBuf[:0], g.members...)
 	members := k.sortBuf
 	slices.SortFunc(members, func(a, b int32) int {
@@ -408,7 +410,7 @@ func (k *Kinetic) groupEdges(key uint64, g *kGroup) []uint64 {
 		}
 		return int(a - b)
 	})
-	k.edgeBuf = chain(k.edgeBuf, parent, members, k.spec.MaxChildren)
+	k.edgeBuf = chain(k.edgeBuf, g.parent, members, k.spec.MaxChildren)
 	return k.edgeBuf
 }
 
@@ -440,91 +442,81 @@ func (k *Kinetic) rebuildMST() {
 	}
 }
 
-// radiusFor converts a squared-distance bound into a query radius with a
-// hair of slack, so boundary candidates (exact ties in squared space, which
-// the NN ordering resolves by index) are never missed to rounding.
-func radiusFor(d2 float64) float64 {
-	if d2 <= 0 {
-		return 0
-	}
-	return math.Sqrt(d2) * (1 + 1e-12)
-}
-
-// collectCandidates appends to k.candBuf every alive node (≠ u) whose
-// up-link or within-link could be affected by node u (level l) appearing or
-// disappearing at the query positions: for each exact level j, nodes of
-// level j within the per-level maximum link length of a position, filtered
-// by an exact query-space affect test against their current link distances.
+// collectCandidates appends to k.candBuf every alive node (≠ u, not yet
+// seen) whose up-link or within-link could be affected by node u (level l)
+// appearing or disappearing at the query positions. For each exact level
+// j ≤ l and each position q, it reads the level-j disks registered in q's
+// cell — within-link disks, and up-link disks when l > j (u sits in the
+// within-link target set V_j of level-j nodes iff l ≥ j, in their up-link
+// target set V_{j+1} iff l ≥ j+1) — keeps the nodes the exact affected
+// test admits, and appends them in grids[j−1]'s Within scan order (cell,
+// then index): the order a radius scan around q would find them in.
+//
+// A node whose link disk contains q is registered in q's cell, and so is
+// one whose link points at u when q is u's position entering the round
+// (its link length is its distance to q), so the affected set is found
+// whole.
 func (k *Kinetic) collectCandidates(u int32, l int32, positions ...geom.Point) {
-	for j := int32(1); j <= k.topAll; j++ {
+	for j := int32(1); j <= l; j++ {
 		if k.lvlCount[j] == 0 {
 			continue
 		}
-		// u sits in the up-link target set V_{j+1} of level-j nodes iff
-		// l ≥ j+1, and in their within-link target set V_j iff l ≥ j.
-		var r2 float64
-		upRelevant := l >= j+1
-		withinRelevant := l >= j
-		if upRelevant {
-			r2 = k.maxUpD2[j]
-		}
-		if withinRelevant && k.maxWithinD2[j] > r2 {
-			r2 = k.maxWithinD2[j]
-		}
-		if r2 == 0 && !upRelevant && !withinRelevant {
-			continue
-		}
-		r := radiusFor(r2)
+		up := l > j
+		grid := k.grids[j-1]
 		for _, q := range positions {
-			k.queryBuf = k.grids[j-1].Within(q, r, k.queryBuf[:0])
-			for _, y := range k.queryBuf {
-				if y == u || k.levels[y] != j || k.seen[y] {
-					continue
+			k.queryBuf = k.withinDisks[j].AppendAt(q, k.queryBuf[:0])
+			if up {
+				k.queryBuf = k.upDisks[j].AppendAt(q, k.queryBuf)
+			}
+			k.hitBuf = k.hitBuf[:0]
+			for _, s := range k.queryBuf {
+				if y := k.levelNodes[j][s]; y != u && !k.seen[y] && k.affected(y, u, q, up) {
+					k.hitBuf = append(k.hitBuf, uint64(grid.CellOf(y))<<32|uint64(y))
 				}
-				if !k.affected(y, u, q, upRelevant, withinRelevant) {
-					continue
+			}
+			slices.Sort(k.hitBuf)
+			for _, h := range k.hitBuf {
+				if y := int32(uint32(h)); !k.seen[y] {
+					k.seen[y] = true
+					k.candBuf = append(k.candBuf, y)
 				}
-				k.seen[y] = true
-				k.candBuf = append(k.candBuf, y)
 			}
 		}
 	}
 }
 
-// affected reports whether y's links could change because node u is now (or
-// was) at q. Comparisons happen in squared-distance space — the exact metric
-// the nearest-neighbor queries order by — so ties that flip on the index
-// tie-break are included.
-func (k *Kinetic) affected(y, u int32, q geom.Point, upRelevant, withinRelevant bool) bool {
+// affected reports whether the links of y, a node whose within-link target
+// set holds u, could change because u is now (or was) at q; up says whether
+// its up-link target set holds u too. Comparisons happen in squared-distance
+// space — the exact metric the nearest-neighbor queries order by — so ties
+// that flip on the index tie-break are included.
+func (k *Kinetic) affected(y, u int32, q geom.Point, up bool) bool {
 	if k.parent[y] == u || k.within[y] == u {
 		return true
 	}
 	d2 := k.pts[y].Dist2(q)
-	if upRelevant && k.parent[y] >= 0 && d2 <= k.parentD2[y] {
+	if up && k.parent[y] >= 0 && d2 <= k.parentD2[y] {
 		return true
 	}
-	if withinRelevant && k.within[y] >= 0 && d2 <= k.withinD2[y] {
-		return true
-	}
-	return false
+	return k.within[y] >= 0 && d2 <= k.withinD2[y]
 }
 
-// flushDirty regenerates every dirty pruning group, in sorted key order:
-// overflow-chain edges can be shared across groups, so the refcounted
-// EdgeChanges tally depends on flush order — sorting keeps it (and the
-// golden tables built on it) identical across runs.
+// flushDirty regenerates every dirty pruning group, in ascending (parent,
+// child level): overflow-chain edges can be shared across groups, so the
+// refcounted EdgeChanges tally depends on flush order — sorting keeps it
+// (and the golden tables built on it) identical across runs.
 func (k *Kinetic) flushDirty() {
-	slices.Sort(k.dirtyKeys)
-	for _, key := range k.dirtyKeys {
-		g := k.groups[key]
+	slices.Sort(k.dirty)
+	for _, gi := range k.dirty {
+		g := &k.groups[gi]
 		g.dirty = false
 		if k.regroup != nil {
-			k.regroup(key, g)
+			k.regroup(g)
 		} else {
-			k.recomputeGroup(key, g)
+			k.recomputeGroup(g)
 		}
 	}
-	k.dirtyKeys = k.dirtyKeys[:0]
+	k.dirty = k.dirty[:0]
 }
 
 // Round applies one batch of events and repairs the structure once. It
@@ -601,6 +593,8 @@ func (k *Kinetic) kill(u int32) {
 	for i := int32(0); i < l; i++ {
 		k.grids[i].Remove(u)
 	}
+	k.upDisks[l].Clear(k.slotOf[u])
+	k.withinDisks[l].Clear(k.slotOf[u])
 	k.alive[u] = false
 	k.lvlCount[l]--
 	for k.top > 0 && k.lvlCount[k.top] == 0 {

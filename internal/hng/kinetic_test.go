@@ -1,7 +1,9 @@
 package hng
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -64,7 +66,7 @@ func runKineticEquivalence(t *testing.T, spec Spec, seed rng.Seed) {
 		}
 		checkEquivalence(t, k, spec, step)
 	}
-	if k.Stats().LinkRecomputes == 0 {
+	if k.stats.LinkRecomputes == 0 {
 		t.Fatal("no link recomputes recorded — repairs are not happening")
 	}
 }
@@ -170,12 +172,88 @@ func TestKineticStatsScaleWithRegion(t *testing.T) {
 	}
 }
 
+// BenchmarkHNGKineticMove times one waypoint Move on the drift workload
+// (driftFixture) once the first 10 steps have warmed the maintainer; each
+// op is the next move of the remaining steps, and a freshly warmed
+// maintainer replaces one that has run out of moves, off the clock.
+func BenchmarkHNGKineticMove(b *testing.B) {
+	h, box, traj := driftFixture(b)
+	const warmSteps = 10
+	var moves []mobility.Move
+	for _, step := range traj.Steps[warmSteps:] {
+		moves = append(moves, step...)
+	}
+	warm := func() *Kinetic {
+		k := NewKinetic(h, box)
+		for _, step := range traj.Steps[:warmSteps] {
+			for _, mv := range step {
+				k.Move(mv.Node, mv.To)
+			}
+		}
+		return k
+	}
+	k, at := warm(), 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if at == len(moves) {
+			b.StopTimer()
+			k, at = warm(), 0
+			b.StartTimer()
+		}
+		k.Move(moves[at].Node, moves[at].To)
+		at++
+	}
+}
+
+// checkCandidates holds collectCandidates to a brute-force scan for node u
+// (alive or dead) leaving its position for q: level by level and position
+// by position, every alive node the exact affected test admits, ordered as
+// the level grid's Within scan finds them (cell, then index), each once.
+func checkCandidates(t *testing.T, k *Kinetic, u int32, q geom.Point, step int) {
+	t.Helper()
+	l, positions := k.levels[u], []geom.Point{k.pts[u], q}
+	k.collectCandidates(u, l, positions...)
+	got := slices.Clone(k.candBuf)
+	for _, y := range got {
+		k.seen[y] = false
+	}
+	k.candBuf = k.candBuf[:0]
+
+	var want []int32
+	seen := make([]bool, len(k.pts))
+	for j := int32(1); j <= l; j++ {
+		grid := k.grids[j-1]
+		for _, p := range positions {
+			var hits []int32
+			for y := range k.pts {
+				y := int32(y)
+				if k.alive[y] && k.levels[y] == j && y != u && !seen[y] && k.affected(y, u, p, l > j) {
+					hits = append(hits, y)
+				}
+			}
+			slices.SortFunc(hits, func(a, b int32) int {
+				return cmp.Or(cmp.Compare(grid.CellOf(a), grid.CellOf(b)), cmp.Compare(a, b))
+			})
+			for _, y := range hits {
+				seen[y] = true
+			}
+			want = append(want, hits...)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("step %d: candidates of %d moving to %v = %v, brute force %v", step, u, q, got, want)
+	}
+}
+
 // FuzzHNGKinetic drives fuzz-decoded Move, Remove and Round sequences
 // through an HNG maintainer over a small multi-level deployment that
 // includes coincident points and points on the box boundary. After every
 // operation the materialized graph must equal Rebuild at the current
-// positions, levels and alive set, and after every Round it must equal a
-// twin maintainer that received the same events one at a time.
+// positions, levels and alive set, after every Round it must equal a twin
+// maintainer that received the same events one at a time, and the
+// candidates a move of the operation's nodes would collect must equal a
+// brute-force scan (checkCandidates).
 //
 // Each operation takes five bytes: the kind, two bytes of node index and
 // two bytes of target. Kinds 0–2 are a Remove, a Move to a special point (a
@@ -235,6 +313,7 @@ func FuzzHNGKinetic(f *testing.F) {
 					twin.Move(u, p)
 				}
 				checkEquivalence(t, k, spec, step)
+				checkCandidates(t, k, u, bounds[step%len(bounds)], step)
 				continue
 			}
 			var dead []int32
@@ -253,6 +332,12 @@ func FuzzHNGKinetic(f *testing.F) {
 			checkEquivalence(t, k, spec, step)
 			if diff := graph.FirstDiff(k.Materialize(), twin.Materialize()); diff != "" {
 				t.Fatalf("step %d: round != one at a time: %s", step, diff)
+			}
+			for _, u := range dead {
+				checkCandidates(t, k, u, bounds[step%len(bounds)], step)
+			}
+			for _, mv := range moves {
+				checkCandidates(t, k, mv.Node, k.pts[(int(mv.Node)+step)%len(pts)], step)
 			}
 		}
 	})

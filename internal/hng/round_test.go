@@ -1,6 +1,7 @@
 package hng
 
 import (
+	"math/rand/v2"
 	"runtime"
 	"testing"
 
@@ -49,13 +50,56 @@ func topLevelNodes(k *Kinetic) []int32 {
 	return out
 }
 
-// TestRoundCases pins Round's edge cases. Every case must leave the graph
+// driftFixture is the drift workload the KineticStats pins and
+// BenchmarkHNGKineticMove share: a λ = 16 Poisson deployment of ~10⁴
+// points in a 25 × 25 box, its default-spec HNG, and 40 random-waypoint
+// steps at speed 0.3 (pause 2).
+func driftFixture(tb testing.TB) (h *Graph, box geom.Rect, traj *mobility.Trajectory) {
+	tb.Helper()
+	box = geom.Box(25, 25)
+	pts := deployment(tb, 25, 16, 2026)
+	h, err := Build(pts, DefaultSpec(), rng.Sub(2026, 1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	spec := mobility.Spec{Model: mobility.ModelWaypoint, Speed: 0.3, Pause: 2, Steps: 40}
+	return h, box, mobility.Sample(pts, box, spec, 2026, 2)
+}
+
+// deathHeavyRound draws the deaths of one step of the death-heavy
+// sequence: 100 uniform node draws (repeats and the already dead included),
+// so about a third of the field dies over 40 steps and the survivors' links
+// stretch as they do under M03's battery deaths.
+func deathHeavyRound(gen *rand.Rand, n int) []int32 {
+	dead := make([]int32, 100)
+	for i := range dead {
+		dead[i] = int32(gen.IntN(n))
+	}
+	return dead
+}
+
+// TestRoundCases pins Round's edge cases and the KineticStats of two long
+// fixed sequences on the drift workload. Every case must leave the graph
 // equal to Rebuild and to the same events applied one at a time, at
-// GOMAXPROCS 1 and 8.
+// GOMAXPROCS 1 and 8 (the long sequences at 1).
 func TestRoundCases(t *testing.T) {
-	spec, _, fresh := roundFixture(t)
+	_, _, fresh := roundFixture(t)
+	dh, dbox, traj := driftFixture(t)
+	drift := func() *Kinetic { return NewKinetic(dh, dbox) }
+	last := len(traj.Steps) - 1
+	pinned := func(want KineticStats) func(*testing.T, *Kinetic, KineticStats, int) {
+		return func(t *testing.T, k *Kinetic, _ KineticStats, _ int) {
+			if k.stats != want {
+				t.Fatalf("stats %+v, pinned %+v", k.stats, want)
+			}
+		}
+	}
 	cases := []struct {
 		name  string
+		fresh func() *Kinetic // nil: the small multi-level fixture
+		// drive, when set, applies a history to both maintainers before
+		// the round.
+		drive func(k *Kinetic)
 		round func(k *Kinetic) ([]int32, []mobility.Move)
 		check func(t *testing.T, k *Kinetic, before KineticStats, moved int)
 	}{
@@ -63,8 +107,8 @@ func TestRoundCases(t *testing.T) {
 			name:  "empty",
 			round: func(*Kinetic) ([]int32, []mobility.Move) { return nil, nil },
 			check: func(t *testing.T, k *Kinetic, before KineticStats, moved int) {
-				if moved != 0 || k.Stats() != before {
-					t.Fatalf("empty round moved %d, stats %+v -> %+v", moved, before, k.Stats())
+				if moved != 0 || k.stats != before {
+					t.Fatalf("empty round moved %d, stats %+v -> %+v", moved, before, k.stats)
 				}
 			},
 		},
@@ -100,7 +144,7 @@ func TestRoundCases(t *testing.T) {
 				if k.top >= k.topAll {
 					t.Fatalf("top stayed at %d after its level died", k.top)
 				}
-				if got := k.Stats().MSTRecomputes - before.MSTRecomputes; got != 1 {
+				if got := k.stats.MSTRecomputes - before.MSTRecomputes; got != 1 {
 					t.Fatalf("MST rebuilt %d times, want 1", got)
 				}
 			},
@@ -120,21 +164,72 @@ func TestRoundCases(t *testing.T) {
 				}
 				once := fresh()
 				once.Round(nil, []mobility.Move{{Node: 8, To: geom.Pt(4, 4)}, {Node: 7, To: geom.Pt(10, 3)}})
-				if got, want := k.Stats().LinkRecomputes-before.LinkRecomputes, once.Stats().LinkRecomputes; got != want {
+				if got, want := k.stats.LinkRecomputes-before.LinkRecomputes, once.stats.LinkRecomputes; got != want {
 					t.Fatalf("round relinked %d nodes, want %d", got, want)
 				}
 			},
+		},
+		{
+			// M02's shape: every waypoint move a one-move round, the last
+			// step one batched round.
+			name:  "drift pins",
+			fresh: drift,
+			drive: func(k *Kinetic) {
+				for _, step := range traj.Steps[:last] {
+					for _, mv := range step {
+						k.Move(mv.Node, mv.To)
+					}
+				}
+			},
+			round: func(*Kinetic) ([]int32, []mobility.Move) { return nil, traj.Steps[last] },
+			check: pinned(KineticStats{LinkRecomputes: 1524824, GroupRecomputes: 771163, MSTRecomputes: 38, EdgeChanges: 13715585}),
+		},
+		{
+			// M03's shape: one round of deaths and moves per motion step;
+			// every third step feeds the same events through Remove and
+			// Move instead.
+			name:  "death-heavy pins",
+			fresh: drift,
+			drive: func(k *Kinetic) {
+				gen := rng.Sub(2026, 3)
+				for s, step := range traj.Steps[:last] {
+					dead := deathHeavyRound(gen, len(k.pts))
+					if s%3 == 2 {
+						applySequential(k, dead, step)
+					} else {
+						k.Round(dead, step)
+					}
+				}
+			},
+			round: func(k *Kinetic) ([]int32, []mobility.Move) {
+				return deathHeavyRound(rng.Sub(2026, 4), len(k.pts)), traj.Steps[last]
+			},
+			check: pinned(KineticStats{LinkRecomputes: 624931, GroupRecomputes: 235845, MSTRecomputes: 47, EdgeChanges: 4220945}),
 		},
 	}
 	for _, gmp := range []int{1, 8} {
 		prev := runtime.GOMAXPROCS(gmp)
 		for _, tc := range cases {
-			k, seq := fresh(), fresh()
+			// The maintainer is serial, so its stats do not depend on
+			// GOMAXPROCS: the long pinned histories run once, and not
+			// under -short (the race pass).
+			if tc.drive != nil && (gmp != 1 || testing.Short()) {
+				continue
+			}
+			mk := fresh
+			if tc.fresh != nil {
+				mk = tc.fresh
+			}
+			k, seq := mk(), mk()
+			if tc.drive != nil {
+				tc.drive(k)
+				tc.drive(seq)
+			}
 			dead, moves := tc.round(k)
-			before := k.Stats()
+			before := k.stats
 			moved := k.Round(dead, moves)
 			applySequential(seq, dead, moves)
-			checkEquivalence(t, k, spec, gmp)
+			checkEquivalence(t, k, k.spec, gmp)
 			if diff := graph.FirstDiff(k.Materialize(), seq.Materialize()); diff != "" {
 				t.Fatalf("GOMAXPROCS %d, %s: round != sequential: %s", gmp, tc.name, diff)
 			}
@@ -202,13 +297,13 @@ func TestRoundWarmAllocs(t *testing.T) {
 // recomputeGroupRetractAll is the reference form of recomputeGroup: retract
 // every edge the group held, then emit every edge it derives now, letting
 // the refcounts sort out what stayed.
-func (k *Kinetic) recomputeGroupRetractAll(key uint64, g *kGroup) {
+func (k *Kinetic) recomputeGroupRetractAll(g *kGroup) {
 	k.stats.GroupRecomputes++
 	for _, e := range g.edges {
 		u, v := graph.Unpack(e)
 		k.retract(u, v)
 	}
-	g.edges = append(g.edges[:0], k.groupEdges(key, g)...)
+	g.edges = append(g.edges[:0], k.groupEdges(g)...)
 	for _, e := range g.edges {
 		u, v := graph.Unpack(e)
 		k.emit(u, v)
@@ -229,8 +324,8 @@ func TestGroupDiffMatchesRetractAll(t *testing.T) {
 		gen := rng.Sub(seed, 3)
 		same := func(step int, op string) {
 			t.Helper()
-			if k.Stats() != ref.Stats() {
-				t.Fatalf("seed %d step %d (%s): stats %+v, reference %+v", seed, step, op, k.Stats(), ref.Stats())
+			if k.stats != ref.stats {
+				t.Fatalf("seed %d step %d (%s): stats %+v, reference %+v", seed, step, op, k.stats, ref.stats)
 			}
 			if diff := graph.FirstDiff(k.Materialize(), ref.Materialize()); diff != "" {
 				t.Fatalf("seed %d step %d (%s): graph differs from the reference: %s", seed, step, op, diff)
@@ -267,8 +362,8 @@ func TestGroupDiffMatchesRetractAll(t *testing.T) {
 				same(step, "move")
 			}
 		}
-		if k.Stats().EdgeChanges == 0 || k.Stats().GroupRecomputes == 0 {
-			t.Fatalf("seed %d: no group work exercised: %+v", seed, k.Stats())
+		if k.stats.EdgeChanges == 0 || k.stats.GroupRecomputes == 0 {
+			t.Fatalf("seed %d: no group work exercised: %+v", seed, k.stats)
 		}
 	}
 }

@@ -69,11 +69,10 @@ func NewDynGrid(pts []geom.Point, bounds geom.Rect, cell float64) *DynGrid {
 // Len returns the number of live points.
 func (g *DynGrid) Len() int { return g.live }
 
-// Cap returns the number of slots (live or removed).
-func (g *DynGrid) Cap() int { return len(g.pts) }
-
-// Alive reports whether slot i is currently indexed.
-func (g *DynGrid) Alive(i int32) bool { return g.cellOf[i] >= 0 }
+// CellOf returns the index of the cell slot i is filed in, or −1 while i is
+// removed. Within scans cells in ascending index, so (CellOf, slot) is its
+// result order.
+func (g *DynGrid) CellOf(i int32) int32 { return g.cellOf[i] }
 
 // cellInsert adds slot i to cell c keeping the list ascending.
 func (g *DynGrid) cellInsert(c int32, i int32) {
@@ -162,10 +161,14 @@ func (g *DynGrid) Within(q geom.Point, r float64, dst []int32) []int32 {
 // excluding index exclude (−1 for none), sorted by increasing distance with
 // ties broken by index — and returns the extended slice. scratch carries the
 // candidate heap across calls (nil allocates one); after warm-up the query
-// performs no heap allocations beyond growth of dst.
+// performs no heap allocations beyond growth of dst. k = 1 tracks the one
+// best candidate without the heap, under the heap's replace rule.
 func (g *DynGrid) KNearestInto(q geom.Point, k int, exclude int, scratch *KNNScratch, dst []int32) []int32 {
 	if k <= 0 || g.live == 0 {
 		return dst
+	}
+	if k == 1 {
+		return g.nearestInto(q, exclude, dst)
 	}
 	if scratch == nil {
 		scratch = &KNNScratch{}
@@ -180,6 +183,27 @@ func (g *DynGrid) KNearestInto(q geom.Point, k int, exclude int, scratch *KNNScr
 		}
 	})
 	return h.appendSorted(dst)
+}
+
+// nearestInto is KNearestInto for k = 1. A candidate replaces the best
+// unless it orders after it by (distance, index) — the maxHeap's rule, so
+// NaN distances replace and keep the scan going exactly as in the heap.
+func (g *DynGrid) nearestInto(q geom.Point, exclude int, dst []int32) []int32 {
+	best, bestD := int32(-1), 0.0
+	g.search(q, func(gap2 float64) bool { return best >= 0 && gap2 > bestD }, func(cell []int32) {
+		for _, i := range cell {
+			if int(i) == exclude {
+				continue
+			}
+			if d := g.pts[i].Dist2(q); best < 0 || !(d > bestD || (d == bestD && i > best)) {
+				best, bestD = i, d
+			}
+		}
+	})
+	if best < 0 {
+		return dst
+	}
+	return append(dst, best)
 }
 
 // NearestWhere returns the live point nearest to q that satisfies pred,

@@ -1,6 +1,7 @@
 package spatial
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -13,8 +14,8 @@ import (
 func liveSubset(g *DynGrid) ([]geom.Point, []int32) {
 	var pts []geom.Point
 	var idx []int32
-	for i := int32(0); i < int32(g.Cap()); i++ {
-		if g.Alive(i) {
+	for i := int32(0); i < int32(len(g.pts)); i++ {
+		if g.cellOf[i] >= 0 {
 			pts = append(pts, g.pts[i])
 			idx = append(idx, i)
 		}
@@ -88,7 +89,7 @@ func TestDynGridMatchesBruteForceUnderMutation(t *testing.T) {
 		for step := 0; step < 25; step++ {
 			i := int32(r.IntN(len(pts)))
 			switch {
-			case !g.Alive(i):
+			case g.cellOf[i] < 0:
 				g.Insert(i, geom.Point{X: r.Float64(), Y: r.Float64()})
 			case r.Float64() < 0.15:
 				g.Remove(i)
@@ -141,7 +142,7 @@ func TestDynGridNearestWhere(t *testing.T) {
 		// Brute force over live qualifying points.
 		want, bestD := int32(-1), 0.0
 		for i, p := range pts {
-			if !ok[i] || !g.Alive(int32(i)) {
+			if !ok[i] || g.cellOf[i] < 0 {
 				continue
 			}
 			d := p.Dist2(q)
@@ -173,17 +174,53 @@ func TestDynGridRemoveInsertRoundTrip(t *testing.T) {
 	}
 	g.Remove(7)
 	g.Remove(7) // idempotent
-	if g.Len() != 49 || g.Alive(7) {
-		t.Fatalf("after Remove: Len=%d alive=%v", g.Len(), g.Alive(7))
+	if g.Len() != 49 || g.cellOf[7] >= 0 {
+		t.Fatalf("after Remove: Len=%d alive=%v", g.Len(), g.cellOf[7] >= 0)
 	}
 	if got := g.Within(pts[7], 1e-12, nil); len(got) != 0 {
 		t.Fatalf("removed point still visible: %v", got)
 	}
 	g.Insert(7, pts[7])
-	if g.Len() != 50 || !g.Alive(7) {
-		t.Fatalf("after Insert: Len=%d alive=%v", g.Len(), g.Alive(7))
+	if g.Len() != 50 || g.cellOf[7] < 0 {
+		t.Fatalf("after Insert: Len=%d alive=%v", g.Len(), g.cellOf[7] >= 0)
 	}
 	if got := g.Within(pts[7], 1e-12, nil); len(got) != 1 || got[0] != 7 {
 		t.Fatalf("reinserted point not found: %v", got)
+	}
+}
+
+// heapNearest is KNearestInto's heap path at k = 1 over the grid's search
+// order: the reference the single-best path must reproduce, NaN distances
+// included.
+func heapNearest(g *DynGrid, q geom.Point, exclude int) []int32 {
+	var h maxHeap
+	h.reset(1)
+	g.search(q, func(gap2 float64) bool { return h.full() && gap2 > h.top() }, func(cell []int32) {
+		for _, i := range cell {
+			if int(i) != exclude {
+				h.push(g.pts[i].Dist2(q), i)
+			}
+		}
+	})
+	return h.appendSorted(nil)
+}
+
+// TestKNearestOneMatchesHeapPath: with NaN and infinite coordinates the
+// nearest point depends on the visit order, so the single-best k = 1 path
+// must equal the heap path over the same search (finite sets are held to
+// BruteKNearest by TestKNearestExactAgreementDegenerate).
+func TestKNearestOneMatchesHeapPath(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	pts := append(dgRandomPoints(40, geom.Box(8, 8), 95, 0),
+		geom.Pt(nan, 1), geom.Pt(2, nan), geom.Pt(inf, 3), geom.Pt(-inf, -inf), geom.Pt(nan, nan), geom.Pt(3, 3))
+	grid := NewDynGrid(pts, geom.Box(8, 8), 0.7)
+	var scratch KNNScratch
+	for _, q := range []geom.Point{geom.Pt(3, 3), geom.Pt(nan, 0), geom.Pt(inf, 2), geom.Pt(-inf, inf), geom.Pt(9, -3)} {
+		for _, exclude := range []int{-1, 0, 40, len(pts) - 1} {
+			got := grid.KNearestInto(q, 1, exclude, &scratch, nil)
+			if want := heapNearest(grid, q, exclude); !slices.Equal(got, want) {
+				t.Fatalf("KNearestInto(%v, 1, %d) = %v, heap path %v", q, exclude, got, want)
+			}
+		}
 	}
 }

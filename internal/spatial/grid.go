@@ -1,11 +1,14 @@
-// Package spatial provides the two uniform-grid indexes over 2D point sets
+// Package spatial provides uniform-grid indexes over 2D point sets and disks
 // and their brute-force oracles. Grid enumerates: it buckets a fixed point
 // set into a CSR cell slab whose cells rgg's unit-disk-graph builder walks
 // pair by pair, so it has no per-point queries at all. DynGrid answers every
-// query — radius, k-nearest and nearest-matching — for the static k-NN
-// builders (rgg.NN, hng.Build) and for the kinetic maintainers, whose point
-// sets move and die without a rebuild. Every query is property-tested
-// against BruteWithin and BruteKNearest, ties broken by index.
+// point query — radius, k-nearest and nearest-matching — for the static
+// k-NN builders (rgg.NN, hng.Build) and for the kinetic maintainers, whose
+// point sets move and die without a rebuild. Every query is property-tested
+// against BruteWithin and BruteKNearest, ties broken by index. DiskIndex
+// answers the reverse question, which registered disks may contain a
+// point, for the kinetic HNG's repair; its property test checks that no
+// containing disk is missed.
 //
 // A grid's cells are sized for the expected population (CellSize) or the
 // query radius, so its cost follows density. A clustered set is the

@@ -196,6 +196,11 @@ func TestKNearestExactAgreementDegenerate(t *testing.T) {
 			geom.Pt(1, 0), geom.Pt(-1, 0), geom.Pt(0, 1), geom.Pt(0, -1),
 			geom.Pt(2, 0), geom.Pt(-2, 0), geom.Pt(0, 2), geom.Pt(0, -2),
 		},
+		"lattice-duplicates": {
+			geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0), geom.Pt(0, 1), geom.Pt(1, 1),
+			geom.Pt(2, 1), geom.Pt(0, 2), geom.Pt(1, 2), geom.Pt(2, 2), geom.Pt(1, 1),
+			geom.Pt(0, 0), geom.Pt(2, 2), geom.Pt(1, 0), geom.Pt(1, 1),
+		},
 	}
 	for name, pts := range cases {
 		grid := newDynGrid(pts, 0.8)
