@@ -1,6 +1,7 @@
 package sensnet_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -170,6 +171,16 @@ func TestPublicLiteralGeometryCaveat(t *testing.T) {
 	}
 	if net.Stats.GoodTiles != 0 {
 		t.Error("literal geometry produced good tiles")
+	}
+}
+
+func TestPublicBuildRejectsNonFiniteSpec(t *testing.T) {
+	box := sensnet.Box(12, 12)
+	pts := sensnet.Deploy(box, 8, 6)
+	spec := sensnet.DefaultUDGSpec()
+	spec.Side = math.NaN()
+	if net, err := sensnet.BuildUDGSens(pts, box, spec, sensnet.Options{SkipBase: true}); err == nil {
+		t.Errorf("NaN tile side built a network (%d members) without error", len(net.Members))
 	}
 }
 

@@ -30,8 +30,8 @@ func (s StretchSample) Stretch() float64 { return s.EuclidStretch() }
 // SampleRepStretch measures stretch between random pairs of good-tile
 // representatives inside the largest component. Pairs are drawn with a
 // source fanout (several targets per source, fanout 8) and measured through
-// the batched power.MeasurePairs engine: one buffered Dijkstra+BFS sweep
-// per distinct source covers all of that source's targets.
+// power.Measurer.Pairs: one Dijkstra+BFS sweep per distinct source covers
+// all of that source's targets.
 //
 // Sampling is attempt-bounded: pairs whose endpoints are disconnected in
 // the subgraph (possible only pre-prune, when reps sit in different

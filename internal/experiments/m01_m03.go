@@ -240,12 +240,11 @@ func lccFraction(g *graph.CSR) float64 {
 }
 
 // meanStretchAt measures the maintained structure's mean distance stretch
-// against a fresh unit-disk base at the given positions — the yardstick
-// motion cannot stale, since it is rebuilt from the positions themselves.
-func meanStretchAt(g *graph.CSR, pts []geom.Point, pairs int, stream uint64, seed rng.Seed) string {
-	base := rgg.UDG(pts, tiling.DefaultUDGSpec().Radius)
+// against a unit-disk base at the structure's own positions — the yardstick
+// motion cannot stale, since it is built from the positions themselves.
+func meanStretchAt(g *graph.CSR, base *rgg.Geometric, pairs int, stream uint64, seed rng.Seed) string {
 	members, _ := graph.LargestComponent(base.CSR)
-	samples, err := power.MeasureStretch(g, base.CSR, pts, members, 0,
+	samples, err := power.MeasureStretch(g, base.CSR, base.Pos, members, 0,
 		pairs, pairs*40, rng.Sub(seed, stream))
 	if err != nil {
 		return "n/a"
@@ -270,6 +269,8 @@ func m02Drift(ctx *scenario.Ctx) *Table {
 	steps := cfg.Trials(40, 12)
 	pairs := cfg.Trials(40, 10)
 	dep := hngDeployment(ctx)
+	radius := tiling.DefaultUDGSpec().Radius
+	base0 := ctx.UDG(dep, radius)
 	type rowKey struct{ s, v int }
 	var keys []rowKey
 	for s := range mKinetics {
@@ -291,7 +292,7 @@ func m02Drift(ctx *scenario.Ctx) *Table {
 			Pause: 2, Steps: steps}
 		traj := ctx.Trajectory(dep, spec, uint64(4420+i))
 		g0 := k.Materialize()
-		stretch0 := meanStretchAt(g0, dep.Pts, pairs, uint64(4440+i), cfg.Seed)
+		stretch0 := meanStretchAt(g0, base0, pairs, uint64(4440+i), cfg.Seed)
 		cost()
 		for _, step := range traj.Steps {
 			for _, mv := range step {
@@ -300,7 +301,7 @@ func m02Drift(ctx *scenario.Ctx) *Table {
 		}
 		c := cost()
 		gN := k.Materialize()
-		stretchN := meanStretchAt(gN, k.Positions(), pairs, uint64(4440+i), cfg.Seed)
+		stretchN := meanStretchAt(gN, rgg.UDG(k.Positions(), radius), pairs, uint64(4440+i), cfg.Seed)
 		rows[i] = []string{
 			name, f4(speed), d(steps), d(g0.EdgeCount), d(gN.EdgeCount),
 			f4(lccFraction(g0)), f4(lccFraction(gN)), stretch0, stretchN,

@@ -24,14 +24,6 @@ func (c Circle) Contains(p Point) bool {
 // Area returns πR².
 func (c Circle) Area() float64 { return math.Pi * c.R * c.R }
 
-// Bounds returns the bounding rectangle of the disk.
-func (c Circle) Bounds() Rect {
-	return Rect{
-		Point{c.Center.X - c.R, c.Center.Y - c.R},
-		Point{c.Center.X + c.R, c.Center.Y + c.R},
-	}
-}
-
 // MaxDistToPoint returns the largest distance from p to any point of the
 // disk: d(p, center) + R.
 func (c Circle) MaxDistToPoint(p Point) float64 {

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 )
@@ -18,101 +19,91 @@ func TestStringers(t *testing.T) {
 	}
 }
 
-func TestUnionAndDifferenceBounds(t *testing.T) {
-	u := Union{NewCircle(Pt(0, 0), 1), NewCircle(Pt(3, 0), 1)}
-	b := u.Bounds()
-	if b.Min.X > -1+1e-12 || b.Max.X < 4-1e-12 {
-		t.Errorf("union bounds = %v", b)
+// hullByDefinition reports whether p is within r of every sampled point of
+// the disk c (its boundary at fine angular steps, where the farthest point
+// lies, plus its centre): the definition the closed form replaces.
+func hullByDefinition(p Point, c Circle, r float64) bool {
+	if p.Dist(c.Center) > r {
+		return false
 	}
-	if (Union{}).Bounds().Area() != 0 {
-		t.Error("empty union bounds should be degenerate")
+	for i := 0; i < 720; i++ {
+		theta := 2 * math.Pi * float64(i) / 720
+		q := c.Center.Add(Pt(c.R*math.Cos(theta), c.R*math.Sin(theta)))
+		if p.Dist(q) > r {
+			return false
+		}
 	}
-	d := Difference{A: NewCircle(Pt(0, 0), 2), B: NewCircle(Pt(0, 0), 1)}
-	if d.Bounds() != NewCircle(Pt(0, 0), 2).Bounds() {
-		t.Error("difference bounds should be A's bounds")
+	return true
+}
+
+func TestDiskIntersectionHullOfSingleDisk(t *testing.T) {
+	// The set of points within distance 1 of every point of a radius-r disk
+	// centered at c is the radius (1−r) disk at c, i.e. MaxDistToPoint ≤ 1.
+	// This identity is the crux of the paper's geometric defect (DESIGN.md
+	// §2); pin it down.
+	base := NewCircle(Pt(0, 0), 0.5)
+	if base.MaxDistToPoint(Pt(0.49, 0)) > 1 {
+		t.Error("hull should contain interior of shrunken disk")
+	}
+	if base.MaxDistToPoint(Pt(0.51, 0)) <= 1 {
+		t.Error("hull should exclude points beyond 1−r")
+	}
+	// Radius exactly 1/2: hull == C0, so hull \ C0 is empty — the literal
+	// paper construction's relay region.
+	rng := rand.New(rand.NewPCG(3, 4))
+	for i := 0; i < 10000; i++ {
+		p := Pt(rng.Float64()*4-2, rng.Float64()*4-2)
+		if base.MaxDistToPoint(p) <= 1 && !base.Contains(p) {
+			t.Fatalf("literal relay region should be empty; contains %v", p)
+		}
+	}
+	// Away from the hull boundary the closed form agrees with the definition.
+	small := NewCircle(Pt(0.3, -0.2), 0.3)
+	for i := 0; i < 2000; i++ {
+		p := Pt(rng.Float64()*3-1.5, rng.Float64()*3-1.5)
+		if d := small.Center.Dist(p); math.Abs(d-0.7) < 1e-3 {
+			continue
+		}
+		if got, want := small.MaxDistToPoint(p) <= 1, hullByDefinition(p, small, 1); got != want {
+			t.Fatalf("closed form %v vs definition %v at %v", got, want, p)
+		}
 	}
 }
 
-func TestDiskIntersectionHullBounds(t *testing.T) {
-	h := DiskIntersectionHull{
-		Bases: []Region{NewCircle(Pt(0, 0), 0.2), NewCircle(Pt(1, 0), 0.2)},
-		R:     1,
+func TestDiskIntersectionHullTwoBases(t *testing.T) {
+	// Points within 1 of all of disk(0, 0.2) and all of disk(1, 0.2):
+	// intersection of disk(0, 0.8) and disk(1, 0.8).
+	bases := []Circle{NewCircle(Pt(0, 0), 0.2), NewCircle(Pt(1, 0), 0.2)}
+	in := func(p Point) bool {
+		for _, b := range bases {
+			if b.MaxDistToPoint(p) > 1 {
+				return false
+			}
+		}
+		return true
 	}
-	b := h.Bounds()
-	// Bounds must contain the true hull (which contains the midpoint).
-	if !b.Contains(Pt(0.5, 0)) {
-		t.Errorf("hull bounds %v miss the midpoint", b)
+	if !in(Pt(0.5, 0)) {
+		t.Error("hull should contain midpoint")
 	}
-	// Empty base list → degenerate bounds.
-	if (DiskIntersectionHull{R: 1}).Bounds().Area() != 0 {
-		t.Error("empty hull bounds should be degenerate")
+	if in(Pt(-0.9, 0)) || in(Pt(1.9, 0)) {
+		t.Error("hull should exclude extremes")
 	}
-	// Far-apart bases → empty bounds rect.
-	far := DiskIntersectionHull{
-		Bases: []Region{NewCircle(Pt(0, 0), 0.1), NewCircle(Pt(10, 0), 0.1)},
-		R:     1,
-	}
-	if far.Bounds().Area() > 0 {
-		t.Errorf("far-apart hull bounds should be empty, got %v", far.Bounds())
-	}
-}
-
-func TestMaxDistToRegionVariants(t *testing.T) {
-	p := Pt(0, 0)
-	// Circle: d(center) + r.
-	if got := maxDistToRegion(p, NewCircle(Pt(3, 0), 1)); math.Abs(got-4) > 1e-12 {
-		t.Errorf("circle max dist = %v", got)
-	}
-	// Rect: farthest corner.
-	if got := maxDistToRegion(p, NewRect(Pt(1, 1), Pt(2, 2))); math.Abs(got-math.Sqrt(8)) > 1e-12 {
-		t.Errorf("rect max dist = %v", got)
-	}
-	// Intersection: min over members (upper bound for the intersection).
-	inter := Intersection{NewCircle(Pt(3, 0), 1), NewCircle(Pt(3, 0), 5)}
-	if got := maxDistToRegion(p, inter); math.Abs(got-4) > 1e-12 {
-		t.Errorf("intersection max dist = %v", got)
-	}
-	// Fallback (arbitrary region): bounding-box corner distance.
-	ann := Annulus{Center: Pt(3, 0), RInner: 0.5, ROuter: 1}
-	if got := maxDistToRegion(p, ann); math.Abs(got-math.Hypot(4, 1)) > 1e-12 {
-		t.Errorf("fallback max dist = %v", got)
-	}
-	// Hull membership via an Intersection base exercises the same path.
-	h := DiskIntersectionHull{Bases: []Region{inter}, R: 4.5}
-	if !h.Contains(p) {
-		t.Error("hull should contain origin (max dist 4 ≤ 4.5)")
-	}
-}
-
-func TestTranslateFallbackAndEmpty(t *testing.T) {
-	// EmptyRegion translation is still empty.
-	e := Translate(EmptyRegion{}, Pt(1, 1))
-	if e.Contains(Pt(1, 1)) {
-		t.Error("translated empty region contains a point")
-	}
-	// Arbitrary region goes through the wrapper.
-	ann := Annulus{Center: Pt(0, 0), RInner: 1, ROuter: 2}
-	tr := Translate(Translate(ann, Pt(5, 0)), Pt(0, 3)) // nested wrappers OK
-	if !tr.Contains(Pt(6.5, 3)) || tr.Contains(Pt(5, 3)) {
-		t.Error("translated annulus membership wrong")
-	}
-	b := tr.Bounds()
-	if !b.Contains(Pt(5, 3)) || !b.Contains(Pt(7, 5)) {
-		t.Errorf("translated bounds = %v", b)
-	}
-	// Hull translation via wrapper.
-	h := DiskIntersectionHull{Bases: []Region{NewCircle(Pt(0, 0), 0.2)}, R: 1}
-	th := Translate(h, Pt(2, 0))
-	if !th.Contains(Pt(2, 0)) || th.Contains(Pt(0, 0)) {
-		t.Error("translated hull membership wrong")
-	}
-}
-
-func TestGridAreaDegenerate(t *testing.T) {
-	if GridArea(EmptyRegion{}, 10) != 0 {
-		t.Error("grid area of empty region")
-	}
-	if GridArea(NewCircle(Pt(0, 0), 1), 0) != 0 {
-		t.Error("grid area with n=0")
+	// Every hull member must be within R of every base point (definition).
+	rng := rand.New(rand.NewPCG(5, 6))
+	for i := 0; i < 2000; i++ {
+		p := Pt(rng.Float64()*1.6-0.3, rng.Float64()*1.6-0.8)
+		if !in(p) {
+			continue
+		}
+		for j := 0; j < 50; j++ {
+			theta := rng.Float64() * 2 * math.Pi
+			r := 0.2 * math.Sqrt(rng.Float64())
+			for _, b := range bases {
+				q := b.Center.Add(Pt(r*math.Cos(theta), r*math.Sin(theta)))
+				if p.Dist(q) > 1+1e-9 {
+					t.Fatalf("hull point %v farther than R from base point %v", p, q)
+				}
+			}
+		}
 	}
 }

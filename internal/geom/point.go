@@ -1,6 +1,7 @@
 // Package geom provides the 2D geometry substrate used throughout the
-// repository: points, vectors, rectangles, circles, a small region algebra,
-// and analytic/Monte-Carlo area computation.
+// repository: points, vectors, rectangles, circles and struct-of-arrays
+// point sets. The tile regions of the paper are closed-form tests over these
+// shapes in the tiling package, not a general region algebra.
 //
 // Everything is float64-based and allocation-free on the hot paths. The
 // package is deliberately self-contained: the Go ecosystem has no canonical
@@ -30,15 +31,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // Scale returns s·p.
 func (p Point) Scale(s float64) Point { return Point{s * p.X, s * p.Y} }
 
-// Neg returns −p.
-func (p Point) Neg() Point { return Point{-p.X, -p.Y} }
-
-// Dot returns the dot product p·q.
-func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
-
-// Cross returns the z-component of the 3D cross product p×q.
-func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
-
 // Norm returns the Euclidean norm |p|.
 func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 
@@ -54,19 +46,8 @@ func (p Point) Dist2(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// Lerp returns the point (1−t)·p + t·q.
-func (p Point) Lerp(q Point, t float64) Point {
-	return Point{p.X + t*(q.X-p.X), p.Y + t*(q.Y-p.Y)}
-}
-
 // Angle returns the angle of the vector p in radians, in (−π, π].
 func (p Point) Angle() float64 { return math.Atan2(p.Y, p.X) }
-
-// Rotate returns p rotated by theta radians about the origin.
-func (p Point) Rotate(theta float64) Point {
-	s, c := math.Sincos(theta)
-	return Point{c*p.X - s*p.Y, s*p.X + c*p.Y}
-}
 
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.6g, %.6g)", p.X, p.Y) }

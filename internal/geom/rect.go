@@ -38,11 +38,6 @@ func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 // Area returns the area of the rectangle.
 func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
-// Center returns the center point.
-func (r Rect) Center() Point {
-	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
-}
-
 // Contains reports whether p lies in the closed rectangle.
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
@@ -52,12 +47,6 @@ func (r Rect) Contains(p Point) bool {
 func (r Rect) ContainsRect(s Rect) bool {
 	return s.Min.X >= r.Min.X && s.Max.X <= r.Max.X &&
 		s.Min.Y >= r.Min.Y && s.Max.Y <= r.Max.Y
-}
-
-// Intersects reports whether the two closed rectangles share any point.
-func (r Rect) Intersects(s Rect) bool {
-	return r.Min.X <= s.Max.X && s.Min.X <= r.Max.X &&
-		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
 }
 
 // Intersect returns the intersection rectangle and whether it is non-empty.
@@ -91,31 +80,6 @@ func (r Rect) Clamp(p Point) Point {
 	return Point{
 		math.Min(math.Max(p.X, r.Min.X), r.Max.X),
 		math.Min(math.Max(p.Y, r.Min.Y), r.Max.Y),
-	}
-}
-
-// DistToPoint returns the Euclidean distance from p to the rectangle
-// (zero if p is inside).
-func (r Rect) DistToPoint(p Point) float64 {
-	return p.Dist(r.Clamp(p))
-}
-
-// MaxDistToPoint returns the largest distance from p to any point of r,
-// attained at one of the corners.
-func (r Rect) MaxDistToPoint(p Point) float64 {
-	dx := math.Max(math.Abs(p.X-r.Min.X), math.Abs(p.X-r.Max.X))
-	dy := math.Max(math.Abs(p.Y-r.Min.Y), math.Abs(p.Y-r.Max.Y))
-	return math.Hypot(dx, dy)
-}
-
-// Corners returns the four corners in counterclockwise order starting from
-// Min.
-func (r Rect) Corners() [4]Point {
-	return [4]Point{
-		r.Min,
-		{r.Max.X, r.Min.Y},
-		r.Max,
-		{r.Min.X, r.Max.Y},
 	}
 }
 

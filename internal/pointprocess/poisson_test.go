@@ -199,9 +199,9 @@ func TestPoissonCDF(t *testing.T) {
 	}
 }
 
-// CountIn returns the number of points lying in the region r — the
+// CountIn returns the number of points lying in the rectangle r — the
 // reference count the spatial-statistics tests check the samplers against.
-func CountIn(pts []geom.Point, r geom.Region) int {
+func CountIn(pts []geom.Point, r geom.Rect) int {
 	n := 0
 	for _, p := range pts {
 		if r.Contains(p) {

@@ -17,10 +17,13 @@ import (
 // tiles t and t_d" (the paper's definition, implemented exactly up to
 // boundary discretization; see NNGeometry).
 type NNSpec struct {
-	A       float64 // scale parameter; tile side = 10·A
-	K       int     // the NN(2, k) parameter; goodness caps tile population at K/2
-	Samples int     // boundary discretization for bridge membership (default 96)
+	A float64 // scale parameter; tile side = 10·A
+	K int     // the NN(2, k) parameter; goodness caps tile population at K/2
 }
+
+// bridgeSamples is the number of points per boundary circle that discretize
+// the bridge-region membership test.
+const bridgeSamples = 96
 
 // PaperNNSpec returns the paper's Theorem 2.4 parameters: k = 188 and
 // a = 0.893 (for unit density λ = 1).
@@ -31,6 +34,9 @@ func (s NNSpec) TileSide() float64 { return 10 * s.A }
 
 // Validate checks basic soundness.
 func (s NNSpec) Validate() error {
+	if math.IsNaN(s.A) || math.IsInf(s.A, 0) {
+		return fmt.Errorf("tiling: NN scale A = %v must be finite", s.A)
+	}
 	if s.A <= 0 {
 		return fmt.Errorf("tiling: non-positive NN scale A = %v", s.A)
 	}
@@ -104,9 +110,6 @@ type boundarySample struct {
 
 // Compile precomputes the boundary samples for the four bridge regions.
 func (s NNSpec) Compile() *NNGeometry {
-	if s.Samples <= 0 {
-		s.Samples = 96
-	}
 	a := s.A
 	g := &NNGeometry{
 		Spec: s,
@@ -123,8 +126,8 @@ func (s NNSpec) Compile() *NNGeometry {
 		box := g.tile
 		empty := false
 		for _, c := range []geom.Circle{g.c0, g.disks[d]} {
-			for i := 0; i < s.Samples; i++ {
-				theta := 2 * math.Pi * float64(i) / float64(s.Samples)
+			for i := 0; i < bridgeSamples; i++ {
+				theta := 2 * math.Pi * float64(i) / float64(bridgeSamples)
 				q := c.Center.Add(geom.Pt(c.R*math.Cos(theta), c.R*math.Sin(theta)))
 				rmax := insetDistance(u, q)
 				// Signed square: a negative inset (sample outside the union
@@ -244,33 +247,4 @@ func (g *NNGeometry) Occupied(localPts []geom.Point) (have [numNRegions]bool, co
 		count++
 	}
 	return have, count
-}
-
-// BridgeArea estimates the area of a bridge region by grid evaluation
-// (n×n probes over the region's bounding box, here the tile).
-func (g *NNGeometry) BridgeArea(d Direction, n int) float64 {
-	return geom.GridArea(bridgeRegion{g, d}, n)
-}
-
-// bridgeRegion adapts a compiled bridge to geom.Region.
-type bridgeRegion struct {
-	g *NNGeometry
-	d Direction
-}
-
-func (b bridgeRegion) Contains(p geom.Point) bool { return b.g.BridgeContains(b.d, p) }
-func (b bridgeRegion) Bounds() geom.Rect          { return b.g.tile }
-
-// Region returns region r as a geom.Region in tile-local coordinates.
-func (g *NNGeometry) Region(r NRegion) geom.Region {
-	switch {
-	case r == NC0:
-		return g.c0
-	case r >= NDiskRight && r <= NDiskBottom:
-		return g.disks[Direction(r-NDiskRight)]
-	case r >= NBridgeRight && r <= NBridgeBottom:
-		return bridgeRegion{g, Direction(r - NBridgeRight)}
-	default:
-		return geom.EmptyRegion{}
-	}
 }

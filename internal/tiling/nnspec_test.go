@@ -9,14 +9,21 @@ import (
 )
 
 func TestNNSpecValidate(t *testing.T) {
-	if err := PaperNNSpec().Validate(); err != nil {
-		t.Errorf("paper spec invalid: %v", err)
-	}
-	if (NNSpec{A: 0, K: 10}).Validate() == nil {
-		t.Error("zero A should fail")
-	}
-	if (NNSpec{A: 1, K: 1}).Validate() == nil {
-		t.Error("K=1 should fail")
+	for _, tc := range []struct {
+		name string
+		spec NNSpec
+		ok   bool
+	}{
+		{"paper", PaperNNSpec(), true},
+		{"zero A", NNSpec{A: 0, K: 10}, false},
+		{"K=1", NNSpec{A: 1, K: 1}, false},
+		{"A NaN", NNSpec{A: math.NaN(), K: 10}, false},
+		{"A +Inf", NNSpec{A: math.Inf(1), K: 10}, false},
+		{"A -Inf", NNSpec{A: math.Inf(-1), K: 10}, false},
+	} {
+		if err := tc.spec.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 	if PaperNNSpec().TileSide() != 8.93 {
 		t.Errorf("TileSide = %v", PaperNNSpec().TileSide())
@@ -91,7 +98,7 @@ func TestNNBridgeBetweenDisks(t *testing.T) {
 // centered on the C0/Cd boundary circles (up to discretization tolerance).
 func TestNNBridgeDefiningProperty(t *testing.T) {
 	const a = 1.0
-	g := (NNSpec{A: a, K: 100, Samples: 192}).Compile()
+	g := (NNSpec{A: a, K: 100}).Compile()
 	r := rng.New(5)
 	union := geom.NewRect(geom.Pt(-5*a, -5*a), geom.Pt(15*a, 5*a))
 	members := 0
@@ -226,22 +233,35 @@ func TestNNOccupied(t *testing.T) {
 
 func TestNNBridgeAreaPositive(t *testing.T) {
 	g := (NNSpec{A: 0.893, K: 188}).Compile()
+	// Grid-estimate every region's area from Classify: n×n probes at the
+	// cell centres of the tile.
+	const n = 150
+	side := g.Spec.TileSide()
+	cell := side / n
+	var hits [numNRegions]int
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			p := geom.Pt(-side/2+(float64(i)+0.5)*cell, -side/2+(float64(j)+0.5)*cell)
+			hits[g.Classify(p)]++
+		}
+	}
+	area := func(r NRegion) float64 { return float64(hits[r]) * cell * cell }
 	for _, d := range Directions {
-		area := g.BridgeArea(d, 150)
-		if area <= 0 {
-			t.Errorf("bridge %v area = %v", d, area)
+		a := area(NBridge(d))
+		if a <= 0 {
+			t.Errorf("bridge %v area = %v", d, a)
 		}
 		// Bridges are larger than the disks for this geometry.
-		if area < g.c0.Area() {
-			t.Errorf("bridge %v area %v unexpectedly below disk area %v", d, area, g.c0.Area())
+		if a < g.c0.Area() {
+			t.Errorf("bridge %v area %v unexpectedly below disk area %v", d, a, g.c0.Area())
 		}
 	}
-	// Region accessor sanity.
-	if geom.Area(g.Region(NC0)) <= 0 {
-		t.Error("C0 region area")
+	if c0 := area(NC0); math.Abs(c0-g.c0.Area()) > 0.05*g.c0.Area() {
+		t.Errorf("C0 grid area %v, want ≈ %v", c0, g.c0.Area())
 	}
-	if _, ok := g.Region(NNone).(geom.EmptyRegion); !ok {
-		t.Error("NNone region should be empty")
+	// The tile corners lie in no region.
+	if r := g.Classify(geom.Pt(side/2, side/2)); r != NNone {
+		t.Errorf("tile corner classified %v, want none", r)
 	}
 }
 

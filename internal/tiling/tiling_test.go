@@ -1,6 +1,7 @@
 package tiling
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -116,33 +117,165 @@ func TestMapEmptyBox(t *testing.T) {
 }
 
 func TestUDGSpecValidate(t *testing.T) {
-	if err := DefaultUDGSpec().Validate(); err != nil {
-		t.Errorf("default spec invalid: %v", err)
+	with := func(s UDGSpec, f func(*UDGSpec)) UDGSpec { f(&s); return s }
+	def := DefaultUDGSpec()
+	type validateCase struct {
+		name string
+		spec UDGSpec
+		ok   bool
 	}
-	if err := PaperUDGSpec().Validate(); err != nil {
-		t.Errorf("paper literal spec should pass basic validation: %v", err)
+	cases := []validateCase{
+		{"default", def, true},
+		{"paper literal", PaperUDGSpec(), true},
+		{"relaxed", RelaxedUDGSpec(), true},
+		// 0.7+0.25+0.25 = 1.2 > 1.
+		{"rep↔relay reach", with(def, func(s *UDGSpec) { s.Xe = 0.7 }), false},
+		// Xe−Re = 0.2 < 0.25.
+		{"relay overlaps C0", with(def, func(s *UDGSpec) { s.Re = 0.3 }), false},
+		// 3−1+0.5 = 2.5 > 1.
+		{"cross-boundary reach", with(def, func(s *UDGSpec) { s.Side = 3 }), false},
+		{"zero spec", UDGSpec{}, false},
 	}
-	if err := RelaxedUDGSpec().Validate(); err != nil {
-		t.Errorf("relaxed spec invalid: %v", err)
+	// Every field must be finite, including the ones the mode does not read
+	// (BandH in repaired mode, Re and Xe in relaxed mode).
+	fields := []struct {
+		name string
+		base UDGSpec
+		set  func(*UDGSpec, float64)
+	}{
+		{"Side", def, func(s *UDGSpec, v float64) { s.Side = v }},
+		{"R0", def, func(s *UDGSpec, v float64) { s.R0 = v }},
+		{"Re", RelaxedUDGSpec(), func(s *UDGSpec, v float64) { s.Re = v }},
+		{"Xe", RelaxedUDGSpec(), func(s *UDGSpec, v float64) { s.Xe = v }},
+		{"BandH", def, func(s *UDGSpec, v float64) { s.BandH = v }},
+		{"Radius", def, func(s *UDGSpec, v float64) { s.Radius = v }},
 	}
-	bad := DefaultUDGSpec()
-	bad.Xe = 0.7 // violates rep↔relay reach (0.7+0.25+0.25 = 1.2 > 1)
-	if bad.Validate() == nil {
-		t.Error("reach violation not caught")
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cases = append(cases, validateCase{fmt.Sprintf("%s=%v", f.name, v), with(f.base, func(s *UDGSpec) { f.set(s, v) }), false})
+		}
 	}
-	bad = DefaultUDGSpec()
-	bad.Re = 0.3 // overlaps C0 (Xe−Re = 0.2 < 0.25)
-	if bad.Validate() == nil {
-		t.Error("overlap violation not caught")
+	for _, tc := range cases {
+		if err := tc.spec.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
-	bad = DefaultUDGSpec()
-	bad.Side = 3 // cross-boundary reach: 3−1+0.5 = 2.5 > 1
-	if bad.Validate() == nil {
-		t.Error("cross-boundary violation not caught")
+}
+
+// classifyRef is the test oracle for UDGGeometry.Classify, written straight
+// from each mode's region definitions with no shared code: C0 first, then
+// the relay regions in Directions order.
+func classifyRef(s UDGSpec, p geom.Point) URegion {
+	inDisk := func(cx, cy, r float64) bool {
+		dx, dy := p.X-cx, p.Y-cy
+		return dx*dx+dy*dy <= r*r
 	}
-	if (UDGSpec{}).Validate() == nil {
-		t.Error("zero spec should fail")
+	if inDisk(0, 0, s.R0) {
+		return UC0
 	}
+	half := s.Side / 2
+	inTile := -half <= p.X && p.X <= half && -half <= p.Y && p.Y <= half
+	for _, d := range Directions {
+		dx, dy := d.Vec()
+		fx, fy := float64(dx), float64(dy)
+		var in bool
+		switch s.Mode {
+		case GeometryRepaired:
+			// The disk of radius Re centred Xe toward the edge.
+			in = inDisk(fx*s.Xe, fy*s.Xe, s.Re)
+		case GeometryRelaxed:
+			// The band from C0's radius to the edge, BandH either side of
+			// the axis toward d.
+			along, across := fx*p.X+fy*p.Y, fy*p.X+fx*p.Y
+			in = s.R0 <= along && along <= half && -s.BandH <= across && across <= s.BandH
+		case GeometryLiteral:
+			// Within Radius of every point of C0: the farthest point of C0
+			// from p is R0 beyond the centre, so d(p, 0) + R0 ≤ Radius.
+			in = inTile && math.Hypot(p.X, p.Y)+s.R0 <= s.Radius
+		}
+		if in {
+			return URelay(d)
+		}
+	}
+	return UNone
+}
+
+// TestClassifyMatchesDefinition checks the compiled classifier against
+// classifyRef on a dense grid over the tile and its margin, and on the exact
+// boundaries of every region (with both floating-point neighbours): disk
+// rims, band edges and corners, band overlaps and tile corners.
+func TestClassifyMatchesDefinition(t *testing.T) {
+	literal3 := PaperUDGSpec()
+	literal3.R0 = 0.3 // d(p, 0) ∈ (0.3, 0.7]: a non-empty literal region
+	relaxed3 := UDGSpec{Mode: GeometryRelaxed, Side: 1.5, R0: 0.25, BandH: 0.3, Radius: 1}
+	for _, tc := range []struct {
+		name string
+		spec UDGSpec
+		want []URegion // regions the probes must reach (at least)
+	}{
+		// Empty in exact arithmetic, but one ulp beyond C0's rim d(p, 0) + R0
+		// rounds to Radius, so the nudged rim probes classify as Right in
+		// both; TestLiteralRelayRegionsAreEmpty pins the emptiness off the rim.
+		{"literal R0=0.5", PaperUDGSpec(), []URegion{UC0, UNone}},
+		{"literal R0=0.3", literal3, []URegion{UC0, URelayRight, UNone}},
+		{"repaired", DefaultUDGSpec(), []URegion{UC0, URelayRight, URelayLeft, URelayTop, URelayBottom, UNone}},
+		{"relaxed BandH=0.5", RelaxedUDGSpec(), []URegion{UC0, URelayRight, URelayLeft, URelayTop, URelayBottom, UNone}},
+		{"relaxed BandH=0.3", relaxed3, []URegion{UC0, URelayRight, URelayLeft, URelayTop, URelayBottom, UNone}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.spec
+			if err := s.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			g := s.Compile()
+			half := s.Side / 2
+			var probes []geom.Point
+			const n = 241
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					probes = append(probes, geom.Pt(
+						-1.1*half+2.2*half*float64(i)/(n-1),
+						-1.1*half+2.2*half*float64(j)/(n-1)))
+				}
+			}
+			// Exact boundary coordinates, in the first quadrant toward Right;
+			// every sign and axis swap of each is probed below.
+			edges := [][2]float64{
+				{s.R0, 0}, {half, 0}, {half, half}, {0, half},
+				{s.Xe + s.Re, 0}, {s.Xe - s.Re, 0}, {s.Xe, s.Re},
+				{s.R0, s.BandH}, {half, s.BandH}, {s.BandH, s.BandH}, {s.BandH, s.R0},
+				{half, s.Radius - s.R0}, {s.Radius - s.R0, 0},
+				{(s.Radius - s.R0) * 0.6, (s.Radius - s.R0) * 0.8},
+			}
+			for _, e := range edges {
+				for _, x := range nudge(e[0]) {
+					for _, y := range nudge(e[1]) {
+						probes = append(probes,
+							geom.Pt(x, y), geom.Pt(-x, y), geom.Pt(x, -y), geom.Pt(-x, -y),
+							geom.Pt(y, x), geom.Pt(-y, x), geom.Pt(y, -x), geom.Pt(-y, -x))
+					}
+				}
+			}
+			seen := map[URegion]bool{}
+			for _, p := range probes {
+				want := classifyRef(s, p)
+				if got := g.Classify(p); got != want {
+					t.Fatalf("Classify(%v) = %v, definition gives %v", p, got, want)
+				}
+				seen[want] = true
+			}
+			for _, r := range tc.want {
+				if !seen[r] {
+					t.Errorf("no probe reached region %v", r)
+				}
+			}
+		})
+	}
+}
+
+// nudge returns v and its two floating-point neighbours.
+func nudge(v float64) []float64 {
+	return []float64{math.Nextafter(v, math.Inf(-1)), v, math.Nextafter(v, math.Inf(1))}
 }
 
 // TestLiteralRelayRegionsAreEmpty pins down the paper's geometric defect
@@ -150,14 +283,12 @@ func TestUDGSpecValidate(t *testing.T) {
 // regions are empty.
 func TestLiteralRelayRegionsAreEmpty(t *testing.T) {
 	s := PaperUDGSpec()
+	geo := s.Compile()
 	g := rng.New(2)
-	for _, d := range Directions {
-		region := s.RelayRegion(d)
-		for i := 0; i < 20000; i++ {
-			p := geom.Pt(g.Float64()*s.Side-s.Side/2, g.Float64()*s.Side-s.Side/2)
-			if region.Contains(p) {
-				t.Fatalf("literal relay region %v contains %v — should be empty", d, p)
-			}
+	for i := 0; i < 80000; i++ {
+		p := geom.Pt(g.Float64()*s.Side-s.Side/2, g.Float64()*s.Side-s.Side/2)
+		if r := geo.Classify(p); r != UC0 && r != UNone {
+			t.Fatalf("literal relay region %v contains %v — should be empty", r, p)
 		}
 	}
 	// Consequently no tile can ever be good.
@@ -165,7 +296,7 @@ func TestLiteralRelayRegionsAreEmpty(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Pt(g.Float64()*s.Side-s.Side/2, g.Float64()*s.Side-s.Side/2)
 	}
-	if s.TileGood(pts) {
+	if geo.TileGood(pts) {
 		t.Error("literal-geometry tile reported good")
 	}
 }
@@ -176,28 +307,27 @@ func TestLiteralRelayRegionsAreEmpty(t *testing.T) {
 // connection radius.
 func TestRepairedReachability(t *testing.T) {
 	s := DefaultUDGSpec()
+	geo := s.Compile()
 	g := rng.New(3)
-	c0 := s.CenterRegion()
-	sampleIn := func(r geom.Region) geom.Point {
-		b := r.Bounds()
+	// sampleIn draws a uniform point of the tile centred at shift (in this
+	// tile's local coordinates) that the classifier puts in region r.
+	sampleIn := func(r URegion, shift geom.Point) geom.Point {
 		for {
-			p := geom.Pt(b.Min.X+g.Float64()*b.Width(), b.Min.Y+g.Float64()*b.Height())
-			if r.Contains(p) {
-				return p
+			p := geom.Pt(g.Float64()*s.Side-s.Side/2, g.Float64()*s.Side-s.Side/2)
+			if geo.Classify(p) == r {
+				return p.Add(shift)
 			}
 		}
 	}
 	for _, d := range Directions {
-		relay := s.RelayRegion(d)
 		dx, dy := d.Vec()
 		shift := geom.Pt(float64(dx)*s.Side, float64(dy)*s.Side)
-		// The facing relay region of the neighbor tile, in this tile's
-		// local coordinates.
-		facing := geom.Translate(s.RelayRegion(d.Opposite()), shift)
 		for i := 0; i < 2000; i++ {
-			rep := sampleIn(c0)
-			rel := sampleIn(relay)
-			far := sampleIn(facing)
+			rep := sampleIn(UC0, geom.Point{})
+			rel := sampleIn(URelay(d), geom.Point{})
+			// The facing relay region of the neighbor tile: p with
+			// Classify(p − shift) = URelay(d.Opposite()).
+			far := sampleIn(URelay(d.Opposite()), shift)
 			if rep.Dist(rel) > s.Radius+1e-9 {
 				t.Fatalf("dir %v: rep %v cannot reach relay %v (d = %v)", d, rep, rel, rep.Dist(rel))
 			}
@@ -209,46 +339,46 @@ func TestRepairedReachability(t *testing.T) {
 }
 
 func TestUDGClassify(t *testing.T) {
-	s := DefaultUDGSpec()
-	if r := s.Classify(geom.Pt(0, 0)); r != UC0 {
+	g := DefaultUDGSpec().Compile()
+	if r := g.Classify(geom.Pt(0, 0)); r != UC0 {
 		t.Errorf("center = %v", r)
 	}
-	if r := s.Classify(geom.Pt(0.5, 0)); r != URelayRight {
+	if r := g.Classify(geom.Pt(0.5, 0)); r != URelayRight {
 		t.Errorf("right relay center = %v", r)
 	}
-	if r := s.Classify(geom.Pt(-0.5, 0)); r != URelayLeft {
+	if r := g.Classify(geom.Pt(-0.5, 0)); r != URelayLeft {
 		t.Errorf("left relay center = %v", r)
 	}
-	if r := s.Classify(geom.Pt(0, 0.5)); r != URelayTop {
+	if r := g.Classify(geom.Pt(0, 0.5)); r != URelayTop {
 		t.Errorf("top relay center = %v", r)
 	}
-	if r := s.Classify(geom.Pt(0, -0.5)); r != URelayBottom {
+	if r := g.Classify(geom.Pt(0, -0.5)); r != URelayBottom {
 		t.Errorf("bottom relay center = %v", r)
 	}
-	if r := s.Classify(geom.Pt(0.7, 0.7)); r != UNone {
+	if r := g.Classify(geom.Pt(0.7, 0.7)); r != UNone {
 		t.Errorf("corner = %v", r)
 	}
-	if r := s.Classify(geom.Pt(0.3, 0.3)); r != UNone {
+	if r := g.Classify(geom.Pt(0.3, 0.3)); r != UNone {
 		t.Errorf("gap point = %v", r)
 	}
 }
 
 func TestUDGTileGood(t *testing.T) {
-	s := DefaultUDGSpec()
+	g := DefaultUDGSpec().Compile()
 	full := []geom.Point{
 		{X: 0, Y: 0}, {X: 0.5, Y: 0}, {X: -0.5, Y: 0}, {X: 0, Y: 0.5}, {X: 0, Y: -0.5},
 	}
-	if !s.TileGood(full) {
+	if !g.TileGood(full) {
 		t.Error("fully-occupied tile not good")
 	}
-	if s.TileGood(full[:4]) {
+	if g.TileGood(full[:4]) {
 		t.Error("tile missing bottom relay reported good")
 	}
-	if s.TileGood(nil) {
+	if g.TileGood(nil) {
 		t.Error("empty tile reported good")
 	}
 	// Duplicate occupancy doesn't help.
-	if s.TileGood([]geom.Point{{X: 0, Y: 0}, {X: 0.01, Y: 0}, {X: 0.5, Y: 0}}) {
+	if g.TileGood([]geom.Point{{X: 0, Y: 0}, {X: 0.01, Y: 0}, {X: 0.5, Y: 0}}) {
 		t.Error("tile with only C0+right reported good")
 	}
 }
@@ -258,7 +388,7 @@ func TestUDGGoodProbabilityFormulaVsMonteCarlo(t *testing.T) {
 	g := rng.New(4)
 	for _, lambda := range []float64{5, 12} {
 		want := s.GoodProbability(lambda)
-		got := MonteCarloGoodProbability(s.Side, lambda, s.TileGood, 6000, g)
+		got := MonteCarloGoodProbability(s.Side, lambda, s.Compile().TileGood, 6000, g)
 		if math.Abs(got.P-want) > 0.025 {
 			t.Errorf("λ=%v: MC %v vs analytic %v", lambda, got.P, want)
 		}
@@ -300,24 +430,24 @@ func TestLambdaS(t *testing.T) {
 }
 
 func TestRelaxedRegions(t *testing.T) {
-	s := RelaxedUDGSpec()
+	g := RelaxedUDGSpec().Compile()
 	// Band between C0 and right edge.
-	if r := s.Classify(geom.Pt(0.6, 0)); r != URelayRight {
+	if r := g.Classify(geom.Pt(0.6, 0)); r != URelayRight {
 		t.Errorf("band point = %v", r)
 	}
 	// Inside C0 wins.
-	if r := s.Classify(geom.Pt(0.45, 0)); r != UC0 {
+	if r := g.Classify(geom.Pt(0.45, 0)); r != UC0 {
 		t.Errorf("C0 point = %v", r)
 	}
-	// Outside everything.
-	if r := s.Classify(geom.Pt(0.66, 0.62)); r != URelayRight && r != URelayTop {
-		// Corner bands can overlap in relaxed mode — either is acceptable,
-		// but it must not be UNone given BandH = 0.5... actually (0.66, 0.62)
-		// has |y| > BandH for the right band and |x| > BandH for the top
-		// band, so it is UNone.
-		if r != UNone {
-			t.Errorf("corner point = %v", r)
-		}
+	// (0.66, 0.62) has |y| > BandH for the right band and |x| > BandH for
+	// the top band, so it is outside everything.
+	if r := g.Classify(geom.Pt(0.66, 0.62)); r != UNone {
+		t.Errorf("corner point = %v", r)
+	}
+	// The right and top bands meet at (BandH, R0) = (0.5, 0.5); Directions
+	// order gives it to the right band.
+	if r := g.Classify(geom.Pt(0.5, 0.5)); r != URelayRight {
+		t.Errorf("band overlap point = %v", r)
 	}
 }
 

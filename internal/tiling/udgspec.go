@@ -116,7 +116,16 @@ func UDGSpecFor(mode string) (UDGSpec, error) {
 // Validate checks the geometric soundness of the spec. For GeometryRepaired
 // it verifies the three reachability constraints of DESIGN.md §2 plus
 // region disjointness; for the other modes it checks basic positivity.
+// Every field must be finite, whether or not the mode reads it.
 func (s UDGSpec) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"Side", s.Side}, {"R0", s.R0}, {"Re", s.Re}, {"Xe", s.Xe}, {"BandH", s.BandH}, {"Radius", s.Radius}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("tiling: UDG spec %s = %v must be finite", f.name, f.v)
+		}
+	}
 	if s.Side <= 0 || s.R0 <= 0 || s.Radius <= 0 {
 		return fmt.Errorf("tiling: non-positive UDG spec dimensions: %+v", s)
 	}
@@ -153,48 +162,6 @@ func (s UDGSpec) Validate() error {
 	return nil
 }
 
-// CenterRegion returns C0 in tile-local coordinates.
-func (s UDGSpec) CenterRegion() geom.Region {
-	return geom.NewCircle(geom.Pt(0, 0), s.R0)
-}
-
-// RelayRegion returns the relay region for direction d in tile-local
-// coordinates.
-func (s UDGSpec) RelayRegion(d Direction) geom.Region {
-	dx, dy := d.Vec()
-	dir := geom.Pt(float64(dx), float64(dy))
-	switch s.Mode {
-	case GeometryRepaired:
-		return geom.NewCircle(dir.Scale(s.Xe), s.Re)
-	case GeometryRelaxed:
-		// Band between C0 and the tile edge, clipped to the tile.
-		lo, hi := s.R0, s.Side/2
-		var band geom.Rect
-		if dy == 0 {
-			band = geom.NewRect(
-				geom.Pt(float64(dx)*lo, -s.BandH),
-				geom.Pt(float64(dx)*hi, s.BandH),
-			)
-		} else {
-			band = geom.NewRect(
-				geom.Pt(-s.BandH, float64(dy)*lo),
-				geom.Pt(s.BandH, float64(dy)*hi),
-			)
-		}
-		return geom.Difference{A: band, B: s.CenterRegion()}
-	default: // GeometryLiteral
-		// The intersection within the tile of all unit disks centered at
-		// points of C0 (the facing neighbor relay region can only shrink
-		// this further), minus C0. Empty for R0 = 1/2 — the paper's defect.
-		tile := geom.Square(geom.Pt(0, 0), s.Side)
-		hull := geom.DiskIntersectionHull{
-			Bases: []geom.Region{s.CenterRegion()},
-			R:     s.Radius,
-		}
-		return geom.Difference{A: geom.Intersection{hull, tile}, B: s.CenterRegion()}
-	}
-}
-
 // URegion identifies the region of a UDG-SENS tile a point belongs to.
 type URegion int8
 
@@ -211,78 +178,72 @@ const (
 // URelay returns the region id of the relay region in direction d.
 func URelay(d Direction) URegion { return URelayRight + URegion(d) }
 
-// UDGGeometry is a compiled UDGSpec: C0 and the four relay regions are
-// materialized once so per-point classification allocates nothing.
-// (UDGSpec.RelayRegion builds a fresh Region value per call, which boxes
-// into an interface on every membership test — that allocation dominated
-// the whole UDG-SENS construction before classification was compiled.)
+// UDGGeometry is a compiled UDGSpec: C0 and the relay regions of the
+// spec's mode are materialized once, as closed-form shapes, so per-point
+// classification is a few comparisons and allocates nothing.
 type UDGGeometry struct {
 	Spec  UDGSpec
 	c0    geom.Circle
-	relay [4]geom.Region
-	// Repaired-mode fast path: the relay regions are plain circles, tested
-	// directly instead of through the Region interface.
-	relayCircle [4]geom.Circle
-	circles     bool
+	disks [4]geom.Circle // repaired: the relay disks
+	bands [4]geom.Rect   // relaxed: the bands between C0 and each edge
+	tile  geom.Rect      // literal: the tile, clipping the relay set
 }
 
-// Compile precomputes the region values for per-point classification.
+// Compile precomputes the region shapes for per-point classification.
 func (s UDGSpec) Compile() *UDGGeometry {
-	g := &UDGGeometry{Spec: s, c0: geom.NewCircle(geom.Pt(0, 0), s.R0)}
-	g.circles = s.Mode == GeometryRepaired
+	g := &UDGGeometry{
+		Spec: s,
+		c0:   geom.NewCircle(geom.Pt(0, 0), s.R0),
+		tile: geom.Square(geom.Pt(0, 0), s.Side),
+	}
 	for _, d := range Directions {
-		g.relay[d] = s.RelayRegion(d)
-		if c, ok := g.relay[d].(geom.Circle); ok {
-			g.relayCircle[d] = c
+		dx, dy := d.Vec()
+		g.disks[d] = geom.NewCircle(geom.Pt(float64(dx), float64(dy)).Scale(s.Xe), s.Re)
+		// Band between C0 and the tile edge; its overlap with C0 never
+		// classifies, because C0 is tested first.
+		lo, hi := s.R0, s.Side/2
+		if dy == 0 {
+			g.bands[d] = geom.NewRect(geom.Pt(float64(dx)*lo, -s.BandH), geom.Pt(float64(dx)*hi, s.BandH))
 		} else {
-			g.circles = false
+			g.bands[d] = geom.NewRect(geom.Pt(-s.BandH, float64(dy)*lo), geom.Pt(s.BandH, float64(dy)*hi))
 		}
 	}
 	return g
 }
 
-// Classify returns the region containing the tile-local point p. When
-// relay regions overlap (relaxed mode corners), the first direction in
-// Directions order wins; C0 always takes precedence.
+// Classify returns the region containing the tile-local point p. C0 always
+// takes precedence; where relay regions overlap (relaxed-mode corners) the
+// first direction in Directions order wins.
+//
+// Literal mode uses the closed form of DESIGN.md §2: the points within
+// Radius of every point of C0 are those with d(p, 0) + R0 ≤ Radius, clipped
+// to the tile. The four literal relay regions are that same set minus C0
+// (the facing neighbor region can only shrink it), so Directions order
+// assigns it to Right; at R0 = Radius/2 it lies inside C0 and is empty, up
+// to rounding on C0's rim.
 func (g *UDGGeometry) Classify(p geom.Point) URegion {
 	if g.c0.Contains(p) {
 		return UC0
 	}
-	if g.circles {
-		for d, c := range g.relayCircle {
+	switch g.Spec.Mode {
+	case GeometryRepaired:
+		for d, c := range g.disks {
 			if c.Contains(p) {
 				return URelay(Direction(d))
 			}
 		}
-		return UNone
-	}
-	for _, d := range Directions {
-		if g.relay[d].Contains(p) {
-			return URelay(d)
+	case GeometryRelaxed:
+		for d, b := range g.bands {
+			if b.Contains(p) {
+				return URelay(Direction(d))
+			}
+		}
+	default: // GeometryLiteral
+		if g.c0.MaxDistToPoint(p) <= g.Spec.Radius && g.tile.Contains(p) {
+			return URelay(Right)
 		}
 	}
 	return UNone
-}
-
-// Classify is the uncompiled form: convenient for one-off queries, but it
-// rebuilds the region values per call — point loops should Compile first.
-func (s UDGSpec) Classify(p geom.Point) URegion {
-	if s.CenterRegion().Contains(p) {
-		return UC0
-	}
-	for _, d := range Directions {
-		if s.RelayRegion(d).Contains(p) {
-			return URelay(d)
-		}
-	}
-	return UNone
-}
-
-// TileGood reports whether a tile whose local points are given is good:
-// C0 and all four relay regions are occupied. Monte-Carlo loops should
-// Compile once and use UDGGeometry.TileGood instead.
-func (s UDGSpec) TileGood(localPts []geom.Point) bool {
-	return s.Compile().TileGood(localPts)
 }
 
 // TileGood reports whether a tile whose local points are given is good:
